@@ -32,7 +32,7 @@ import numpy as np
 from .core import Gamble, ProbMass, ValidationError, expectation
 from .measures import MeasureSpec
 from .sampling import ScoreEstimate, mc_estimate
-from .trust import Scenario
+from .trust import Scenario, _stacked_previsions
 
 __all__ = [
     "ErrorKind",
@@ -101,17 +101,6 @@ def inaccuracy_mc(
         return np.abs(payoff) * (type1 | type2)
 
     return mc_estimate(mu.sampler(p.n), values, samples, seed)
-
-
-def _stacked_previsions(scenario: Scenario) -> np.ndarray:
-    """Expert rows with the agent appended, for one shared matmul.
-
-    Running the expert and agent previsions of each sample through the same
-    matrix product means identical mass functions give bit-identical
-    columns, so an expert equal to the agent cancels exactly, sample by
-    sample, not just in expectation.
-    """
-    return np.vstack([scenario.expert_matrix(), scenario.agent.weights])
 
 
 def expected_gap(

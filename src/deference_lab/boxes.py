@@ -18,16 +18,18 @@ Two margins control the box for a witness with event A = [P(X) >= 0] and
 
 With ``delta`` below both, every Y strictly between X and X + delta keeps
 the event and stays violating; the box is open, hence of positive Lebesgue
-measure.  The mirrored construction (gambles just *below* a witness whose
-conditional given ``[P(X) < 0]`` is strictly positive) backs the
-positive-side case; its margin bound is less tight to reason about, so the
-box contract is verified by interior sampling before the box is returned.
+measure.  The positive-side case (gambles just *below* a witness whose
+conditional given ``[P(X) < 0]`` is strictly positive) is the same
+construction seen through negation: off the expert hyperplanes, X is a
+positive-side witness exactly when -X is a negative-side one with the same
+event, so :func:`build_positive_box` takes its margins from
+``build_violation_box(scenario, -X)`` and the proof carries over.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -53,18 +55,12 @@ __all__ = [
     "build_positive_box",
 ]
 
-#: Fixed seed for the internal post-condition sampling of positive boxes.
-_BOX_CHECK_SEED = 0x5EED
-_BOX_CHECK_POINTS = 1_000
-_BOX_SHRINK_LIMIT = 20
-
-
 class NotAViolationWitness(ValidationError):
     """The gamble does not witness the violation the construction needs."""
 
 
 class DegenerateBoxError(RuntimeError):
-    """No shrinking of the candidate box satisfied its contract."""
+    """The witness leaves no positive box width."""
 
 
 class Orientation(Enum):
@@ -229,33 +225,27 @@ def build_violation_box(scenario: Scenario, x: Gamble) -> ViolationBox:
     )
 
 
-def _positive_box_post_holds(scenario: Scenario, box: ViolationBox) -> bool:
-    rng = np.random.default_rng(np.random.SeedSequence(_BOX_CHECK_SEED))
-    points = box.sample_interior(rng, _BOX_CHECK_POINTS)
-    e_t = scenario.expert_matrix().T
-    pi = scenario.agent.weights
-    rejected = (points @ e_t) < 0.0
-    expected = np.zeros(scenario.n, dtype=bool)
-    expected[box.event.sorted_members()] = True
-    if not np.all(rejected == expected):
-        return False
-    partial = (points * rejected) @ pi
-    total = points @ pi
-    return bool(np.all(partial > 0.0) and np.all(total >= 0.0))
-
-
 def build_positive_box(scenario: Scenario, x: Gamble) -> ViolationBox:
-    """The mirrored construction below a positive-side witness.
+    """The open box (X - delta, X) of gambles violating trust from above.
 
     Preconditions: ``pi(X) >= 0``, the rejection event B = [P(X) < 0] has
-    positive probability, and ``pi(X | B) > 0``.  The box is
-    ``(X - delta, X)``; its width starts at the minimum of the conditional
-    value, the event-stability margin ``min(P_i(X))`` over accepting
-    worlds, and (when ``pi(X) > 0``) the unconditional slack that keeps the
-    whole box on the nonnegative side.  Because this case has no vetted
-    closed form, the contract -- constant rejection event, strictly
-    positive conditional, nonnegative prevision -- is checked on sampled
-    interior points, halving the width up to 20 times before giving up.
+    positive probability, and ``pi(X | B) > 0``.  The width is
+
+        delta = min(pi(X | B), min over accepting i of P_i(X), pi(X)),
+
+    which is exactly the width of ``build_violation_box(scenario, -X)``:
+    off the hyperplanes -X has acceptance event B and conditional
+    ``-pi(X | B)``.  Every Y in the box is X - D with each D_j in (0, delta),
+    so ``0 < Q(D) < delta`` for every mass function Q, and
+
+    * event constancy: P_i(Y) < P_i(X) < 0 on B, and
+      P_i(Y) > P_i(X) - delta >= 0 off B;
+    * positive conditional: ``pi(Y 1_B) > pi(B) (pi(X | B) - delta) >= 0``;
+    * nonnegative prevision: ``pi(Y) > pi(X) - delta >= 0``;
+    * off the hyperplanes: no P_i(Y) is zero, by the first line.
+
+    A zero width leaves no box: raises :class:`DegenerateBoxError` when
+    ``pi(X) = 0`` or when some accepting expert has ``P_i(X) = 0``.
     """
     unconditional = expectation(scenario.agent, x)
     if unconditional < 0.0:
@@ -272,34 +262,12 @@ def build_positive_box(scenario: Scenario, x: Gamble) -> ViolationBox:
         raise NotAViolationWitness(
             f"positive-side witness needs pi(X | [P(X) < 0]) > 0, got {value}"
         )
-    accepting = [i for i in range(scenario.n) if i not in rejection]
-    stability = (
-        min(expectation(scenario.expert[i], x) for i in accepting) if accepting else math.inf
-    )
-    delta = min(value, stability)
-    if unconditional > 0.0:
-        delta = min(delta, unconditional)
-    if not delta > 0.0:
+    if unconditional == 0.0:
+        raise DegenerateBoxError("degenerate box: pi(X) = 0 leaves no width below X")
+    if expert_event(scenario, -x, 0.0) != rejection:
         raise DegenerateBoxError(
-            f"degenerate box: no positive width available (candidate {delta})"
+            "degenerate box: X lies on the zero hyperplane of an accepting expert"
         )
-
-    for _ in range(_BOX_SHRINK_LIMIT):
-        box = ViolationBox(
-            base=x,
-            event=rejection,
-            value_margin=value,
-            event_margin=stability,
-            delta=delta,
-            lower=x.values - delta,
-            upper=x.values.copy(),
-            orientation=Orientation.POSITIVE_SIDE,
-            hyperplanes=tuple(scenario.expert),
-        )
-        if _positive_box_post_holds(scenario, box):
-            return box
-        delta /= 2.0
-    raise DegenerateBoxError(
-        f"degenerate box: contract still failing at width {delta} after "
-        f"{_BOX_SHRINK_LIMIT} halvings"
-    )
+    mirror = build_violation_box(scenario, -x)
+    # Negating the mirror's upper bound would give -0.0 where x_j == delta.
+    return replace(mirror.mirrored(), lower=x.values - mirror.delta)

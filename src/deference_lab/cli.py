@@ -104,7 +104,8 @@ def load_scenario(path: str) -> tuple[Scenario, dict[str, Gamble]]:
 
     def parse_vector(values: object, field: str) -> np.ndarray:
         _require(
-            isinstance(values, list) and all(isinstance(v, (int, float)) for v in values),
+            isinstance(values, list)
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values),
             f"{field} must be an array of numbers",
         )
         _require(
@@ -288,7 +289,7 @@ def _box_fragment(scenario: Scenario, box: ViolationBox) -> dict:
 
 def _measure_fragment(measure: MeasureSpec) -> dict:
     return {
-        "kind": measure.kind,
+        "kind": "mixture" if measure.bumps else "gaussian",
         "sigma": measure.sigma,
         "base_weight": measure.base_weight,
         "bumps": [

@@ -38,6 +38,9 @@ __all__ = ["BumpPair", "MeasureSpec", "SymmetryReport", "measure_symmetry_check"
 #: strictly positive everywhere no matter how much mass the bumps take.
 MIN_BASE_WEIGHT = 2.0**-20
 
+# Box-mass discrepancies beyond this many standard errors fail the check.
+_THRESHOLD_SIGMAS = 4.0
+
 
 @dataclass(frozen=True)
 class BumpPair:
@@ -56,22 +59,18 @@ class BumpPair:
 
 @dataclass(frozen=True)
 class MeasureSpec:
-    """A probability measure: base Gaussian plus symmetric bump pairs."""
+    """A probability measure: base Gaussian plus symmetric bump pairs.
 
-    kind: str
+    A spec without bumps is the plain Gaussian; one with bumps is a mixture.
+    """
+
     sigma: float
     bumps: tuple[BumpPair, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.kind not in ("gaussian", "mixture"):
-            raise ValidationError(f"kind must be 'gaussian' or 'mixture', got {self.kind!r}")
         if not self.sigma > 0.0:
             raise ValidationError(f"sigma must be > 0, got {self.sigma}")
         bumps = tuple(self.bumps)
-        if self.kind == "gaussian" and bumps:
-            raise ValidationError("a plain gaussian measure carries no bumps")
-        if self.kind == "mixture" and not bumps:
-            raise ValidationError("a mixture measure needs at least one bump pair")
         if bumps:
             dims = {b.center.n for b in bumps}
             if len(dims) != 1:
@@ -86,11 +85,14 @@ class MeasureSpec:
 
     @classmethod
     def gaussian(cls, sigma: float) -> "MeasureSpec":
-        return cls(kind="gaussian", sigma=sigma)
+        return cls(sigma=sigma)
 
     @classmethod
     def mixture(cls, sigma: float, bumps: tuple[BumpPair, ...]) -> "MeasureSpec":
-        return cls(kind="mixture", sigma=sigma, bumps=tuple(bumps))
+        bumps = tuple(bumps)
+        if not bumps:
+            raise ValidationError("a mixture measure needs at least one bump pair")
+        return cls(sigma=sigma, bumps=bumps)
 
     @property
     def base_weight(self) -> float:
@@ -148,20 +150,15 @@ class SymmetryReport:
 
 
 def measure_symmetry_check(
-    measure,
-    dim: int,
-    trials: int,
-    samples: int,
-    seed: int,
-    threshold_sigmas: float = 4.0,
+    measure, dim: int, trials: int, samples: int, seed: int
 ) -> SymmetryReport:
     """Compare estimated masses of random boxes B against their mirrors -B.
 
     For each trial an axis-aligned box is drawn from two Gaussian corners
     scaled to the measure's spread; ``mu(B)`` and ``mu(-B)`` are estimated
     from independent batches of ``samples`` draws each.  The check passes
-    when every trial's discrepancy stays below ``threshold_sigmas`` times
-    the combined standard error.  Anything exposing ``sampler(dim)`` and
+    when every trial's discrepancy stays within four times the combined
+    standard error.  Anything exposing ``sampler(dim)`` and
     ``spread(dim)`` can be checked, admissible or not.
     """
     if trials < 1 or samples < 1:
@@ -195,13 +192,13 @@ def measure_symmetry_check(
             worst_ratio = max(worst_ratio, gap / combined)
         elif gap > 0.0:
             worst_ratio = float("inf")
-        if gap > threshold_sigmas * combined:
+        if gap > _THRESHOLD_SIGMAS * combined:
             passed = False
 
     return SymmetryReport(
         max_discrepancy=worst_abs,
         max_sigma_ratio=worst_ratio,
-        threshold_sigmas=threshold_sigmas,
+        threshold_sigmas=_THRESHOLD_SIGMAS,
         trials=trials,
         passed=passed,
     )

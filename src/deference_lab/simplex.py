@@ -49,12 +49,7 @@ class SimplexResult:
     iterations: int
 
 
-def simplex_maximize(
-    c: np.ndarray,
-    a_ub: np.ndarray,
-    b_ub: np.ndarray,
-    max_iterations: int = MAX_ITERATIONS,
-) -> SimplexResult:
+def simplex_maximize(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray) -> SimplexResult:
     """Maximize c.z subject to a_ub z <= b_ub, z >= 0, with b_ub >= 0."""
     c = np.asarray(c, dtype=float)
     a = np.atleast_2d(np.asarray(a_ub, dtype=float))
@@ -80,7 +75,7 @@ def simplex_maximize(
         candidates = np.flatnonzero(reduced < -PIVOT_TOL)
         if candidates.size == 0:
             break
-        if iterations >= max_iterations:
+        if iterations >= MAX_ITERATIONS:
             raise SimplexError(f"no convergence after {iterations} pivots")
         col = int(candidates[0])  # Bland: lowest eligible index enters.
 

@@ -212,7 +212,11 @@ def _event_lp(scenario: Scenario, members: frozenset[int]) -> tuple[float, np.nd
 
     c = np.zeros(2 * n + 1)
     c[-1] = 1.0
-    result = simplex_maximize(c, np.vstack(rows), np.asarray(rhs))
+    try:
+        result = simplex_maximize(c, np.vstack(rows), np.asarray(rhs))
+    except SimplexError as exc:
+        labels = [scenario.space.labels[i] for i in inside]
+        raise SimplexError(f"cone program for event {labels} failed: {exc}") from exc
     x = result.x[:n] - result.x[n : 2 * n]
     return result.objective, x
 
@@ -226,11 +230,7 @@ def event_violation_margin(scenario: Scenario, event: Event) -> tuple[float, Gam
         raise ValidationError(f"event is over {event.n} worlds, scenario over {scenario.n}")
     if not event.members:
         raise ValidationError("the empty event never defines a conditional prevision")
-    try:
-        margin, x = _event_lp(scenario, event.members)
-    except SimplexError as exc:
-        labels = [scenario.space.labels[i] for i in event.sorted_members()]
-        raise SimplexError(f"cone program for event {labels} failed: {exc}") from exc
+    margin, x = _event_lp(scenario, event.members)
     return margin, Gamble(x)
 
 
@@ -258,11 +258,7 @@ def check_global_trust(scenario: Scenario) -> TrustVerdict:
         members = frozenset(i for i in range(n) if mask >> i & 1)
         if not any(pi[i] > 0.0 for i in members):
             continue
-        try:
-            margin, x = _event_lp(scenario, members)
-        except SimplexError as exc:
-            labels = [scenario.space.labels[i] for i in sorted(members)]
-            raise SimplexError(f"cone program for event {labels} failed: {exc}") from exc
+        margin, x = _event_lp(scenario, members)
         if margin > best_margin:
             best_margin, best_event, best_x = margin, members, x
 
@@ -272,7 +268,10 @@ def check_global_trust(scenario: Scenario) -> TrustVerdict:
     witness = Gamble(best_x + best_margin / 2.0)
     event = expert_event(scenario, witness, 0.0)
     value = conditional_expectation(scenario.agent, witness, event)
-    if value is None or not value < 0.0:  # pragma: no cover - margin shields this
+    # Reachable despite the margin: a spurious LP optimum just above
+    # VIOLATION_TOL on a scenario where trust holds (a trusting n=7 case with
+    # one agent weight near 3e-6, global-exact seed 3 in bench/) lands here.
+    if value is None or not value < 0.0:
         raise SimplexError(
             f"interior witness lost its violation for event {sorted(best_event)}"
         )
@@ -283,6 +282,17 @@ def check_global_trust(scenario: Scenario) -> TrustVerdict:
         witness_value=value,
         margin=best_margin,
     )
+
+
+def _stacked_previsions(scenario: Scenario) -> np.ndarray:
+    """Expert rows with the agent appended, for one shared matmul.
+
+    Running the expert and agent previsions of each sample through the same
+    matrix product means identical mass functions give bit-identical
+    columns, so an expert equal to the agent cancels exactly, sample by
+    sample, not just in expectation.
+    """
+    return np.vstack([scenario.expert_matrix(), scenario.agent.weights])
 
 
 def estimate_ae_trust(scenario: Scenario, sigma: float, samples: int, seed: int) -> ScoreEstimate:
@@ -297,17 +307,14 @@ def estimate_ae_trust(scenario: Scenario, sigma: float, samples: int, seed: int)
         raise ValidationError(f"sigma must be > 0, got {sigma}")
     n = scenario.n
     pi = scenario.agent.weights
-    # The agent row rides along in one stacked product so that an expert
-    # row equal to the agent's yields bit-identical previsions, and the
-    # full-acceptance case reuses that value: no spurious sub-ulp
-    # violations on knife-edge scenarios.
-    stacked_t = np.vstack([scenario.expert_matrix(), pi]).T
+    stacked_t = _stacked_previsions(scenario).T
 
     def hits(xs: np.ndarray) -> np.ndarray:
         prev = xs @ stacked_t
         accepted = prev[:, :n] >= 0.0
         event_prob = accepted @ pi
         partial = (xs * accepted) @ pi
+        # Full acceptance reuses the agent column: no sub-ulp violations.
         partial = np.where(accepted.all(axis=1), prev[:, n], partial)
         return (event_prob > 0.0) & (partial < 0.0)
 

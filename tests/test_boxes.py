@@ -13,8 +13,10 @@ from deference_lab import (
     Scenario,
     build_positive_box,
     build_violation_box,
+    check_global_trust,
     check_local_trust,
     event_margin,
+    expectation,
     value_margin,
 )
 from oracles import random_scenario
@@ -145,6 +147,18 @@ def _positive_side_properties(scenario, box, samples=10_000, seed=3):
     assert np.all((points * members) @ pi > 0.0)
 
 
+def _positive_global_witnesses(seed, count):
+    """Random scenarios whose global witness has pi(X) > 0."""
+    rng = np.random.default_rng(seed)
+    found = []
+    while len(found) < count:
+        scenario = random_scenario(rng, int(rng.integers(2, 5)))
+        verdict = check_global_trust(scenario)
+        if not verdict.holds and expectation(scenario.agent, verdict.witness) > 0.0:
+            found.append((scenario, verdict.witness))
+    return found
+
+
 class TestBoxInvariants:
     def test_negative_boxes_on_random_violations(self):
         rng = np.random.default_rng(10)
@@ -196,6 +210,44 @@ class TestPositiveBox:
         # pi(X) = 0 leaves no slack for the nonnegative-side requirement.
         with pytest.raises(DegenerateBoxError):
             build_positive_box(anti_expert, Gamble([-1.0, 1.0]))
+
+    def test_on_hyperplane_witness_degenerates(self):
+        # P_2(X) = x_2 = 0: world 2 accepts with no room to move down.
+        # Rejection event {w3} has conditional 2 > 0 and pi(X) = 1/3.
+        scenario = Scenario.from_weights(
+            [1 / 3, 1 / 3, 1 / 3],
+            [[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]],
+        )
+        with pytest.raises(DegenerateBoxError, match="hyperplane"):
+            build_positive_box(scenario, Gamble([-1.0, 0.0, 2.0]))
+
+    def test_zero_lower_bound_is_positive_zero(self):
+        # Every expert rejects (P_i(X) = x_1 = -1), so B is the whole space
+        # and delta = pi(X) = 0.5 = x_2: that lower bound is exactly +0.0.
+        scenario = Scenario.from_weights([1 / 3, 1 / 3, 1 / 3], [[1.0, 0.0, 0.0]] * 3)
+        box = build_positive_box(scenario, Gamble([-1.0, 0.5, 2.0]))
+        assert box.lower.tolist() == [-1.5, 0.0, 1.5]
+        assert not np.signbit(box.lower[1])
+
+    def test_positive_boxes_on_random_global_witnesses(self):
+        for scenario, witness in _positive_global_witnesses(seed=11, count=12):
+            box = build_positive_box(scenario, witness)
+            _positive_side_properties(scenario, box, samples=2_000)
+            points = box.sample_interior(np.random.default_rng(5), 2_000)
+            assert np.all(points @ scenario.agent.weights >= 0.0)
+
+    def test_mirror_identity(self):
+        for scenario, witness in _positive_global_witnesses(seed=12, count=12):
+            box = build_positive_box(scenario, witness)
+            mirror = build_violation_box(scenario, -witness).mirrored()
+            assert box.event == mirror.event
+            assert box.value_margin == mirror.value_margin
+            assert box.event_margin == mirror.event_margin
+            assert box.delta == mirror.delta
+            assert box.orientation is mirror.orientation
+            # Equal as numbers; only the sign of a zero bound may differ.
+            assert np.array_equal(box.lower, mirror.lower)
+            assert np.array_equal(box.upper, mirror.upper)
 
 
 class TestMirroredBox:

@@ -1,11 +1,14 @@
 """The deference-lab command line: reports, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import deference_lab
 from deference_lab import SearchExhaustedError
 from deference_lab.cli import (
     EXIT_EXHAUSTED,
@@ -35,6 +38,54 @@ MIRROR_AGENT = {
     "agent": [0.3, 0.7],
     "expert": [[0.3, 0.7], [0.3, 0.7]],
 }
+POSITIVE_SIDE = {
+    "worlds": ["w1", "w2"],
+    "agent": [0.6, 0.4],
+    "expert": [[0.2, 0.8], [0.8, 0.2]],
+}
+# Byte-exact ``counterexample --samples 20000 --seed 7`` report on POSITIVE_SIDE.
+POSITIVE_SIDE_REPORT = """\
+{
+  "command": "counterexample",
+  "scenario": "scenario.json",
+  "digest": "sha256:e6d1486b8cc9c072afc96fa2199b969eab751f4b9442dc7930ca0a858b5cc7e9",
+  "sigma": 1.0,
+  "samples": 20000,
+  "seed": 7,
+  "verdict": {
+    "holds": false,
+    "margin": 0.6000000000000002,
+    "witness": [-0.69999999999999996, 1.3000000000000003],
+    "witness_event": ["w1"],
+    "witness_value": -0.69999999999999996
+  },
+  "box": {
+    "orientation": "positive_side",
+    "event": ["w2"],
+    "value_margin": 1.3000000000000003,
+    "event_margin": 0.90000000000000024,
+    "delta": 0.10000000000000014,
+    "lower": [-0.80000000000000004, 1.2000000000000002],
+    "upper": [-0.69999999999999996, 1.3000000000000003]
+  },
+  "measure": {
+    "kind": "mixture",
+    "sigma": 1.0,
+    "base_weight": 0.5,
+    "bumps": [{
+      "center": [-0.75, 1.2500000000000002],
+      "scale": 0.016666666666666691,
+      "weight": 0.5
+    }]
+  },
+  "gap": {
+    "value": 0.34485370653954089,
+    "std_error": 0.0019224394833738192,
+    "samples": 20000,
+    "seed": 1201125462
+  }
+}
+"""
 
 
 @pytest.fixture
@@ -100,6 +151,12 @@ class TestCheck:
         assert code == EXIT_INPUT
         assert "expert row 2" in capsys.readouterr().err
 
+    def test_booleans_are_not_numbers(self, capsys, scenario_file):
+        bad = dict(TRUTH, agent=[True, False])
+        code = main(["check", scenario_file(bad)])
+        assert code == EXIT_INPUT
+        assert "agent must be an array of numbers" in capsys.readouterr().err
+
 
 class TestScore:
     def test_agent_as_expert_scores_exactly_zero(self, capsys, scenario_file):
@@ -163,6 +220,14 @@ class TestCounterexample:
         assert measure["base_weight"] > 0.0
         gap = report["gap"]
         assert gap["value"] > 5 * gap["std_error"]
+
+    def test_positive_side_pipeline_bytes(self, capsys, scenario_file, tmp_path, monkeypatch):
+        # pi(witness) > 0 here, so the box is built on the positive side.
+        scenario_file(POSITIVE_SIDE)
+        monkeypatch.chdir(tmp_path)
+        code = main(["counterexample", "scenario.json", "--samples", "20000", "--seed", "7"])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out == POSITIVE_SIDE_REPORT
 
     def test_trust_holding_scenario_exits_3(self, capsys, scenario_file):
         code, report = run_cli(capsys, "counterexample", scenario_file(TRUTH))
@@ -234,12 +299,20 @@ class TestByteIdentity:
     def test_repeated_runs_identical(self, scenario_file):
         path = scenario_file(ANTI)
         args = [sys.executable, "-m", "deference_lab.cli"]
+        # The child must import the package from where this process found it.
+        package_root = str(Path(deference_lab.__file__).resolve().parents[1])
+        inherited = os.environ.get("PYTHONPATH")
+        env = dict(
+            os.environ,
+            PYTHONPATH=package_root + (os.pathsep + inherited if inherited else ""),
+        )
 
         def run():
             return subprocess.run(
                 args + ["score", path, "--samples", "20000", "--seed", "42"],
                 capture_output=True,
                 check=True,
+                env=env,
             ).stdout
 
         first, second = run(), run()

@@ -13,13 +13,16 @@ def _pair(center, scale=0.25, weight=0.5) -> BumpPair:
 
 
 class TestMeasureSpec:
-    def test_gaussian_carries_no_bumps(self):
-        with pytest.raises(ValidationError):
-            MeasureSpec(kind="gaussian", sigma=1.0, bumps=(_pair([1.0, 0.0]),))
+    def test_kind_derives_from_bumps(self):
+        from deference_lab.cli import _measure_fragment
+
+        assert _measure_fragment(MeasureSpec.gaussian(1.0))["kind"] == "gaussian"
+        mixture = MeasureSpec.mixture(1.0, (_pair([1.0, 0.0]),))
+        assert _measure_fragment(mixture)["kind"] == "mixture"
 
     def test_mixture_needs_bumps(self):
         with pytest.raises(ValidationError):
-            MeasureSpec(kind="mixture", sigma=1.0)
+            MeasureSpec.mixture(1.0, ())
 
     def test_sigma_positive(self):
         with pytest.raises(ValidationError):
