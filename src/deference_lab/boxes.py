@@ -22,8 +22,8 @@ measure.  The positive-side case (gambles just *below* a witness whose
 conditional given ``[P(X) < 0]`` is strictly positive) is the same
 construction seen through negation: off the expert hyperplanes, X is a
 positive-side witness exactly when -X is a negative-side one with the same
-event, so :func:`build_positive_box` takes its margins from
-``build_violation_box(scenario, -X)`` and the proof carries over.
+event, so :func:`build_positive_box` builds the negative-side box of -X
+(the event and value it has already derived) and the proof carries over.
 """
 
 from __future__ import annotations
@@ -190,6 +190,10 @@ def event_margin(scenario: Scenario, x: Gamble) -> float:
     ``min(-P_i(X))`` outside the event, infinite if nothing is excluded.
     """
     event, _ = _require_negative_witness(scenario, x)
+    return _event_margin(scenario, x, event)
+
+
+def _event_margin(scenario: Scenario, x: Gamble, event: Event) -> float:
     outside = [i for i in range(scenario.n) if i not in event]
     if not outside:
         return math.inf
@@ -206,8 +210,13 @@ def build_violation_box(scenario: Scenario, x: Gamble) -> ViolationBox:
     adversarial measure construction relies on).
     """
     event, value = _require_negative_witness(scenario, x)
+    return _negative_box(scenario, x, event, value)
+
+
+def _negative_box(scenario: Scenario, x: Gamble, event: Event, value: float) -> ViolationBox:
+    """``build_violation_box`` for a witness whose event and value are known."""
     lam = -value
-    xi = event_margin(scenario, x)
+    xi = _event_margin(scenario, x, event)
     delta = min(lam, xi)
     unconditional = expectation(scenario.agent, x)
     if unconditional < 0.0:
@@ -268,6 +277,7 @@ def build_positive_box(scenario: Scenario, x: Gamble) -> ViolationBox:
         raise DegenerateBoxError(
             "degenerate box: X lies on the zero hyperplane of an accepting expert"
         )
-    mirror = build_violation_box(scenario, -x)
+    # Rounding is sign-symmetric, so -value is exactly pi(-X | B).
+    mirror = _negative_box(scenario, -x, rejection, -value)
     # Negating the mirror's upper bound would give -0.0 where x_j == delta.
     return replace(mirror.mirrored(), lower=x.values - mirror.delta)

@@ -73,12 +73,6 @@ class WorldSpace:
     def n(self) -> int:
         return len(self.labels)
 
-    def index(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise ValidationError(f"unknown world label {label!r}") from None
-
     @classmethod
     def of_size(cls, n: int) -> "WorldSpace":
         """Default space with labels w1..wn."""
@@ -109,12 +103,6 @@ class Gamble:
 
     def __neg__(self) -> "Gamble":
         return Gamble(-self.values)
-
-    def __add__(self, other: "Gamble") -> "Gamble":
-        return Gamble(self.values + other.values)
-
-    def __sub__(self, other: "Gamble") -> "Gamble":
-        return Gamble(self.values - other.values)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Gamble):

@@ -17,6 +17,12 @@ pivoting follows Bland's rule throughout -- entering variable of lowest
 index with a favourable reduced cost, leaving row breaking ratio ties by
 lowest basis index -- which rules out cycling.  An iteration cap guards
 against the remaining failure mode, numerical livelock.
+
+Each pivot is one rank-1 update of the whole tableau: the pivot row is
+divided by the pivot, and every other row r loses ``t[r, col]`` times it.
+Element by element that is the same ``a - f * c`` as a row-by-row loop;
+rows with f = 0 can at most flip the sign of a zero, which no comparison
+sees, so the pivot sequence and the result bits do not depend on the layout.
 """
 
 from __future__ import annotations
@@ -28,8 +34,12 @@ import numpy as np
 __all__ = ["SimplexResult", "SimplexError", "UnboundedError", "simplex_maximize"]
 
 #: Entries smaller than this in absolute value are treated as exact zeros
-#: during pivot selection.
-PIVOT_TOL = 1e-12
+#: during pivot selection (reduced costs, pivot candidates, ratio ties).  The
+#: cone programs have entries of order 1, so a pivot near 1e-12 is rounding
+#: noise from earlier eliminations: dividing by it blows the next pivot up to
+#: order 1e12 and returns a vertex that breaks its own constraints by far
+#: more than ``trust.VIOLATION_TOL``.
+PIVOT_TOL = 1e-9
 
 MAX_ITERATIONS = 10_000
 
@@ -67,7 +77,7 @@ def simplex_maximize(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray) -> Simpl
     t[:m, n : n + m] = np.eye(m)
     t[:m, -1] = b
     t[m, :n] = -c
-    basis = list(range(n, n + m))
+    basis = np.arange(n, n + m)
 
     iterations = 0
     while True:
@@ -86,17 +96,15 @@ def simplex_maximize(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray) -> Simpl
         ratios = t[rows, -1] / column[rows]
         best = ratios.min()
         tied = rows[np.flatnonzero(ratios <= best + PIVOT_TOL)]
-        row = int(min(tied, key=lambda r: basis[r]))  # Bland: lowest basis index leaves.
+        row = int(tied[np.argmin(basis[tied])])  # Bland: lowest basis index leaves.
 
-        pivot = t[row, col]
-        t[row, :] /= pivot
-        for r in range(m + 1):
-            if r != row and t[r, col] != 0.0:
-                t[r, :] -= t[r, col] * t[row, :]
+        t[row] /= t[row, col]
+        factor = t[:, col].copy()
+        factor[row] = 0.0
+        t -= np.outer(factor, t[row])
         basis[row] = col
         iterations += 1
 
     x = np.zeros(n + m)
-    for r, var in enumerate(basis):
-        x[var] = t[r, -1]
+    x[basis] = t[:m, -1]
     return SimplexResult(x=x[:n], objective=float(t[m, -1]), iterations=iterations)

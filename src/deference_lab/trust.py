@@ -180,42 +180,35 @@ def check_local_trust(scenario: Scenario, x: Gamble) -> TrustVerdict:
 def _event_lp(scenario: Scenario, members: frozenset[int]) -> tuple[float, np.ndarray]:
     """Margin LP for one acceptance event; returns (optimum, witness gamble).
 
-    Variables are x = u - w (u, w >= 0) plus the margin s.  Constraints:
-    P_i(x) >= 0 inside the event, P_i(x) <= -s outside, the agent's partial
-    expectation over the event <= -s, and the unit box |x_j| <= 1 that
-    normalizes the cone.  All right-hand sides are 0 or 1, so the slack
-    basis starts feasible.
+    Variables are x = u - w (u, w >= 0) plus the margin s.  The 3n + 1 rows
+    of ``[X | -X | s] z <= b`` are, in order: -P_i(x) <= 0 for i inside the
+    event and P_i(x) + s <= 0 for i outside (both ascending), the agent's
+    partial expectation over the event plus s <= 0, and the unit box that
+    normalizes the cone, x_j <= 1 and -x_j <= 1 interleaved.  Bland's rule
+    breaks ties on slack indices, so this order is part of the result bits.
+    All right-hand sides are 0 or 1, so the slack basis starts feasible.
     """
     n = scenario.n
     e = scenario.expert_matrix()
     pi = scenario.agent.weights
-    inside = sorted(members)
-    outside = sorted(set(range(n)) - members)
+    inside = np.zeros(n, dtype=bool)
+    inside[list(members)] = True
 
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
-
-    def add_row(x_coeffs: np.ndarray, s_coeff: float, bound: float) -> None:
-        rows.append(np.concatenate([x_coeffs, -x_coeffs, [s_coeff]]))
-        rhs.append(bound)
-
-    for i in inside:
-        add_row(-e[i], 0.0, 0.0)
-    for i in outside:
-        add_row(e[i], 1.0, 0.0)
-    masked_pi = np.where(np.isin(np.arange(n), inside), pi, 0.0)
-    add_row(masked_pi, 1.0, 0.0)
-    identity = np.eye(n)
-    for j in range(n):
-        add_row(identity[j], 0.0, 1.0)
-        add_row(-identity[j], 0.0, 1.0)
+    box = np.kron(np.eye(n), [[1.0], [-1.0]])
+    x_part = np.vstack([-e[inside], e[~inside], np.where(inside, pi, 0.0), box])
+    a_ub = np.zeros((3 * n + 1, 2 * n + 1))
+    a_ub[:, :n] = x_part
+    a_ub[:, n : 2 * n] = -x_part
+    a_ub[len(members) : n + 1, -1] = 1.0  # outside rows and the agent row
+    b_ub = np.zeros(3 * n + 1)
+    b_ub[n + 1 :] = 1.0  # box rows
 
     c = np.zeros(2 * n + 1)
     c[-1] = 1.0
     try:
-        result = simplex_maximize(c, np.vstack(rows), np.asarray(rhs))
+        result = simplex_maximize(c, a_ub, b_ub)
     except SimplexError as exc:
-        labels = [scenario.space.labels[i] for i in inside]
+        labels = [scenario.space.labels[i] for i in sorted(members)]
         raise SimplexError(f"cone program for event {labels} failed: {exc}") from exc
     x = result.x[:n] - result.x[n : 2 * n]
     return result.objective, x
@@ -268,9 +261,8 @@ def check_global_trust(scenario: Scenario) -> TrustVerdict:
     witness = Gamble(best_x + best_margin / 2.0)
     event = expert_event(scenario, witness, 0.0)
     value = conditional_expectation(scenario.agent, witness, event)
-    # Reachable despite the margin: a spurious LP optimum just above
-    # VIOLATION_TOL on a scenario where trust holds (a trusting n=7 case with
-    # one agent weight near 3e-6, global-exact seed 3 in bench/) lands here.
+    # Reachable: on a near-singular program a rounding-noise optimum above
+    # VIOLATION_TOL can pick a vertex whose interior point does not violate.
     if value is None or not value < 0.0:
         raise SimplexError(
             f"interior witness lost its violation for event {sorted(best_event)}"

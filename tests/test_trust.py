@@ -18,6 +18,7 @@ from deference_lab import (
     estimate_ae_trust,
     event_probability,
     event_violation_margin,
+    expectation,
     expert_event,
 )
 from oracles import (
@@ -179,6 +180,38 @@ class TestGlobalTrust:
             viols += not verdict.holds
         assert holds >= 20 and viols >= 20  # the suite genuinely exercises both
 
+    @pytest.mark.parametrize(
+        "agent, a",
+        [
+            # The raw draw behind a trusting n=7 benchmark scenario (global-exact,
+            # seed 3, 8th round): the solver once pivoted on a 1e-12 entry there
+            # and reported a spurious margin for event [0, 1, 2, 5, 6].
+            (
+                [0.0702040499550601, 2.8131034584914132e-06, 0.17464479155189477,
+                 0.19881745713111396, 0.25322016807956554, 0.079057936822708,
+                 0.22405278335619902],
+                0.44538304921653193,
+            ),
+            # The same agent after renormalisation, with a rounded mixing weight.
+            (
+                [0.07020404995506012, 2.8131034584914136e-06, 0.1746447915518948,
+                 0.19881745713111398, 0.2532201680795656, 0.07905793682270801,
+                 0.22405278335619905],
+                0.445383049216532,
+            ),
+        ],
+        ids=["benchmark-draw", "renormalised"],
+    )
+    def test_tiny_agent_weight_trusting_holds(self, agent, a):
+        agent = np.array(agent)
+        n = agent.size
+        scenario = Scenario.from_weights(
+            agent, [a * np.eye(n)[i] + (1.0 - a) * agent for i in range(n)]
+        )
+        verdict = check_global_trust(scenario)
+        assert verdict.holds
+        assert verdict.margin <= TOL
+
     def test_witness_validity_on_random_suite(self):
         for scenario in _suite(40, seed=4242):
             verdict = check_global_trust(scenario)
@@ -189,6 +222,66 @@ class TestGlobalTrust:
             assert event_probability(scenario.agent, event) > 0.0
             value = conditional_expectation(scenario.agent, verdict.witness, event)
             assert value == verdict.witness_value < 0.0
+
+
+def _repeated_row_scenario(rng: np.random.Generator, n: int) -> Scenario:
+    """Two distinct expert rows repeated (singular E); the last world has no mass."""
+    distinct = [rng.dirichlet(np.ones(n)) for _ in range(2)]
+    agent = np.append(rng.dirichlet(np.ones(n - 1)), 0.0)
+    return Scenario.from_weights(agent, [distinct[i % 2] for i in range(n)])
+
+
+class TestGlobalTrustBits:
+    """Golden ``check_global_trust`` results as ``float.hex``.
+
+    The values pin the cone-LP layer bit for bit, so a change to the row
+    order of the event programs, the pivot rule or the pivot arithmetic
+    that moves any verdict, margin or witness bit fails here.
+    """
+
+    GOLDEN = {
+        "random_n6": (
+            lambda: random_scenario(np.random.default_rng(2), 6),
+            "0x1.d468c47cf2c07p-2",
+            ["0x1.3a8d188f9e581p+0", "0x1.3a8d188f9e580p+0", "0x1.c910f957ee95cp-2",
+             "-0x1.5addc372d7ea7p-1", "-0x1.8ae5cee0c34fcp-1", "-0x1.8ae5cee0c34fdp-1"],
+            [3, 5],
+            "-0x1.7a4c91ad1f0c4p-1",
+        ),
+        "repeated_row_n6": (
+            lambda: _repeated_row_scenario(np.random.default_rng(1), 6),
+            "0x1.690d2831bc29cp-1",
+            ["-0x1.4b796be721eb1p-1", "0x1.0a47ca9584b0cp-3", "0x1.47763bbc0b15bp-2",
+             "-0x1.4b796be721eb2p-1", "-0x1.4b796be721eb2p-1", "0x1.5a434a0c6f0a7p+0"],
+            [0, 2, 4],
+            "-0x1.b0fe34e28d60cp-2",
+        ),
+        "positive_side_n5": (
+            lambda: random_scenario(np.random.default_rng(28), 5),
+            "0x1.14ed5cdbd4dd8p-1",
+            ["0x1.453b5736f5376p+0", "0x1.bb0c9e5df46f8p-5", "-0x1.7589519215913p-1",
+             "0x1.cc9437d51d774p-1", "-0x1.7589519215912p-1"],
+            [2, 3, 4],
+            "-0x1.69f2a7f33ba4ap-1",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_golden_verdict(self, name):
+        make, margin, witness, event, value = self.GOLDEN[name]
+        verdict = check_global_trust(make())
+        assert not verdict.holds
+        assert verdict.margin.hex() == margin
+        assert [float(v).hex() for v in verdict.witness.values] == witness
+        assert verdict.witness_event.sorted_members() == event
+        assert verdict.witness_value.hex() == value
+
+    def test_golden_cases_cover_their_paths(self):
+        repeated = _repeated_row_scenario(np.random.default_rng(1), 6)
+        assert np.linalg.matrix_rank(repeated.expert_matrix()) == 2
+        scenario = random_scenario(np.random.default_rng(28), 5)
+        witness = check_global_trust(scenario).witness
+        assert expectation(scenario.agent, witness) > 0.0  # positive-side box
 
 
 class TestAlmostEverywhereTrust:
