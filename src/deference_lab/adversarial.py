@@ -1,12 +1,12 @@
 """Synthesizing a measure that makes a trust violation show up in the scores.
 
-When trust fails there is an open box of uniformly violating gambles, and
-on that box (and on its mirror image) the integrand of the gap identity is
-strictly positive.  An admissible measure that concentrates enough mass
-there therefore drives the expected inaccuracy gap strictly positive --
-the agent expects the expert to score *worse* -- while remaining
-admissible, because the concentration is a symmetric bump pair and a
-sliver of base Gaussian keeps the density positive everywhere.
+When trust fails, an open box of uniformly violating gambles grows around
+a witness (the box's base), and on that box and its mirror image the
+integrand of the gap identity is strictly positive.  An admissible measure
+concentrating enough mass there drives the expected inaccuracy gap
+strictly positive -- the agent expects the expert to score *worse* --
+while staying admissible: the concentration is a symmetric bump pair and
+a sliver of base Gaussian keeps the density positive everywhere.
 
 How much concentration is "enough" has no a-priori bound, so the weight
 escalates geometrically toward one and each candidate is judged by its
@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .boxes import ViolationBox
-from .core import Gamble, ValidationError
+from .boxes import Orientation, ViolationBox, _require_negative_witness
+from .core import Gamble
 from .accuracy import expected_gap
 from .measures import BumpPair, MeasureSpec
 from .sampling import ScoreEstimate
-from .trust import Scenario, check_global_trust
+from .trust import Scenario
 
 __all__ = ["SearchExhaustedError", "bump_pair_for_box", "build_adversarial_measure"]
 
@@ -73,13 +73,13 @@ def build_adversarial_measure(
     whose estimated gap clears five standard errors, together with that
     estimate.  Raises :class:`SearchExhaustedError` carrying the best
     candidate seen if none clears -- a sign of too few samples or a
-    degenerate box, not of a refuted theorem.
+    degenerate box, not of a refuted theorem.  The box's negative-side base
+    (``-box.base`` on the positive side) must witness a violation of this
+    scenario: an O(n^2) check before any sampling, raising
+    :class:`NotAViolationWitness` otherwise.
     """
-    if not base_sigma > 0.0:
-        raise ValidationError(f"base sigma must be > 0, got {base_sigma}")
-    verdict = check_global_trust(scenario)
-    if verdict.holds:
-        raise ValidationError("scenario satisfies trust; there is no violation to amplify")
+    base = box.base if box.orientation is Orientation.NEGATIVE_SIDE else -box.base
+    _require_negative_witness(scenario, base)
     center, scale = bump_pair_for_box(box)
 
     def sigmas_above_zero(est: ScoreEstimate) -> float:

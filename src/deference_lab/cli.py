@@ -82,7 +82,7 @@ def load_scenario(path: str) -> tuple[Scenario, dict[str, Gamble]]:
             raw = json.load(handle)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
     _require(isinstance(raw, dict), "scenario document must be a JSON object")
@@ -111,7 +111,10 @@ def load_scenario(path: str) -> tuple[Scenario, dict[str, Gamble]]:
         _require(
             len(values) == n, f"{field} has {len(values)} entries, expected {n}"
         )
-        return np.asarray(values, dtype=float)
+        try:
+            return np.asarray(values, dtype=float)
+        except OverflowError as exc:
+            raise InputError(f"{field} has a number beyond float range") from exc
 
     def parse_mass(values: object, field: str) -> ProbMass:
         vec = parse_vector(values, field)
@@ -313,8 +316,8 @@ def _positive_int(raw: str) -> int:
 
 def _positive_float(raw: str) -> float:
     value = float(raw)
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+    if not (value > 0.0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {value}")
     return value
 
 

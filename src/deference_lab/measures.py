@@ -25,6 +25,7 @@ bump, which the public type cannot represent).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,8 +69,8 @@ class MeasureSpec:
     bumps: tuple[BumpPair, ...] = ()
 
     def __post_init__(self) -> None:
-        if not self.sigma > 0.0:
-            raise ValidationError(f"sigma must be > 0, got {self.sigma}")
+        if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
+            raise ValidationError(f"sigma must be positive and finite, got {self.sigma}")
         bumps = tuple(self.bumps)
         if bumps:
             dims = {b.center.n for b in bumps}

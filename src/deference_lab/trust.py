@@ -28,6 +28,7 @@ X satisfies ``pi(X | [P(X) >= 0]) < 0`` with the stored event and value.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -295,8 +296,8 @@ def estimate_ae_trust(scenario: Scenario, sigma: float, samples: int, seed: int)
     ``[P(X) >= 0]`` is defined and negative, with binomial standard error.
     Deterministic for a given seed, independent of thread count.
     """
-    if not sigma > 0.0:
-        raise ValidationError(f"sigma must be > 0, got {sigma}")
+    if not (sigma > 0.0 and math.isfinite(sigma)):
+        raise ValidationError(f"sigma must be positive and finite, got {sigma}")
     n = scenario.n
     pi = scenario.agent.weights
     stacked_t = _stacked_previsions(scenario).T

@@ -7,6 +7,7 @@ from deference_lab import (
     Event,
     Gamble,
     MeasureSpec,
+    NotAViolationWitness,
     Orientation,
     Scenario,
     SearchExhaustedError,
@@ -84,6 +85,12 @@ class TestBuildAdversarialMeasure:
         with pytest.raises(ValidationError):
             build_adversarial_measure(truth_expert, box, 1.0, 1_000, seed=0)
 
+    @pytest.mark.parametrize("sigma", [0.0, np.inf])
+    def test_bad_base_sigma_is_rejected(self, anti_expert, sigma):
+        box = build_violation_box(anti_expert, Gamble([1.0, -1.0]))
+        with pytest.raises(ValidationError, match="positive and finite"):
+            build_adversarial_measure(anti_expert, box, sigma, 1_000, seed=0)
+
     def test_gaussian_negative_scenario_needs_concentration(self):
         # Violated, but the plain Gaussian scores the expert *better*; the
         # search must walk the weight ladder past 0.5 and still succeed.
@@ -109,12 +116,38 @@ class TestBuildAdversarialMeasure:
         rhs = rhs_identity(scenario, measure, 400_000, seed=77)
         assert rhs.value > 3 * rhs.std_error
 
+    def test_box_built_for_another_scenario_is_rejected(self, anti_expert, monkeypatch):
+        # The expert always announces w2, so trust fails (X = [-3, 1]), yet
+        # the anti-expert's witness [1, -1] is rejected everywhere here.
+        scenario = Scenario.from_weights([0.5, 0.5], [[0.0, 1.0], [0.0, 1.0]])
+        assert not check_global_trust(scenario).holds
+        box = build_violation_box(anti_expert, Gamble([1.0, -1.0]))
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before checking the box's witness")
+
+        monkeypatch.setattr("deference_lab.adversarial.expected_gap", no_sampling)
+        with pytest.raises(NotAViolationWitness):
+            build_adversarial_measure(scenario, box, 1.0, 1_000, seed=0)
+        with pytest.raises(NotAViolationWitness):
+            build_adversarial_measure(scenario, box.mirrored(), 1.0, 1_000, seed=0)
+
+    def test_positive_side_box_is_checked_through_its_mirror(self):
+        # Every expert rejects X = [-1, 5], so X itself witnesses nothing on
+        # the negative side; -X (everyone accepts, pi = -2) does.
+        scenario = Scenario.from_weights([0.5, 0.5], [[0.9, 0.1], [0.9, 0.1]])
+        box = build_positive_box(scenario, Gamble([-1.0, 5.0]))
+        measure, estimate = build_adversarial_measure(scenario, box, 1.0, 20_000, seed=0)
+        assert measure.bumps[0].weight == 0.5
+        assert estimate.value > 5 * estimate.std_error
+
     def test_exhaustion_reports_best_candidate(self):
         # A decoy box deep in trust-satisfied territory contributes nothing,
         # and this scenario's Gaussian gap is negative: no weight can win.
+        # Its base is the scenario's real witness, as the search requires.
         scenario = _informed_but_flawed()
         decoy = ViolationBox(
-            base=Gamble([5.0, 5.0, 5.0]),
+            base=check_global_trust(scenario).witness,
             event=Event.full(3),
             value_margin=1.0,
             event_margin=1.0,
@@ -151,4 +184,5 @@ class TestBuildAdversarialMeasure:
             measure, estimate = build_adversarial_measure(scenario, box, 1.0, 100_000, seed=attempts)
             assert estimate.value > 5 * estimate.std_error
             assert measure.base_weight > 0.0
+        assert seen["negative"] > 0 and seen["positive"] > 0  # 9 and 1 for this seed
         assert sum(seen.values()) == 10

@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import deference_lab
 from deference_lab import SearchExhaustedError
@@ -15,6 +17,7 @@ from deference_lab.cli import (
     EXIT_INPUT,
     EXIT_OK,
     EXIT_TRUST_HOLDS,
+    InputError,
     load_scenario,
     main,
     scenario_digest,
@@ -157,6 +160,115 @@ class TestCheck:
         assert code == EXIT_INPUT
         assert "agent must be an array of numbers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("agent", dict(TRUTH, agent=[10**400, 0.5])),
+            ("expert row 2", dict(TRUTH, expert=[[1.0, 0.0], [0.0, -(10**400)]])),
+            ("gamble 'bet'", dict(TRUTH, gambles={"bet": [1.0, 10**400]})),
+        ],
+    )
+    def test_integers_beyond_float_range(self, capsys, scenario_file, field, bad):
+        code = main(["check", scenario_file(bad)])
+        assert code == EXIT_INPUT
+        assert f"{field} has a number beyond float range" in capsys.readouterr().err
+
+    def test_undecodable_file(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"worlds": ["\xff"]}')
+        assert main(["check", str(path)]) == EXIT_INPUT
+        assert "not valid JSON" in capsys.readouterr().err
+
+
+# Integers reach far past float range, where converting them overflows.
+_huge_integers = st.integers(min_value=-(10**400), max_value=10**400)
+_json_values = st.recursive(
+    st.none() | st.booleans() | _huge_integers | st.floats() | st.text(max_size=5),
+    lambda inner: (
+        st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=5), inner, max_size=4)
+    ),
+    max_leaves=12,
+)
+
+
+def _fits_float(value) -> bool:
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
+
+
+@st.composite
+def _well_shaped_documents(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+
+    def mass():
+        counts = draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))
+        counts[0] += 1
+        return [c / sum(counts) for c in counts]
+
+    payoffs = _huge_integers | st.floats(allow_nan=False, allow_infinity=False)
+    return {
+        "worlds": [f"w{i + 1}" for i in range(n)],
+        "agent": mass(),
+        "expert": [mass() for _ in range(n)],
+        "gambles": {"bet": draw(st.lists(payoffs, min_size=n, max_size=n))},
+    }
+
+
+@st.composite
+def _perturbed_documents(draw):
+    """A well-shaped document with one field, row or entry replaced, or a field dropped."""
+    document = draw(_well_shaped_documents())
+    field = draw(st.sampled_from(["worlds", "agent", "expert", "gambles", "extra"]))
+    how = draw(st.sampled_from(["replace", "entry", "drop"]))
+    value = draw(_huge_integers | _json_values)  # huge integers often, not just as leaves
+    if how == "drop":
+        document.pop(field, None)
+    elif how == "replace" or field == "extra":
+        document[field] = value
+    else:
+        entries = document["gambles"]["bet"] if field == "gambles" else document[field]
+        j = draw(st.integers(0, len(entries) - 1))
+        if field == "expert" and draw(st.booleans()):
+            entries = entries[j]
+        entries[j] = value
+    return document
+
+
+class TestLoadScenarioFuzz:
+    """Any JSON document either loads or raises InputError, never anything else."""
+
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fuzz") / "scenario.json"
+
+    @staticmethod
+    def _loads(path, document) -> bool:
+        path.write_text(json.dumps(document), encoding="utf-8")
+        try:
+            load_scenario(str(path))
+        except InputError:
+            return False
+        return True
+
+    @given(document=_well_shaped_documents())
+    @settings(max_examples=100)
+    def test_well_shaped_documents_load(self, path, document):
+        expected = all(_fits_float(v) for v in document["gambles"]["bet"])
+        assert self._loads(path, document) == expected
+
+    @given(document=_perturbed_documents())
+    @settings(max_examples=300)
+    def test_perturbed_documents(self, path, document):
+        self._loads(path, document)
+
+    @given(document=_json_values)
+    @settings(max_examples=200)
+    def test_arbitrary_documents(self, path, document):
+        self._loads(path, document)
+
 
 class TestScore:
     def test_agent_as_expert_scores_exactly_zero(self, capsys, scenario_file):
@@ -186,6 +298,14 @@ class TestScore:
     def test_rejects_bad_sigma(self, capsys, scenario_file):
         assert main(["score", scenario_file(ANTI), "--sigma", "0"]) == EXIT_INPUT
         assert main(["score", scenario_file(ANTI), "--samples", "0"]) == EXIT_INPUT
+
+    @pytest.mark.parametrize("command", ["score", "identity", "ae-trust", "counterexample"])
+    @pytest.mark.parametrize("sigma", ["inf", "-inf", "nan"])
+    def test_rejects_non_finite_sigma(self, capsys, scenario_file, command, sigma):
+        assert main([command, scenario_file(ANTI), f"--sigma={sigma}"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --sigma: must be positive and finite" in captured.err
 
 
 class TestAeTrust:
@@ -228,6 +348,25 @@ class TestCounterexample:
         code = main(["counterexample", "scenario.json", "--samples", "20000", "--seed", "7"])
         assert code == EXIT_OK
         assert capsys.readouterr().out == POSITIVE_SIDE_REPORT
+
+    def test_trust_is_decided_once(self, capsys, scenario_file, monkeypatch):
+        # The box certifies the violation, so the search need not re-decide it.
+        from deference_lab import adversarial, cli, trust
+
+        original = trust.check_global_trust
+        calls = []
+
+        def counting(scenario):
+            calls.append(scenario.n)
+            return original(scenario)
+
+        for module in (trust, cli, adversarial):
+            monkeypatch.setattr(module, "check_global_trust", counting, raising=False)
+        code, _ = run_cli(
+            capsys, "counterexample", scenario_file(POSITIVE_SIDE), "--samples", "2000"
+        )
+        assert code == EXIT_OK
+        assert calls == [2]
 
     def test_trust_holding_scenario_exits_3(self, capsys, scenario_file):
         code, report = run_cli(capsys, "counterexample", scenario_file(TRUTH))

@@ -28,6 +28,11 @@ class TestMeasureSpec:
         with pytest.raises(ValidationError):
             MeasureSpec.gaussian(0.0)
 
+    @pytest.mark.parametrize("sigma", [float("inf"), float("nan")])
+    def test_sigma_finite(self, sigma):
+        with pytest.raises(ValidationError, match="positive and finite"):
+            MeasureSpec.gaussian(sigma)
+
     def test_bump_weight_range(self):
         with pytest.raises(ValidationError):
             _pair([1.0], weight=1.0)

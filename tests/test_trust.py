@@ -1,5 +1,7 @@
 """Local and global trust decisions, against hand values and oracles."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -324,6 +326,11 @@ class TestAlmostEverywhereTrust:
     def test_rejects_bad_sigma(self, anti_expert):
         with pytest.raises(ValidationError):
             estimate_ae_trust(anti_expert, 0.0, 10, seed=0)
+
+    @pytest.mark.parametrize("sigma", [math.inf, math.nan])
+    def test_rejects_non_finite_sigma(self, anti_expert, sigma):
+        with pytest.raises(ValidationError, match="positive and finite"):
+            estimate_ae_trust(anti_expert, sigma, 10, seed=0)
 
 
 class TestScenarioValidation:
