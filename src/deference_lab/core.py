@@ -81,7 +81,7 @@ class WorldSpace:
         return cls(tuple(f"w{i + 1}" for i in range(n)))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Gamble:
     """A real-valued payoff vector over the worlds (a random variable)."""
 
@@ -113,7 +113,7 @@ class Gamble:
         return f"Gamble({self.values.tolist()})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
     """A subset of the n worlds, held as a frozenset of 0-based indices."""
 

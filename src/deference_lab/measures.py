@@ -52,8 +52,8 @@ class BumpPair:
     weight: float
 
     def __post_init__(self) -> None:
-        if not self.scale > 0.0:
-            raise ValidationError(f"bump scale must be > 0, got {self.scale}")
+        if not (self.scale > 0.0 and math.isfinite(self.scale)):
+            raise ValidationError(f"bump scale must be positive and finite, got {self.scale}")
         if not 0.0 <= self.weight < 1.0:
             raise ValidationError(f"bump weight must lie in [0, 1), got {self.weight}")
 

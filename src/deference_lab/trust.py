@@ -10,12 +10,30 @@ per world.  Three checks live here:
   decides the full real-t quantifier.
 
 * :func:`check_global_trust` -- the exact decision over *all* gambles at
-  threshold zero.  Gambles with expert-acceptance event A form the convex
-  cone ``{X : P_i(X) >= 0 on A, P_i(X) < 0 off A}``; trust fails on that
-  cone iff a small LP (strictness handled by a maximized margin variable,
-  the cone normalized by a unit box) has a strictly positive optimum.
-  Enumerating the (at most 2^n - 1) events with positive agent probability
-  decides trust exactly.
+  threshold zero.  Group identical expert rows into k classes, E = C E',
+  and put u = E' X.  The acceptance event A is the union of the classes
+  with u_c >= 0, and ``pi(X 1_A)`` is the sum over those classes of
+  ``(pi o 1_c) . X``.  When E' has full row rank, u ranges over all of R^k,
+  and each ``pi o 1_c`` either lies in the row space of E', as
+  ``E'^T K'_c``, or leaves a least-squares residual along ker E'.  A
+  residual means trust fails on class c alone: shifting X along the
+  residual leaves every expert prevision in place and drives the class's
+  partial expectation below zero.  Without residuals,
+  ``pi(X 1_A) = sum_{c in A} K'_c . u``, which is non-negative on every
+  sign pattern of u exactly when no off-diagonal entry of K' is positive
+  and no row sum is negative.  So only the singleton classes and the full
+  space bind, and one least-squares solve (an SVD of the k x n matrix E')
+  decides trust.  Each failure has a closed-form witness: the least-norm
+  X with expert previsions +1 on the accepting classes and -1 elsewhere,
+  moved along the offending direction until ``pi(X 1_A) <= -1`` and scaled
+  to ``max |X_j| = 1``.  Only when the distinct rows are linearly
+  dependent does the check fall back to the cone programs: gambles with
+  acceptance event A form the convex cone
+  ``{X : P_i(X) >= 0 on A, P_i(X) < 0 off A}``; trust fails on that cone
+  iff a small LP (strictness handled by a maximized margin variable, the
+  cone normalized by a unit box) has a strictly positive optimum, and the
+  fallback enumerates the (at most 2^n - 1) events with positive agent
+  probability.
 
 * :func:`estimate_ae_trust` -- the sampled frequency of threshold-zero
   violations under a centered Gaussian, which is mutually absolutely
@@ -41,6 +59,7 @@ from .core import (
     WorldSpace,
     conditional_expectation,
     expectation,
+    indicator,
 )
 from .sampling import ScoreEstimate, gaussian_draw, mc_frequency
 from .simplex import SimplexError, simplex_maximize
@@ -60,8 +79,16 @@ __all__ = [
 #: A cone LP optimum above this margin counts as a trust violation.
 VIOLATION_TOL = 1e-9
 
-#: Hard cap on the exact global check (2^n cone programs).
+#: Hard cap on the LP fallback of the global check (2^n cone programs).
 MAX_GLOBAL_WORLDS = 20
+
+# A class whose agent mass leaves a least-squares residual above this lies
+# outside the row space of the distinct expert rows.
+_RESIDUAL_SLACK = 1e-10
+
+# Entries of K' within this of zero count as zero in the sign test; trusting
+# mixtures built in floating point sit about 1e-17 off the boundary.
+_SIGN_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -103,15 +130,20 @@ class Scenario:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrustVerdict:
     """Outcome of a trust check, with a threshold-zero witness on failure.
 
     When ``holds`` is False the witness triple is populated and satisfies
     ``witness_event == expert_event(scenario, witness, 0)`` and
     ``witness_value == conditional_expectation(agent, witness, witness_event) < 0``.
-    ``margin`` is the best cone-LP optimum seen by the global check (None
-    for local checks).
+
+    ``margin`` is set by the global check only (None for local checks).  On
+    failure it is the witness event's cone-LP objective at the witness,
+    ``min(-pi(X 1_A), min_{i not in A} -P_i(X))`` with ``max |X_j| <= 1``: a
+    certified lower bound on that event's LP optimum (the LP fallback for
+    dependent expert rows reports the optimum itself).  When trust holds it
+    is 0.0, the optimum of every event's LP.
     """
 
     holds: bool
@@ -230,6 +262,73 @@ def event_violation_margin(scenario: Scenario, event: Event) -> tuple[float, Gam
 
 def check_global_trust(scenario: Scenario) -> TrustVerdict:
     """Decide trust over every gamble at threshold zero, exactly.
+
+    Groups identical expert rows into classes and decides by the sign test
+    of the module docstring: the largest class residual above
+    ``_RESIDUAL_SLACK`` fails first, then the largest off-diagonal entry of
+    K' above ``_SIGN_SLACK``, then the most negative row sum below
+    ``-_SIGN_SLACK``; the offence picked yields the closed-form witness,
+    whose violation is re-checked in floating point (``SimplexError`` if it
+    is lost).  Linearly dependent distinct rows take the LP enumeration of
+    :func:`_enumerate_events` instead, capped at ``MAX_GLOBAL_WORLDS``.
+    """
+    e = scenario.expert_matrix()
+    pi = scenario.agent.weights
+    classes: dict[tuple[float, ...], int] = {}
+    label = np.array([classes.setdefault(tuple(row.tolist()), len(classes)) for row in e])
+    k = len(classes)
+    member = label == np.arange(k)[:, None]  # (k, n): member[c, i] iff world i is in class c
+    distinct = e[np.argmax(member, axis=1)]
+    basis_u, sv, basis_vt = np.linalg.svd(distinct, full_matrices=False)
+    if sv[-1] <= sv[0] * max(distinct.shape) * np.finfo(float).eps:
+        return _enumerate_events(scenario)
+
+    masses = (member * pi).T  # (n, k): column c is pi o 1_c
+    pinv = basis_vt.T @ (basis_u.T / sv[:, None])  # least-norm X for E'X = u is pinv @ u
+    kq = pinv.T @ masses  # K'
+    residual = masses - basis_vt.T @ (basis_vt @ masses)
+    sizes = np.linalg.norm(residual, axis=0)
+    off = kq - np.diag(np.diag(kq))
+    rows = kq.sum(axis=1)
+
+    if sizes.max() > _RESIDUAL_SLACK:
+        c = int(np.argmax(sizes))
+        inside, direction = np.arange(k) == c, -residual[:, c]
+    elif off.max() > _SIGN_SLACK:
+        d, c = np.unravel_index(np.argmax(off), off.shape)
+        inside, direction = np.arange(k) == c, -pinv[:, d]
+    elif rows.min() < -_SIGN_SLACK:
+        d = int(np.argmin(rows))
+        inside, direction = np.ones(k, dtype=bool), pinv[:, d]
+    else:
+        return TrustVerdict(holds=True, margin=0.0)
+
+    # Expert previsions +1 on the accepting classes and -1 off them, then
+    # moved along the offending direction until pi(X 1_A) <= -1.
+    weight = masses[:, inside].sum(axis=1)
+    x = pinv @ np.where(inside, 1.0, -1.0)
+    x = x + max(0.0, weight @ x + 1.0) / -(weight @ direction) * direction
+    witness = Gamble(x / np.abs(x).max())
+    event = expert_event(scenario, witness, 0.0)
+    value = conditional_expectation(scenario.agent, witness, event)
+    if value is None or not value < 0.0:
+        raise SimplexError(
+            f"closed-form witness lost its violation for event {event.sorted_members()}"
+        )
+    # The event's cone-LP objective at the (feasible) witness.
+    partial = expectation(scenario.agent, Gamble(witness.values * indicator(event).values))
+    outside = [expectation(row, witness) for i, row in enumerate(scenario.expert) if i not in event]
+    return TrustVerdict(
+        holds=False,
+        witness=witness,
+        witness_event=event,
+        witness_value=value,
+        margin=-max([partial, *outside]),
+    )
+
+
+def _enumerate_events(scenario: Scenario) -> TrustVerdict:
+    """The global check by one cone LP per acceptance event.
 
     Enumerates acceptance events in descending bitmask order (full space
     first), skipping events of zero agent probability, and keeps the event

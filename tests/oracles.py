@@ -8,12 +8,15 @@ Nothing here imports the implementation paths it judges:
 * the cone-violation LP is re-solved with scipy's HiGHS solver from an
   independent formulation (free variables, explicit bounds);
 * threshold-zero violations and the full local threshold sweep are
-  re-derived with broadcast array algebra.
+  re-derived with broadcast array algebra;
+* the class-quotient sign test of the exact global check is re-derived in
+  rational arithmetic, by Gaussian elimination over ``fractions.Fraction``.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import quad
@@ -190,3 +193,83 @@ def trusting_scenario(rng: np.random.Generator, n: int) -> Scenario:
         point[i] = 1.0
         rows.append(a * point + (1.0 - a) * agent)
     return Scenario.from_weights(agent, rows)
+
+
+def coarse_trusting_scenario(rng: np.random.Generator, n: int) -> Scenario:
+    """The expert learns which cell of a random partition holds the truth.
+
+    P_i is the agent conditioned on the cell of world i, so expert rows
+    repeat within a cell and trust holds.
+    """
+    agent = rng.dirichlet(np.ones(n))
+    cells = rng.integers(0, max(1, n // 2), size=n)
+    rows = []
+    for i in range(n):
+        inside = cells == cells[i]
+        rows.append(np.where(inside, agent, 0.0) / agent[inside].sum())
+    return Scenario.from_weights(agent, rows)
+
+
+def dependent_rows_scenario(rng: np.random.Generator, n: int) -> Scenario:
+    """Three distinct expert rows, the third the average of the first two."""
+    assert n >= 3
+    first, second = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))
+    distinct = [first, second, 0.5 * (first + second)]
+    return Scenario.from_weights(rng.dirichlet(np.ones(n)), [distinct[i % 3] for i in range(n)])
+
+
+def _solve_exact(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]] | None:
+    """Solve a X = b for square a by Gauss-Jordan elimination; None if singular."""
+    k = len(a)
+    rows = [a[i] + b[i] for i in range(k)]
+    for col in range(k):
+        pivot = next((r for r in range(col, k) if rows[r][col] != 0), None)
+        if pivot is None:
+            return None
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        lead = rows[col][col]
+        rows[col] = [v / lead for v in rows[col]]
+        for r in range(k):
+            if r != col and rows[r][col] != 0:
+                factor = rows[r][col]
+                rows[r] = [v - factor * w for v, w in zip(rows[r], rows[col])]
+    return [row[k:] for row in rows]
+
+
+def exact_quotient_holds(
+    scenario: Scenario, residual_slack: float = 1e-10, sign_slack: float = 1e-12
+) -> bool | None:
+    """The class-quotient trust decision recomputed in exact rationals (n <= 6).
+
+    Groups identical expert rows into classes, solves the normal equations
+    ``(E' E'^T) K' = E' D`` exactly, where column c of D is the agent mass
+    on class c, and applies the same slacks as the float decision to the
+    exact least-squares residual (Euclidean norm) and to the signs of K'.
+    Returns None when the distinct rows are exactly linearly dependent.
+    """
+    assert scenario.n <= 6
+    n = scenario.n
+    pi = [Fraction(float(w)) for w in scenario.agent.weights]
+    distinct: list[list[Fraction]] = []
+    label = []
+    for row in scenario.expert_matrix():
+        exact = [Fraction(float(w)) for w in row]
+        if exact not in distinct:
+            distinct.append(exact)
+        label.append(distinct.index(exact))
+    k = len(distinct)
+    masses = [[pi[j] if label[j] == c else Fraction(0) for c in range(k)] for j in range(n)]
+    gram = [[sum(a * b for a, b in zip(r, s)) for s in distinct] for r in distinct]
+    rhs = [[sum(r[j] * masses[j][c] for j in range(n)) for c in range(k)] for r in distinct]
+    kq = _solve_exact(gram, rhs)
+    if kq is None:
+        return None
+    for c in range(k):
+        residual = [
+            masses[j][c] - sum(distinct[d][j] * kq[d][c] for d in range(k)) for j in range(n)
+        ]
+        if sum(v * v for v in residual) > Fraction(residual_slack) ** 2:
+            return False
+    if any(kq[d][c] > sign_slack for d in range(k) for c in range(k) if d != c):
+        return False
+    return all(sum(kq[d]) >= -sign_slack for d in range(k))

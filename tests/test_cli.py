@@ -43,47 +43,47 @@ MIRROR_AGENT = {
 }
 POSITIVE_SIDE = {
     "worlds": ["w1", "w2"],
-    "agent": [0.6, 0.4],
-    "expert": [[0.2, 0.8], [0.8, 0.2]],
+    "agent": [0.3, 0.7],
+    "expert": [[0.1, 0.9], [0.4, 0.6]],
 }
 # Byte-exact ``counterexample --samples 20000 --seed 7`` report on POSITIVE_SIDE.
 POSITIVE_SIDE_REPORT = """\
 {
   "command": "counterexample",
   "scenario": "scenario.json",
-  "digest": "sha256:e6d1486b8cc9c072afc96fa2199b969eab751f4b9442dc7930ca0a858b5cc7e9",
+  "digest": "sha256:4afd0b53958b16ead075bab52cdc7d687913973ae17428c1cf718b28bc74d41b",
   "sigma": 1.0,
   "samples": 20000,
   "seed": 7,
   "verdict": {
     "holds": false,
-    "margin": 0.6000000000000002,
-    "witness": [-0.69999999999999996, 1.3000000000000003],
-    "witness_event": ["w1"],
-    "witness_value": -0.69999999999999996
+    "margin": 0.19999999999999987,
+    "witness": [1.0, -0.3333333333333332],
+    "witness_event": ["w2"],
+    "witness_value": -0.3333333333333332
   },
   "box": {
     "orientation": "positive_side",
-    "event": ["w2"],
-    "value_margin": 1.3000000000000003,
-    "event_margin": 0.90000000000000024,
-    "delta": 0.10000000000000014,
-    "lower": [-0.80000000000000004, 1.2000000000000002],
-    "upper": [-0.69999999999999996, 1.3000000000000003]
+    "event": ["w1"],
+    "value_margin": 1.0,
+    "event_margin": 0.20000000000000009,
+    "delta": 0.066666666666666763,
+    "lower": [0.93333333333333324, -0.39999999999999997],
+    "upper": [1.0, -0.3333333333333332]
   },
   "measure": {
     "kind": "mixture",
     "sigma": 1.0,
     "base_weight": 0.5,
     "bumps": [{
-      "center": [-0.75, 1.2500000000000002],
-      "scale": 0.016666666666666691,
+      "center": [0.96666666666666656, -0.36666666666666659],
+      "scale": 0.011111111111111127,
       "weight": 0.5
     }]
   },
   "gap": {
-    "value": 0.34485370653954089,
-    "std_error": 0.0019224394833738192,
+    "value": 0.17429655387879411,
+    "std_error": 0.0011338170266494666,
     "samples": 20000,
     "seed": 1201125462
   }
@@ -347,7 +347,9 @@ class TestCounterexample:
         monkeypatch.chdir(tmp_path)
         code = main(["counterexample", "scenario.json", "--samples", "20000", "--seed", "7"])
         assert code == EXIT_OK
-        assert capsys.readouterr().out == POSITIVE_SIDE_REPORT
+        out = capsys.readouterr().out
+        assert '"orientation": "positive_side"' in out
+        assert out == POSITIVE_SIDE_REPORT
 
     def test_trust_is_decided_once(self, capsys, scenario_file, monkeypatch):
         # The box certifies the violation, so the search need not re-decide it.

@@ -33,6 +33,11 @@ class TestMeasureSpec:
         with pytest.raises(ValidationError, match="positive and finite"):
             MeasureSpec.gaussian(sigma)
 
+    @pytest.mark.parametrize("scale", [0.0, float("inf"), float("nan")])
+    def test_bump_scale_positive_and_finite(self, scale):
+        with pytest.raises(ValidationError, match="bump scale must be positive and finite"):
+            _pair([1.0], scale=scale)
+
     def test_bump_weight_range(self):
         with pytest.raises(ValidationError):
             _pair([1.0], weight=1.0)

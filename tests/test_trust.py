@@ -24,6 +24,9 @@ from deference_lab import (
     expert_event,
 )
 from oracles import (
+    coarse_trusting_scenario,
+    dependent_rows_scenario,
+    exact_quotient_holds,
     local_sweep_violation_mask,
     lp_margin_scipy,
     random_scenario,
@@ -147,12 +150,21 @@ class TestGlobalTrust:
         assert check_global_trust(scenario).holds
 
     def test_world_cap(self):
+        # Dependent distinct rows take the LP enumeration, which stays capped.
+        scenario = dependent_rows_scenario(np.random.default_rng(21), 21)
+        with pytest.raises(ValidationError, match="exceeds"):
+            check_global_trust(scenario)
+
+    def test_uniform_experts_beyond_the_cap_hold(self, monkeypatch):
+        # Identical rows form one class: the sign test decides, no LP runs.
         n = 21
         space = WorldSpace.of_size(n)
         uniform = ProbMass(np.full(n, 1.0 / n))
         scenario = Scenario(space, uniform, tuple(uniform for _ in range(n)))
-        with pytest.raises(ValidationError):
-            check_global_trust(scenario)
+        calls = _count_event_lps(monkeypatch)
+        verdict = check_global_trust(scenario)
+        assert verdict.holds and verdict.margin == 0.0
+        assert calls == []
 
     def test_margins_match_scipy_per_event(self):
         rng = np.random.default_rng(99)
@@ -201,18 +213,43 @@ class TestGlobalTrust:
                  0.22405278335619905],
                 0.445383049216532,
             ),
+            # One agent weight below 1e-8: the LP enumeration raised "interior
+            # witness lost its violation" for events [0, 1, 2, 3, 6], [0, 1, 4]
+            # and [0, 1, 4].
+            (
+                [0.09791042788064261, 0.33574136627599893, 4.098052982132986e-09,
+                 0.42203907209384073, 0.012677462439819383, 0.12924963373926981,
+                 0.0023820334723757964],
+                0.16120781710665166,
+            ),
+            (
+                [0.14034832609279715, 5.907039302970286e-09, 0.05322432103055235,
+                 0.1883424026300161, 0.25277937912557524, 0.36530556521401975],
+                0.7123626753264682,
+            ),
+            (
+                [0.10698315670480679, 9.9409633745109e-09, 0.1517825812393327,
+                 0.7364808211849253, 0.004753430929971928],
+                0.36200251650267057,
+            ),
         ],
-        ids=["benchmark-draw", "renormalised"],
+        ids=["benchmark-draw", "renormalised", "tiny-n7", "tiny-n6", "tiny-n5"],
     )
     def test_tiny_agent_weight_trusting_holds(self, agent, a):
-        agent = np.array(agent)
-        n = agent.size
-        scenario = Scenario.from_weights(
-            agent, [a * np.eye(n)[i] + (1.0 - a) * agent for i in range(n)]
-        )
-        verdict = check_global_trust(scenario)
+        verdict = check_global_trust(_mixture_scenario(np.array(agent), a))
         assert verdict.holds
-        assert verdict.margin <= TOL
+        assert verdict.margin == 0.0
+
+    def test_tiny_agent_weight_suite_holds(self):
+        # 150 trusting mixtures, one agent weight log-uniform in 1e-9..1e-4.
+        rng = np.random.default_rng(3)
+        for _ in range(150):
+            n = int(rng.integers(5, 8))
+            agent = rng.dirichlet(np.ones(n))
+            agent[int(rng.integers(n))] = 10.0 ** rng.uniform(-9.0, -4.0)
+            agent /= agent.sum()
+            verdict = check_global_trust(_mixture_scenario(agent, float(rng.uniform(0.0, 1.0))))
+            assert verdict.holds and verdict.margin == 0.0
 
     def test_witness_validity_on_random_suite(self):
         for scenario in _suite(40, seed=4242):
@@ -226,6 +263,89 @@ class TestGlobalTrust:
             assert value == verdict.witness_value < 0.0
 
 
+def _quotient_suite(max_n: int) -> list[tuple[str, Scenario]]:
+    """Seeded scenarios of every family the global check distinguishes."""
+    makers = {
+        "random": random_scenario,
+        "trusting": trusting_scenario,
+        "repeated": _repeated_row_scenario,
+        "coarse": coarse_trusting_scenario,
+        "dependent": dependent_rows_scenario,
+    }
+    suite = []
+    for n in range(2, max_n + 1):
+        for k, (family, make) in enumerate(makers.items()):
+            if family == "dependent" and n < 3:
+                continue
+            for copy in range(2 if n <= 5 else 1):
+                suite.append((family, make(np.random.default_rng([n, k, copy]), n)))
+    return suite
+
+
+class TestClassQuotientDecision:
+    """The sign test against the cone-LP enumeration and its oracles."""
+
+    def test_matches_lp_enumeration_and_scipy(self):
+        counts = {"holds": 0, "fails": 0}
+        for family, scenario in _quotient_suite(8):
+            verdict = check_global_trust(scenario)
+            n = scenario.n
+            lp, highs = {}, 0.0
+            for mask in range(1, 1 << n):
+                event = Event(n, frozenset(i for i in range(n) if mask >> i & 1))
+                if event_probability(scenario.agent, event) > 0.0:
+                    lp[event.members] = event_violation_margin(scenario, event)[0]
+                    highs = max(highs, lp_margin_scipy(scenario, event.members))
+            assert verdict.holds == (max(lp.values()) <= TOL), (family, n)
+            assert verdict.holds == (highs <= 1e-7), (family, n)
+            if family in ("trusting", "coarse"):
+                assert verdict.holds, (family, n)
+            if verdict.holds:
+                assert verdict.margin == 0.0
+            else:
+                assert 0.0 < verdict.margin <= lp[verdict.witness_event.members] + 1e-9
+                assert expert_event(scenario, verdict.witness, 0.0) == verdict.witness_event
+            counts["holds" if verdict.holds else "fails"] += 1
+        assert min(counts.values()) >= 20
+
+    def test_exact_rational_sign_test_agrees(self):
+        checked = 0
+        for family, scenario in _quotient_suite(6):
+            if family == "dependent":
+                continue
+            assert exact_quotient_holds(scenario) == check_global_trust(scenario).holds, family
+            checked += 1
+        assert checked >= 30
+
+    def test_lp_fallback_only_for_dependent_rows(self, monkeypatch):
+        calls = _count_event_lps(monkeypatch)
+        for family, scenario in _quotient_suite(6):
+            before = len(calls)
+            check_global_trust(scenario)
+            assert (len(calls) > before) == (family == "dependent"), family
+
+
+def _mixture_scenario(agent: np.ndarray, a: float) -> Scenario:
+    """Experts P_i = a * (point mass at i) + (1 - a) * agent: trust holds."""
+    n = agent.size
+    return Scenario.from_weights(agent, [a * np.eye(n)[i] + (1.0 - a) * agent for i in range(n)])
+
+
+def _count_event_lps(monkeypatch) -> list[int]:
+    """Patch the cone-LP solver of the global check to record each call."""
+    from deference_lab import trust
+
+    calls: list[int] = []
+    original = trust._event_lp
+
+    def counting(scenario, members):
+        calls.append(len(members))
+        return original(scenario, members)
+
+    monkeypatch.setattr(trust, "_event_lp", counting)
+    return calls
+
+
 def _repeated_row_scenario(rng: np.random.Generator, n: int) -> Scenario:
     """Two distinct expert rows repeated (singular E); the last world has no mass."""
     distinct = [rng.dirichlet(np.ones(n)) for _ in range(2)]
@@ -236,35 +356,45 @@ def _repeated_row_scenario(rng: np.random.Generator, n: int) -> Scenario:
 class TestGlobalTrustBits:
     """Golden ``check_global_trust`` results as ``float.hex``.
 
-    The values pin the cone-LP layer bit for bit, so a change to the row
-    order of the event programs, the pivot rule or the pivot arithmetic
-    that moves any verdict, margin or witness bit fails here.
+    The first three pin the class-quotient decision and its closed-form
+    witness (each re-checked in ``fractions.Fraction``); ``dependent_rows_n6``
+    pins the cone-LP fallback, bit for bit as before the sign test existed,
+    so a change to the row order of the event programs, the pivot rule or
+    the pivot arithmetic that moves any bit fails there.
     """
 
     GOLDEN = {
         "random_n6": (
             lambda: random_scenario(np.random.default_rng(2), 6),
-            "0x1.d468c47cf2c07p-2",
-            ["0x1.3a8d188f9e581p+0", "0x1.3a8d188f9e580p+0", "0x1.c910f957ee95cp-2",
-             "-0x1.5addc372d7ea7p-1", "-0x1.8ae5cee0c34fcp-1", "-0x1.8ae5cee0c34fdp-1"],
-            [3, 5],
-            "-0x1.7a4c91ad1f0c4p-1",
+            "0x1.5d2c5f64705b7p-5",
+            ["-0x1.6c4890cba493ap-2", "0x1.0000000000000p+0", "-0x1.258529e32f71cp-2",
+             "-0x1.fca8bbe69dfc9p-3", "0x1.aa4505c75b5d5p-5", "-0x1.2f3175141208bp-3"],
+            [3],
+            "-0x1.fca8bbe69dfcap-3",
         ),
         "repeated_row_n6": (
             lambda: _repeated_row_scenario(np.random.default_rng(1), 6),
-            "0x1.690d2831bc29cp-1",
-            ["-0x1.4b796be721eb1p-1", "0x1.0a47ca9584b0cp-3", "0x1.47763bbc0b15bp-2",
-             "-0x1.4b796be721eb2p-1", "-0x1.4b796be721eb2p-1", "0x1.5a434a0c6f0a7p+0"],
+            "0x1.f3647c947fdf8p-2",
+            ["-0x1.0000000000000p+0", "-0x1.94dad826f2d88p-4", "0x1.d616053e15240p-1",
+             "-0x1.3a4e61e94b99bp-3", "-0x1.dd7e5ad6aa250p-1", "0x1.a4fb6c1573c59p-2"],
             [0, 2, 4],
-            "-0x1.b0fe34e28d60cp-2",
+            "-0x1.1292aefd3cd79p-1",
         ),
         "positive_side_n5": (
             lambda: random_scenario(np.random.default_rng(28), 5),
-            "0x1.14ed5cdbd4dd8p-1",
-            ["0x1.453b5736f5376p+0", "0x1.bb0c9e5df46f8p-5", "-0x1.7589519215913p-1",
-             "0x1.cc9437d51d774p-1", "-0x1.7589519215912p-1"],
-            [2, 3, 4],
-            "-0x1.69f2a7f33ba4ap-1",
+            "0x1.007b350a0f01bp-2",
+            ["-0x1.73b746f7478a4p-1", "-0x1.0000000000000p+0", "0x1.790be492b5b9ep-1",
+             "-0x1.bcbc7a32302f5p-1", "0x1.deeaeaddacdc4p-2"],
+            [0],
+            "-0x1.73b746f7478a3p-1",
+        ),
+        "dependent_rows_n6": (
+            lambda: dependent_rows_scenario(np.random.default_rng(3), 6),
+            "0x1.834b9360caadcp-2",
+            ["-0x1.9f2d1b27cd549p-1", "-0x1.9f2d1b27cd549p-1", "0x1.3069726c1955cp+0",
+             "-0x1.05d079a7bf294p-4", "-0x1.9f2d1b27cd549p-1", "0x1.85dfed916eeb2p-3"],
+            [0, 1, 2, 3, 4, 5],
+            "-0x1.834b9360caadap-3",
         ),
     }
 
@@ -278,12 +408,19 @@ class TestGlobalTrustBits:
         assert verdict.witness_event.sorted_members() == event
         assert verdict.witness_value.hex() == value
 
-    def test_golden_cases_cover_their_paths(self):
+    def test_golden_cases_cover_their_paths(self, monkeypatch):
+        calls = _count_event_lps(monkeypatch)
         repeated = _repeated_row_scenario(np.random.default_rng(1), 6)
         assert np.linalg.matrix_rank(repeated.expert_matrix()) == 2
+        check_global_trust(repeated)
         scenario = random_scenario(np.random.default_rng(28), 5)
         witness = check_global_trust(scenario).witness
         assert expectation(scenario.agent, witness) > 0.0  # positive-side box
+        assert calls == []
+        dependent = dependent_rows_scenario(np.random.default_rng(3), 6)
+        assert np.linalg.matrix_rank(dependent.expert_matrix()) == 2  # three distinct rows
+        check_global_trust(dependent)
+        assert len(calls) > 0
 
 
 class TestAlmostEverywhereTrust:
