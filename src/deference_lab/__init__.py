@@ -26,7 +26,6 @@ from .trust import (
     check_global_trust,
     check_local_trust,
     estimate_ae_trust,
-    event_violation_margin,
     expert_event,
 )
 from .boxes import (
@@ -81,7 +80,6 @@ __all__ = [
     "estimate_ae_trust",
     "event_margin",
     "event_probability",
-    "event_violation_margin",
     "expectation",
     "expected_gap",
     "expert_event",

@@ -7,10 +7,15 @@ Solves
 
 under the standing assumption b >= 0, so the all-slack basis is an
 immediately feasible starting point and no phase-1 is needed.  That is
-exactly the shape of the cone-violation programs built in
-:mod:`deference_lab.trust` (tens of variables, tens of rows), so a plain
-dense tableau is the right tool: no sparsity, no scaling, no external
-solver.
+exactly the shape of the per-event cone-violation programs (tens of
+variables, tens of rows), so a plain dense tableau is the right tool: no
+sparsity, no scaling, no external solver.
+
+No module of the package imports this one any more: the exact global
+check decides trust in closed form.  It stays here because the test
+suite's LP oracle runs those cone programs on it and the benchmark's
+tracer (``bench/tracing.py``) imports it and patches
+``simplex_maximize`` to count calls and pivots.
 
 Degenerate vertices are routine here (many right-hand sides are 0), so
 pivoting follows Bland's rule throughout -- entering variable of lowest
@@ -38,7 +43,7 @@ __all__ = ["SimplexResult", "SimplexError", "UnboundedError", "simplex_maximize"
 #: cone programs have entries of order 1, so a pivot near 1e-12 is rounding
 #: noise from earlier eliminations: dividing by it blows the next pivot up to
 #: order 1e12 and returns a vertex that breaks its own constraints by far
-#: more than ``trust.VIOLATION_TOL``.
+#: more than the 1e-9 margin at which the LP oracle counts a violation.
 PIVOT_TOL = 1e-9
 
 MAX_ITERATIONS = 10_000

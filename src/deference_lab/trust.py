@@ -10,11 +10,13 @@ per world.  Three checks live here:
   decides the full real-t quantifier.
 
 * :func:`check_global_trust` -- the exact decision over *all* gambles at
-  threshold zero.  Group identical expert rows into k classes, E = C E',
-  and put u = E' X.  The acceptance event A is the union of the classes
-  with u_c >= 0, and ``pi(X 1_A)`` is the sum over those classes of
-  ``(pi o 1_c) . X``.  When E' has full row rank, u ranges over all of R^k,
-  and each ``pi o 1_c`` either lies in the row space of E', as
+  threshold zero.  Group identical expert rows into classes, E = C E',
+  and drop every class of zero agent mass: such a class changes neither
+  ``pi(A)`` nor ``pi(X 1_A)``.  Put u = E' X over the k remaining
+  classes.  The acceptance event A is the union of the classes with
+  u_c >= 0, and ``pi(X 1_A)`` is the sum over those classes of
+  ``(pi o 1_c) . X``.  When E' has full row rank, u ranges over all of
+  R^k, and each ``pi o 1_c`` either lies in the row space of E', as
   ``E'^T K'_c``, or leaves a least-squares residual along ker E'.  A
   residual means trust fails on class c alone: shifting X along the
   residual leaves every expert prevision in place and drives the class's
@@ -26,14 +28,20 @@ per world.  Three checks live here:
   decides trust.  Each failure has a closed-form witness: the least-norm
   X with expert previsions +1 on the accepting classes and -1 elsewhere,
   moved along the offending direction until ``pi(X 1_A) <= -1`` and scaled
-  to ``max |X_j| = 1``.  Only when the distinct rows are linearly
-  dependent does the check fall back to the cone programs: gambles with
-  acceptance event A form the convex cone
-  ``{X : P_i(X) >= 0 on A, P_i(X) < 0 off A}``; trust fails on that cone
-  iff a small LP (strictness handled by a maximized margin variable, the
-  cone normalized by a unit box) has a strictly positive optimum, and the
-  fallback enumerates the (at most 2^n - 1) events with positive agent
-  probability.
+  to ``max |X_j| = 1``.
+
+  When the distinct rows are linearly dependent (rank r < k), trust
+  fails.  Take u = E' y with distinct entries; one exists because the
+  rows are distinct.  The upper sets of u form a chain A_1 < ... < A_k.
+  Each is the acceptance event of some X = y - t (the rows sum to one, so
+  E' X = u - t; cut t between the j-th and (j+1)-th largest values of u,
+  or below the least for A_k), and each has positive agent mass.  Their
+  class indicators span R^k, and the classes have disjoint supports, so
+  the k vectors ``pi o 1_{A_j}`` are linearly independent and cannot all
+  lie in the r-dimensional row space of E'.  Some A_j leaves a
+  least-squares residual.  The witness starts at X = y - t for that cut
+  and moves along minus the residual, which no positive-mass expert
+  prevision sees.
 
 * :func:`estimate_ae_trust` -- the sampled frequency of threshold-zero
   violations under a centered Gaussian, which is mutually absolutely
@@ -62,7 +70,6 @@ from .core import (
     indicator,
 )
 from .sampling import ScoreEstimate, gaussian_draw, mc_frequency
-from .simplex import SimplexError, simplex_maximize
 
 __all__ = [
     "Scenario",
@@ -70,17 +77,8 @@ __all__ = [
     "expert_event",
     "check_local_trust",
     "check_global_trust",
-    "event_violation_margin",
     "estimate_ae_trust",
-    "VIOLATION_TOL",
-    "MAX_GLOBAL_WORLDS",
 ]
-
-#: A cone LP optimum above this margin counts as a trust violation.
-VIOLATION_TOL = 1e-9
-
-#: Hard cap on the LP fallback of the global check (2^n cone programs).
-MAX_GLOBAL_WORLDS = 20
 
 # A class whose agent mass leaves a least-squares residual above this lies
 # outside the row space of the distinct expert rows.
@@ -141,9 +139,9 @@ class TrustVerdict:
     ``margin`` is set by the global check only (None for local checks).  On
     failure it is the witness event's cone-LP objective at the witness,
     ``min(-pi(X 1_A), min_{i not in A} -P_i(X))`` with ``max |X_j| <= 1``: a
-    certified lower bound on that event's LP optimum (the LP fallback for
-    dependent expert rows reports the optimum itself).  When trust holds it
-    is 0.0, the optimum of every event's LP.
+    certified lower bound on that event's LP optimum, the largest such
+    objective over gambles with that acceptance event.  When trust holds
+    it is 0.0, the optimum of every event's LP.
     """
 
     holds: bool
@@ -210,109 +208,64 @@ def check_local_trust(scenario: Scenario, x: Gamble) -> TrustVerdict:
     return TrustVerdict(holds=True)
 
 
-def _event_lp(scenario: Scenario, members: frozenset[int]) -> tuple[float, np.ndarray]:
-    """Margin LP for one acceptance event; returns (optimum, witness gamble).
-
-    Variables are x = u - w (u, w >= 0) plus the margin s.  The 3n + 1 rows
-    of ``[X | -X | s] z <= b`` are, in order: -P_i(x) <= 0 for i inside the
-    event and P_i(x) + s <= 0 for i outside (both ascending), the agent's
-    partial expectation over the event plus s <= 0, and the unit box that
-    normalizes the cone, x_j <= 1 and -x_j <= 1 interleaved.  Bland's rule
-    breaks ties on slack indices, so this order is part of the result bits.
-    All right-hand sides are 0 or 1, so the slack basis starts feasible.
-    """
-    n = scenario.n
-    e = scenario.expert_matrix()
-    pi = scenario.agent.weights
-    inside = np.zeros(n, dtype=bool)
-    inside[list(members)] = True
-
-    box = np.kron(np.eye(n), [[1.0], [-1.0]])
-    x_part = np.vstack([-e[inside], e[~inside], np.where(inside, pi, 0.0), box])
-    a_ub = np.zeros((3 * n + 1, 2 * n + 1))
-    a_ub[:, :n] = x_part
-    a_ub[:, n : 2 * n] = -x_part
-    a_ub[len(members) : n + 1, -1] = 1.0  # outside rows and the agent row
-    b_ub = np.zeros(3 * n + 1)
-    b_ub[n + 1 :] = 1.0  # box rows
-
-    c = np.zeros(2 * n + 1)
-    c[-1] = 1.0
-    try:
-        result = simplex_maximize(c, a_ub, b_ub)
-    except SimplexError as exc:
-        labels = [scenario.space.labels[i] for i in sorted(members)]
-        raise SimplexError(f"cone program for event {labels} failed: {exc}") from exc
-    x = result.x[:n] - result.x[n : 2 * n]
-    return result.objective, x
-
-
-def event_violation_margin(scenario: Scenario, event: Event) -> tuple[float, Gamble]:
-    """Largest strict-violation margin achievable with acceptance event A.
-
-    Zero means no gamble with ``[P(X) >= 0] == A`` violates trust there.
-    """
-    if event.n != scenario.n:
-        raise ValidationError(f"event is over {event.n} worlds, scenario over {scenario.n}")
-    if not event.members:
-        raise ValidationError("the empty event never defines a conditional prevision")
-    margin, x = _event_lp(scenario, event.members)
-    return margin, Gamble(x)
-
-
 def check_global_trust(scenario: Scenario) -> TrustVerdict:
     """Decide trust over every gamble at threshold zero, exactly.
 
-    Groups identical expert rows into classes and decides by the sign test
-    of the module docstring: the largest class residual above
+    Groups identical expert rows into classes, drops the classes of zero
+    agent mass and decides by the module docstring.  Linearly dependent
+    distinct rows fail on the chain prefix with the largest residual; full
+    rank takes the sign test: the largest class residual above
     ``_RESIDUAL_SLACK`` fails first, then the largest off-diagonal entry of
     K' above ``_SIGN_SLACK``, then the most negative row sum below
-    ``-_SIGN_SLACK``; the offence picked yields the closed-form witness,
-    whose violation is re-checked in floating point (``SimplexError`` if it
-    is lost).  Linearly dependent distinct rows take the LP enumeration of
-    :func:`_enumerate_events` instead, capped at ``MAX_GLOBAL_WORLDS``.
+    ``-_SIGN_SLACK``.  The offence picked yields the closed-form witness,
+    whose violation is re-checked in floating point (``RuntimeError`` if it
+    is lost).
     """
     e = scenario.expert_matrix()
     pi = scenario.agent.weights
     classes: dict[tuple[float, ...], int] = {}
     label = np.array([classes.setdefault(tuple(row.tolist()), len(classes)) for row in e])
-    k = len(classes)
-    member = label == np.arange(k)[:, None]  # (k, n): member[c, i] iff world i is in class c
+    member = label == np.arange(len(classes))[:, None]  # member[c, i] iff world i is in class c
+    # A class of zero agent mass moves neither pi(A) nor pi(X 1_A).
+    member = member[member @ pi > 0.0]
+    k = len(member)
     distinct = e[np.argmax(member, axis=1)]
-    basis_u, sv, basis_vt = np.linalg.svd(distinct, full_matrices=False)
-    if sv[-1] <= sv[0] * max(distinct.shape) * np.finfo(float).eps:
-        return _enumerate_events(scenario)
-
     masses = (member * pi).T  # (n, k): column c is pi o 1_c
-    pinv = basis_vt.T @ (basis_u.T / sv[:, None])  # least-norm X for E'X = u is pinv @ u
-    kq = pinv.T @ masses  # K'
-    residual = masses - basis_vt.T @ (basis_vt @ masses)
-    sizes = np.linalg.norm(residual, axis=0)
-    off = kq - np.diag(np.diag(kq))
-    rows = kq.sum(axis=1)
+    basis_u, sv, basis_vt = np.linalg.svd(distinct, full_matrices=False)
+    rank = int(np.count_nonzero(sv > sv[0] * max(distinct.shape) * np.finfo(float).eps))
 
-    if sizes.max() > _RESIDUAL_SLACK:
-        c = int(np.argmax(sizes))
-        inside, direction = np.arange(k) == c, -residual[:, c]
-    elif off.max() > _SIGN_SLACK:
-        d, c = np.unravel_index(np.argmax(off), off.shape)
-        inside, direction = np.arange(k) == c, -pinv[:, d]
-    elif rows.min() < -_SIGN_SLACK:
-        d = int(np.argmin(rows))
-        inside, direction = np.ones(k, dtype=bool), pinv[:, d]
+    if rank < k:
+        inside, x, direction = _chain_offence(distinct, masses, basis_vt[:rank])
     else:
-        return TrustVerdict(holds=True, margin=0.0)
+        pinv = basis_vt.T @ (basis_u.T / sv[:, None])  # least-norm X for E'X = u is pinv @ u
+        kq = pinv.T @ masses  # K'
+        residual = masses - basis_vt.T @ (basis_vt @ masses)
+        sizes = np.linalg.norm(residual, axis=0)
+        off = kq - np.diag(np.diag(kq))
+        rows = kq.sum(axis=1)
 
-    # Expert previsions +1 on the accepting classes and -1 off them, then
-    # moved along the offending direction until pi(X 1_A) <= -1.
+        if sizes.max() > _RESIDUAL_SLACK:
+            c = int(np.argmax(sizes))
+            inside, direction = np.arange(k) == c, -residual[:, c]
+        elif off.max() > _SIGN_SLACK:
+            d, c = np.unravel_index(np.argmax(off), off.shape)
+            inside, direction = np.arange(k) == c, -pinv[:, d]
+        elif rows.min() < -_SIGN_SLACK:
+            d = int(np.argmin(rows))
+            inside, direction = np.ones(k, dtype=bool), pinv[:, d]
+        else:
+            return TrustVerdict(holds=True, margin=0.0)
+        # Expert previsions +1 on the accepting classes and -1 off them.
+        x = pinv @ np.where(inside, 1.0, -1.0)
+
+    # Move along the offending direction until pi(X 1_A) <= -1.
     weight = masses[:, inside].sum(axis=1)
-    x = pinv @ np.where(inside, 1.0, -1.0)
     x = x + max(0.0, weight @ x + 1.0) / -(weight @ direction) * direction
     witness = Gamble(x / np.abs(x).max())
     event = expert_event(scenario, witness, 0.0)
     value = conditional_expectation(scenario.agent, witness, event)
     if value is None or not value < 0.0:
-        raise SimplexError(
+        raise RuntimeError(
             f"closed-form witness lost its violation for event {event.sorted_members()}"
         )
     # The event's cone-LP objective at the (feasible) witness.
@@ -327,53 +280,32 @@ def check_global_trust(scenario: Scenario) -> TrustVerdict:
     )
 
 
-def _enumerate_events(scenario: Scenario) -> TrustVerdict:
-    """The global check by one cone LP per acceptance event.
+def _chain_offence(
+    distinct: np.ndarray, masses: np.ndarray, basis: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(accepting classes, start X, direction) for linearly dependent rows.
 
-    Enumerates acceptance events in descending bitmask order (full space
-    first), skipping events of zero agent probability, and keeps the event
-    with the strictly largest LP margin.  On failure the witness is pulled
-    to the interior of the winning cone -- the LP vertex shifted by half
-    its margin -- so every expert prevision of the witness is bounded away
-    from zero; that keeps downstream open-box constructions well posed.
+    ``u = E' y`` for the ordering vector ``y_j = sin(j + 1)``: the sines of
+    distinct integers are linearly independent over the rationals (e^i is
+    transcendental), so in exact arithmetic distinct rational rows never
+    tie.  Each cut t between two
+    consecutive distinct values of u, and one below the least, accepts the
+    upper set ``{c : u_c >= t}`` at ``X = y - t``.  The prefix whose agent
+    mass leaves the largest residual off the row space ``basis`` fails
+    along that residual, which moves no positive-mass expert prevision.
     """
-    n = scenario.n
-    if n > MAX_GLOBAL_WORLDS:
-        raise ValidationError(
-            f"global check enumerates 2^n cone programs; n={n} exceeds {MAX_GLOBAL_WORLDS}"
-        )
-    pi = scenario.agent.weights
-
-    best_margin = 0.0
-    best_event: frozenset[int] | None = None
-    best_x: np.ndarray | None = None
-    for mask in range((1 << n) - 1, 0, -1):
-        members = frozenset(i for i in range(n) if mask >> i & 1)
-        if not any(pi[i] > 0.0 for i in members):
-            continue
-        margin, x = _event_lp(scenario, members)
-        if margin > best_margin:
-            best_margin, best_event, best_x = margin, members, x
-
-    if best_margin <= VIOLATION_TOL or best_event is None:
-        return TrustVerdict(holds=True, margin=best_margin)
-
-    witness = Gamble(best_x + best_margin / 2.0)
-    event = expert_event(scenario, witness, 0.0)
-    value = conditional_expectation(scenario.agent, witness, event)
-    # Reachable: on a near-singular program a rounding-noise optimum above
-    # VIOLATION_TOL can pick a vertex whose interior point does not violate.
-    if value is None or not value < 0.0:
-        raise SimplexError(
-            f"interior witness lost its violation for event {sorted(best_event)}"
-        )
-    return TrustVerdict(
-        holds=False,
-        witness=witness,
-        witness_event=event,
-        witness_value=value,
-        margin=best_margin,
-    )
+    y = np.sin(np.arange(1.0, distinct.shape[1] + 1.0))
+    u = distinct @ y
+    levels = np.unique(u)[::-1]
+    cuts = np.append((levels[:-1] + levels[1:]) / 2.0, levels[-1] - 1.0)
+    prefixes = u >= cuts[:, None]  # (cuts, k): an ascending chain of upper sets
+    weights = masses @ prefixes.T  # column j is pi o 1_{A_j}
+    residual = weights - basis.T @ (basis @ weights)
+    sizes = np.linalg.norm(residual, axis=0)
+    j = int(np.argmax(sizes))
+    if not sizes[j] > _RESIDUAL_SLACK:
+        raise RuntimeError("dependent expert rows left no chain prefix off their row space")
+    return prefixes[j], y - cuts[j], -residual[:, j]
 
 
 def _stacked_previsions(scenario: Scenario) -> np.ndarray:

@@ -5,8 +5,10 @@ Nothing here imports the implementation paths it judges:
 * score integrals for two-world spaces are reduced to 1-D angular
   quadrature (the integrands are positively homogeneous, so the radial
   Gaussian factor comes out in closed form);
-* the cone-violation LP is re-solved with scipy's HiGHS solver from an
-  independent formulation (free variables, explicit bounds);
+* the cone-violation LP of each acceptance event is solved by the
+  package's dense simplex, for every event of positive agent probability,
+  and re-solved with scipy's HiGHS solver from an independent formulation
+  (free variables, explicit bounds);
 * threshold-zero violations and the full local threshold sweep are
   re-derived with broadcast array algebra;
 * the class-quotient sign test of the exact global check is re-derived in
@@ -22,7 +24,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import linprog
 
-from deference_lab import Scenario
+from deference_lab import Event, Gamble, Scenario, ValidationError, simplex
 
 #: Radial factor of int_0^inf r^2 exp(-r^2/2) dr / (2 pi) for a standard
 #: 2-D Gaussian in polar coordinates.
@@ -109,6 +111,66 @@ def lp_margin_scipy(scenario: Scenario, members: frozenset[int]) -> float:
     )
     assert result.status == 0, result.message
     return -result.fun
+
+
+def _event_lp(scenario: Scenario, members: frozenset[int]) -> tuple[float, np.ndarray]:
+    """Margin LP for one acceptance event; returns (optimum, witness gamble).
+
+    Variables are x = u - w (u, w >= 0) plus the margin s.  The 3n + 1 rows
+    of ``[X | -X | s] z <= b`` are, in order: -P_i(x) <= 0 for i inside the
+    event and P_i(x) + s <= 0 for i outside (both ascending), the agent's
+    partial expectation over the event plus s <= 0, and the unit box that
+    normalizes the cone, x_j <= 1 and -x_j <= 1 interleaved.  Bland's rule
+    breaks ties on slack indices, so this order is part of the result bits.
+    All right-hand sides are 0 or 1, so the slack basis starts feasible.
+    """
+    n = scenario.n
+    e = scenario.expert_matrix()
+    pi = scenario.agent.weights
+    inside = np.zeros(n, dtype=bool)
+    inside[list(members)] = True
+
+    box = np.kron(np.eye(n), [[1.0], [-1.0]])
+    x_part = np.vstack([-e[inside], e[~inside], np.where(inside, pi, 0.0), box])
+    a_ub = np.zeros((3 * n + 1, 2 * n + 1))
+    a_ub[:, :n] = x_part
+    a_ub[:, n : 2 * n] = -x_part
+    a_ub[len(members) : n + 1, -1] = 1.0  # outside rows and the agent row
+    b_ub = np.zeros(3 * n + 1)
+    b_ub[n + 1 :] = 1.0  # box rows
+
+    c = np.zeros(2 * n + 1)
+    c[-1] = 1.0
+    result = simplex.simplex_maximize(c, a_ub, b_ub)
+    return result.objective, result.x[:n] - result.x[n : 2 * n]
+
+
+def event_violation_margin(scenario: Scenario, event: Event) -> tuple[float, Gamble]:
+    """Largest strict-violation margin achievable with acceptance event A.
+
+    Zero means no gamble with ``[P(X) >= 0] == A`` violates trust there.
+    """
+    if event.n != scenario.n:
+        raise ValidationError(f"event is over {event.n} worlds, scenario over {scenario.n}")
+    if not event.members:
+        raise ValidationError("the empty event never defines a conditional prevision")
+    margin, x = _event_lp(scenario, event.members)
+    return margin, Gamble(x)
+
+
+def event_margins(scenario: Scenario) -> dict[frozenset[int], float]:
+    """The LP enumeration: every event of positive agent probability, its margin.
+
+    Trust holds iff no margin is strictly positive (above rounding noise).
+    """
+    n = scenario.n
+    pi = scenario.agent.weights
+    margins = {}
+    for mask in range((1 << n) - 1, 0, -1):
+        members = frozenset(i for i in range(n) if mask >> i & 1)
+        if any(pi[i] > 0.0 for i in members):
+            margins[members] = _event_lp(scenario, members)[0]
+    return margins
 
 
 def t0_violation_mask(scenario: Scenario, xs: np.ndarray) -> np.ndarray:
@@ -218,6 +280,76 @@ def dependent_rows_scenario(rng: np.random.Generator, n: int) -> Scenario:
     return Scenario.from_weights(rng.dirichlet(np.ones(n)), [distinct[i % 3] for i in range(n)])
 
 
+def garbled_scenario(rng: np.random.Generator, n: int, zero_mass: bool = False) -> Scenario:
+    """k > r distinct expert rows of positive agent mass, mixtures of r base rows.
+
+    The k x n matrix of those distinct rows has rank r < k.  With
+    ``zero_mass`` the last world gets no agent mass and a further mixture
+    as its row (n >= 4, so that three worlds keep their mass).
+    """
+    m = n - 1 if zero_mass else n  # worlds with agent mass
+    assert m >= 3
+    r = int(rng.integers(2, m))
+    k = int(rng.integers(r + 1, m + 1))
+    base = rng.dirichlet(np.ones(n), size=r)
+    distinct = rng.dirichlet(np.ones(r), size=k + 1) @ base
+    agent = rng.dirichlet(np.ones(n))
+    if zero_mass:
+        agent[-1] = 0.0
+        agent /= agent.sum()
+    return Scenario.from_weights(agent, [distinct[i % k if i < m else k] for i in range(n)])
+
+
+def _support(rng: np.random.Generator, n: int) -> np.ndarray:
+    """A mask of 2..n-1 worlds with agent mass; the others get none."""
+    support = np.zeros(n, dtype=bool)
+    support[rng.choice(n, size=int(rng.integers(2, n)), replace=False)] = True
+    return support
+
+
+def coarse_zero_mass_scenario(rng: np.random.Generator, n: int) -> Scenario:
+    """Coarse trusting on the agent's support, arbitrary rows off it.
+
+    On the support the expert learns which cell of a random partition holds
+    the truth; each zero-mass world gets a Dirichlet row.  Trust holds.
+    """
+    assert n >= 3
+    support = _support(rng, n)
+    agent = np.where(support, rng.dirichlet(np.ones(n)), 0.0)
+    agent /= agent.sum()
+    cells = rng.integers(0, max(1, support.sum() // 2), size=n)
+    rows = []
+    for i in range(n):
+        if support[i]:
+            inside = support & (cells == cells[i])
+            rows.append(np.where(inside, agent, 0.0) / agent[inside].sum())
+        else:
+            rows.append(rng.dirichlet(np.ones(n)))
+    return Scenario.from_weights(agent, rows)
+
+
+def informed_zero_mass_scenario(rng: np.random.Generator, n: int) -> Scenario:
+    """Fully informed on the agent's support, averaged rows off it.
+
+    A supported world's row is its point mass; each zero-mass world's row
+    is the average of the point masses of two or more supported worlds, so
+    the distinct rows are linearly dependent.  Trust holds.
+    """
+    assert n >= 3
+    support = _support(rng, n)
+    agent = np.where(support, rng.dirichlet(np.ones(n)), 0.0)
+    agent /= agent.sum()
+    points = np.flatnonzero(support)
+    rows = []
+    for i in range(n):
+        if support[i]:
+            rows.append(np.eye(n)[i])
+        else:
+            picked = rng.choice(points, size=int(rng.integers(2, points.size + 1)), replace=False)
+            rows.append(np.eye(n)[picked].mean(axis=0))
+    return Scenario.from_weights(agent, rows)
+
+
 def _solve_exact(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]] | None:
     """Solve a X = b for square a by Gauss-Jordan elimination; None if singular."""
     k = len(a)
@@ -241,11 +373,12 @@ def exact_quotient_holds(
 ) -> bool | None:
     """The class-quotient trust decision recomputed in exact rationals (n <= 6).
 
-    Groups identical expert rows into classes, solves the normal equations
-    ``(E' E'^T) K' = E' D`` exactly, where column c of D is the agent mass
-    on class c, and applies the same slacks as the float decision to the
-    exact least-squares residual (Euclidean norm) and to the signs of K'.
-    Returns None when the distinct rows are exactly linearly dependent.
+    Groups identical expert rows into classes, drops the classes of zero
+    agent mass, solves the normal equations ``(E' E'^T) K' = E' D`` exactly,
+    where column c of D is the agent mass on class c, and applies the same
+    slacks as the float decision to the exact least-squares residual
+    (Euclidean norm) and to the signs of K'.  Returns None when the
+    remaining distinct rows are exactly linearly dependent.
     """
     assert scenario.n <= 6
     n = scenario.n
@@ -257,6 +390,9 @@ def exact_quotient_holds(
         if exact not in distinct:
             distinct.append(exact)
         label.append(distinct.index(exact))
+    kept = [c for c in range(len(distinct)) if any(pi[j] for j in range(n) if label[j] == c)]
+    distinct = [distinct[c] for c in kept]
+    label = [kept.index(c) if c in kept else -1 for c in label]
     k = len(distinct)
     masses = [[pi[j] if label[j] == c else Fraction(0) for c in range(k)] for j in range(n)]
     gram = [[sum(a * b for a, b in zip(r, s)) for s in distinct] for r in distinct]
@@ -273,3 +409,19 @@ def exact_quotient_holds(
     if any(kq[d][c] > sign_slack for d in range(k) for c in range(k) if d != c):
         return False
     return all(sum(kq[d]) >= -sign_slack for d in range(k))
+
+
+def exact_witness_violates(scenario: Scenario, witness) -> bool:
+    """Whether a witness gamble violates trust at threshold zero, in exact rationals.
+
+    Recomputes every expert prevision over ``fractions.Fraction``, takes the
+    exact acceptance event A, and checks ``pi(A) > 0`` and ``pi(X 1_A) < 0``.
+    """
+    x = [Fraction(float(v)) for v in witness.values]
+    pi = [Fraction(float(w)) for w in scenario.agent.weights]
+    accepted = [
+        sum(Fraction(float(w)) * v for w, v in zip(row, x)) >= 0
+        for row in scenario.expert_matrix()
+    ]
+    inside = [j for j in range(scenario.n) if accepted[j]]
+    return sum(pi[j] for j in inside) > 0 and sum(pi[j] * x[j] for j in inside) < 0

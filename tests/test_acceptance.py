@@ -22,14 +22,19 @@ from deference_lab import (
     build_violation_box,
     check_global_trust,
     estimate_ae_trust,
-    event_violation_margin,
     expected_gap,
     inaccuracy_mc,
     measure_symmetry_check,
     rhs_identity,
 )
 from deference_lab.cli import EXIT_OK, main
-from oracles import random_measure, random_scenario, trusting_scenario, wedge_inaccuracy
+from oracles import (
+    event_violation_margin,
+    random_measure,
+    random_scenario,
+    trusting_scenario,
+    wedge_inaccuracy,
+)
 
 MARGIN_TOL = 1e-9
 SUITE_SEED = 20_240

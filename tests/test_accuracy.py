@@ -17,7 +17,13 @@ from deference_lab import (
     is_almost_desirable,
     rhs_identity,
 )
-from oracles import random_measure, random_scenario, trusting_scenario, wedge_inaccuracy
+from oracles import (
+    coarse_trusting_scenario,
+    random_measure,
+    random_scenario,
+    trusting_scenario,
+    wedge_inaccuracy,
+)
 
 GAUSS = MeasureSpec.gaussian(1.0)
 
@@ -168,6 +174,37 @@ class TestRhsIdentity:
             rhs = rhs_identity(scenario, measure, 40_000, seed=k)
             combined = np.hypot(gap.std_error, rhs.std_error)
             assert abs(gap.value - rhs.value) <= 3 * combined + 1e-12
+
+    def test_trust_bounds_every_sample(self, monkeypatch):
+        # Trust applied to X and to -X gives h(X) <= 0 for every gamble, so
+        # no sampled value of the integrand is positive, not just the mean.
+        from deference_lab import accuracy
+
+        original = accuracy.mc_estimate
+        highest: list[float] = []
+
+        def capturing(draw, values, samples, seed):
+            def recorded(xs):
+                h = values(xs)
+                highest.append(float(h.max()))
+                return h
+
+            return original(draw, recorded, samples, seed)
+
+        monkeypatch.setattr(accuracy, "mc_estimate", capturing)
+        rng = np.random.default_rng(2026)
+        checked = 0
+        for n in range(2, 9):
+            for make in (trusting_scenario, coarse_trusting_scenario):
+                for _ in range(4):
+                    scenario = make(rng, n)
+                    assert check_global_trust(scenario).holds
+                    measure = GAUSS if checked % 2 else random_measure(rng, n)
+                    highest.clear()
+                    rhs_identity(scenario, measure, 20_000, seed=checked)
+                    assert highest and max(highest) <= 0.0, (make.__name__, n)
+                    checked += 1
+        assert checked >= 50
 
     def test_thread_invariance(self, anti_expert, monkeypatch):
         monkeypatch.setenv("DEFLAB_THREADS", "1")

@@ -1,6 +1,10 @@
 """Local and global trust decisions, against hand values and oracles."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,14 +23,19 @@ from deference_lab import (
     conditional_expectation,
     estimate_ae_trust,
     event_probability,
-    event_violation_margin,
     expectation,
     expert_event,
 )
 from oracles import (
     coarse_trusting_scenario,
+    coarse_zero_mass_scenario,
     dependent_rows_scenario,
+    event_margins,
+    event_violation_margin,
     exact_quotient_holds,
+    exact_witness_violates,
+    garbled_scenario,
+    informed_zero_mass_scenario,
     local_sweep_violation_mask,
     lp_margin_scipy,
     random_scenario,
@@ -149,11 +158,20 @@ class TestGlobalTrust:
         scenario = Scenario.from_weights([1.0], [[1.0]])
         assert check_global_trust(scenario).holds
 
-    def test_world_cap(self):
-        # Dependent distinct rows take the LP enumeration, which stays capped.
-        scenario = dependent_rows_scenario(np.random.default_rng(21), 21)
-        with pytest.raises(ValidationError, match="exceeds"):
-            check_global_trust(scenario)
+    def test_dependent_rows_beyond_the_old_cap_fail(self, monkeypatch):
+        # Dependent distinct rows never trust: a closed-form witness, no LP,
+        # where one cone program per event would need 2^21 and 2^200 of them.
+        calls = _count_simplex_calls(monkeypatch)
+        for n in (21, 200):
+            scenario = dependent_rows_scenario(np.random.default_rng(21), n)
+            verdict = check_global_trust(scenario)
+            assert not verdict.holds and verdict.margin > 0.0
+            witness, event = verdict.witness, verdict.witness_event
+            assert expert_event(scenario, witness, 0.0) == event
+            assert conditional_expectation(scenario.agent, witness, event) == verdict.witness_value
+            assert verdict.witness_value < 0.0
+            assert exact_witness_violates(scenario, witness)
+        assert calls == []
 
     def test_uniform_experts_beyond_the_cap_hold(self, monkeypatch):
         # Identical rows form one class: the sign test decides, no LP runs.
@@ -161,10 +179,20 @@ class TestGlobalTrust:
         space = WorldSpace.of_size(n)
         uniform = ProbMass(np.full(n, 1.0 / n))
         scenario = Scenario(space, uniform, tuple(uniform for _ in range(n)))
-        calls = _count_event_lps(monkeypatch)
+        calls = _count_simplex_calls(monkeypatch)
         verdict = check_global_trust(scenario)
         assert verdict.holds and verdict.margin == 0.0
         assert calls == []
+
+    def test_import_does_not_load_the_simplex(self):
+        import deference_lab
+
+        code = "import sys, deference_lab; print('deference_lab.simplex' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(Path(deference_lab.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+        )
+        assert done.stdout.strip() == "False"
 
     def test_margins_match_scipy_per_event(self):
         rng = np.random.default_rng(99)
@@ -263,6 +291,13 @@ class TestGlobalTrust:
             assert value == verdict.witness_value < 0.0
 
 
+#: Families whose distinct positive-mass rows are linearly dependent.
+DEPENDENT = ("dependent", "garbled", "garbled-zero-mass")
+
+#: Families built to trust.
+TRUSTING = ("trusting", "coarse", "coarse-zero-mass", "informed-zero-mass")
+
+
 def _quotient_suite(max_n: int) -> list[tuple[str, Scenario]]:
     """Seeded scenarios of every family the global check distinguishes."""
     makers = {
@@ -271,11 +306,16 @@ def _quotient_suite(max_n: int) -> list[tuple[str, Scenario]]:
         "repeated": _repeated_row_scenario,
         "coarse": coarse_trusting_scenario,
         "dependent": dependent_rows_scenario,
+        "garbled": garbled_scenario,
+        "garbled-zero-mass": lambda rng, n: garbled_scenario(rng, n, zero_mass=True),
+        "coarse-zero-mass": coarse_zero_mass_scenario,
+        "informed-zero-mass": informed_zero_mass_scenario,
     }
+    smallest = {"random": 2, "trusting": 2, "repeated": 2, "coarse": 2, "garbled-zero-mass": 4}
     suite = []
     for n in range(2, max_n + 1):
         for k, (family, make) in enumerate(makers.items()):
-            if family == "dependent" and n < 3:
+            if n < smallest.get(family, 3):
                 continue
             for copy in range(2 if n <= 5 else 1):
                 suite.append((family, make(np.random.default_rng([n, k, copy]), n)))
@@ -283,23 +323,22 @@ def _quotient_suite(max_n: int) -> list[tuple[str, Scenario]]:
 
 
 class TestClassQuotientDecision:
-    """The sign test against the cone-LP enumeration and its oracles."""
+    """The closed-form decision against the cone-LP enumeration and its oracles."""
 
     def test_matches_lp_enumeration_and_scipy(self):
         counts = {"holds": 0, "fails": 0}
         for family, scenario in _quotient_suite(8):
             verdict = check_global_trust(scenario)
             n = scenario.n
-            lp, highs = {}, 0.0
-            for mask in range(1, 1 << n):
-                event = Event(n, frozenset(i for i in range(n) if mask >> i & 1))
-                if event_probability(scenario.agent, event) > 0.0:
-                    lp[event.members] = event_violation_margin(scenario, event)[0]
-                    highs = max(highs, lp_margin_scipy(scenario, event.members))
+            lp = event_margins(scenario)
+            highs = max(lp_margin_scipy(scenario, members) for members in lp)
             assert verdict.holds == (max(lp.values()) <= TOL), (family, n)
             assert verdict.holds == (highs <= 1e-7), (family, n)
-            if family in ("trusting", "coarse"):
+            if family in TRUSTING:
                 assert verdict.holds, (family, n)
+            if family in DEPENDENT:
+                assert not verdict.holds, (family, n)
+                assert exact_witness_violates(scenario, verdict.witness), (family, n)
             if verdict.holds:
                 assert verdict.margin == 0.0
             else:
@@ -311,18 +350,17 @@ class TestClassQuotientDecision:
     def test_exact_rational_sign_test_agrees(self):
         checked = 0
         for family, scenario in _quotient_suite(6):
-            if family == "dependent":
+            if family in DEPENDENT:
                 continue
             assert exact_quotient_holds(scenario) == check_global_trust(scenario).holds, family
             checked += 1
         assert checked >= 30
 
-    def test_lp_fallback_only_for_dependent_rows(self, monkeypatch):
-        calls = _count_event_lps(monkeypatch)
+    def test_no_simplex_call_on_any_family(self, monkeypatch):
+        calls = _count_simplex_calls(monkeypatch)
         for family, scenario in _quotient_suite(6):
-            before = len(calls)
             check_global_trust(scenario)
-            assert (len(calls) > before) == (family == "dependent"), family
+            assert calls == [], family
 
 
 def _mixture_scenario(agent: np.ndarray, a: float) -> Scenario:
@@ -331,18 +369,20 @@ def _mixture_scenario(agent: np.ndarray, a: float) -> Scenario:
     return Scenario.from_weights(agent, [a * np.eye(n)[i] + (1.0 - a) * agent for i in range(n)])
 
 
-def _count_event_lps(monkeypatch) -> list[int]:
-    """Patch the cone-LP solver of the global check to record each call."""
-    from deference_lab import trust
+def _count_simplex_calls(monkeypatch) -> list[int]:
+    """Patch every loaded reference to the dense simplex to record each call."""
+    from deference_lab import simplex
 
     calls: list[int] = []
-    original = trust._event_lp
+    original = simplex.simplex_maximize
 
-    def counting(scenario, members):
-        calls.append(len(members))
-        return original(scenario, members)
+    def counting(c, a_ub, b_ub):
+        calls.append(len(c))
+        return original(c, a_ub, b_ub)
 
-    monkeypatch.setattr(trust, "_event_lp", counting)
+    for module in list(sys.modules.values()):
+        if getattr(module, "simplex_maximize", None) is original:
+            monkeypatch.setattr(module, "simplex_maximize", counting)
     return calls
 
 
@@ -356,11 +396,10 @@ def _repeated_row_scenario(rng: np.random.Generator, n: int) -> Scenario:
 class TestGlobalTrustBits:
     """Golden ``check_global_trust`` results as ``float.hex``.
 
-    The first three pin the class-quotient decision and its closed-form
-    witness (each re-checked in ``fractions.Fraction``); ``dependent_rows_n6``
-    pins the cone-LP fallback, bit for bit as before the sign test existed,
-    so a change to the row order of the event programs, the pivot rule or
-    the pivot arithmetic that moves any bit fails there.
+    Each pins a closed-form witness, re-checked in ``fractions.Fraction``:
+    ``random_n6`` an off-diagonal entry of K', ``repeated_row_n6`` a class
+    residual, ``positive_side_n5`` a witness the agent values positively,
+    and ``dependent_rows_n6`` the chain prefix of linearly dependent rows.
     """
 
     GOLDEN = {
@@ -390,11 +429,11 @@ class TestGlobalTrustBits:
         ),
         "dependent_rows_n6": (
             lambda: dependent_rows_scenario(np.random.default_rng(3), 6),
-            "0x1.834b9360caadcp-2",
-            ["-0x1.9f2d1b27cd549p-1", "-0x1.9f2d1b27cd549p-1", "0x1.3069726c1955cp+0",
-             "-0x1.05d079a7bf294p-4", "-0x1.9f2d1b27cd549p-1", "0x1.85dfed916eeb2p-3"],
-            [0, 1, 2, 3, 4, 5],
-            "-0x1.834b9360caadap-3",
+            "0x1.6e1b8b5cd846ap-7",
+            ["0x1.4b05f06a78455p-2", "-0x1.93787daa5bd81p-1", "0x1.fe451eb429879p-3",
+             "0x1.5b8b67332f5a1p-5", "-0x1.0000000000000p+0", "0x1.e8eaed52f39e5p-5"],
+            [1, 4],
+            "-0x1.c063d602e97f9p-1",
         ),
     }
 
@@ -409,18 +448,20 @@ class TestGlobalTrustBits:
         assert verdict.witness_value.hex() == value
 
     def test_golden_cases_cover_their_paths(self, monkeypatch):
-        calls = _count_event_lps(monkeypatch)
+        calls = _count_simplex_calls(monkeypatch)
         repeated = _repeated_row_scenario(np.random.default_rng(1), 6)
         assert np.linalg.matrix_rank(repeated.expert_matrix()) == 2
         check_global_trust(repeated)
         scenario = random_scenario(np.random.default_rng(28), 5)
         witness = check_global_trust(scenario).witness
         assert expectation(scenario.agent, witness) > 0.0  # positive-side box
-        assert calls == []
         dependent = dependent_rows_scenario(np.random.default_rng(3), 6)
         assert np.linalg.matrix_rank(dependent.expert_matrix()) == 2  # three distinct rows
-        check_global_trust(dependent)
-        assert len(calls) > 0
+        assert exact_witness_violates(dependent, check_global_trust(dependent).witness)
+        assert calls == []
+        # The counter is live: the LP oracle's simplex calls do show up.
+        event_violation_margin(dependent, Event(6, frozenset({1, 4})))
+        assert len(calls) == 1
 
 
 class TestAlmostEverywhereTrust:
