@@ -20,7 +20,10 @@ X over the acceptance event and its complement, split by the sign of the
 agent's prevision -- and exists so the algebraic identity between the two
 can be verified numerically rather than trusted.  Both estimators share
 one sample stream per (seed, N, measure), which makes their difference a
-low-variance statistic.
+low-variance statistic.  They and :func:`inaccuracy_mc` share the draw
+itself, too: called one after another with one (seed, N, measure), only
+the first draws, and the others reuse its chunks through the memo in
+:mod:`deference_lab.sampling`.
 """
 
 from __future__ import annotations
@@ -163,7 +166,8 @@ def rhs_identity(
     def values(xs: np.ndarray) -> np.ndarray:
         prev = xs @ stacked_t
         accepted = prev[:, :n] >= 0.0
-        agent_value = prev[:, n]
+        agent_value = prev[:, n].copy()
+        del prev  # an (m, n+1) array: free it before the (m, n) products below
         accept_prob = accepted @ pi
         accept_part = (xs * accepted) @ pi
         reject_prob = (~accepted) @ pi

@@ -218,10 +218,9 @@ def expectation(p: ProbMass, x: Gamble) -> float:
     run and so that :func:`event_probability` agrees with it bit for bit.
     """
     _check_dims(p, x)
-    acc = 0.0
-    for w, v in zip(p.weights, x.values):
-        acc += float(w) * float(v)
-    return acc
+    # accumulate adds strictly in order; + 0.0 turns an all -0.0 sum into +0.0
+    # as a sum started from 0.0 would.
+    return float(np.add.accumulate(p.weights * x.values)[-1]) + 0.0
 
 
 def indicator(a: Event) -> Gamble:

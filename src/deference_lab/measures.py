@@ -119,16 +119,24 @@ class MeasureSpec:
         return np.asarray(weights), np.vstack(means), np.asarray(scales)
 
     def sampler(self, dim: int) -> DrawFn:
-        """Chunk-sampler: pick a component by weight, then one Gaussian draw."""
+        """Chunk-sampler: pick a component by weight, then one Gaussian draw.
+
+        The draw carries its content as a key (dim and the exact bytes of
+        the components), so :mod:`deference_lab.sampling` can share one run
+        of draws among estimators that ask for the same (seed, N, measure).
+        """
         weights, means, scales = self.components(dim)
         edges = np.cumsum(weights)
 
         def draw(rng: np.random.Generator, m: int) -> np.ndarray:
             which = np.searchsorted(edges, rng.random(m), side="right")
-            which = np.minimum(which, len(weights) - 1)  # guard u == 1.0 rounding
+            np.minimum(which, len(weights) - 1, out=which)  # guard u == 1.0 rounding
             z = rng.standard_normal((m, dim))
-            return z * scales[which, None] + means[which]
+            z *= scales[which, None]
+            z += means[which]
+            return z
 
+        draw._memo_key = (dim, weights.tobytes(), means.tobytes(), scales.tobytes())
         return draw
 
     def spread(self, dim: int) -> float:

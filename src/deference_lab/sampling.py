@@ -10,6 +10,20 @@ for a given (seed, N) no matter how many worker threads run the chunks.
 Thread count is taken from the ``DEFLAB_THREADS`` environment variable
 (default 1).  Long-axis reductions stay inside numpy's deterministic
 pairwise summation; only short world-axis reductions go through BLAS.
+
+Drawing a chunk costs more than evaluating most value functions on it, and
+the accuracy estimators ask for the same run of draws one after another.
+So both drivers keep a one-entry memo of the last run.  Its key is the
+content of the draw: a draw may carry a ``_memo_key`` tuple whose first
+entry is its row width (``MeasureSpec.sampler`` supplies dim and the exact
+bytes of its component weights, means and scales), and the memo adds seed
+and samples.  A matching run reuses those chunk arrays, which are
+read-only; any other keyed run drops the entry before it draws.  A run
+whose draws exceed ``_MEMO_BYTES`` (32 MiB) is never retained, so large
+runs keep O(chunk) memory, and draws without a key bypass the memo.  A hit
+hands each chunk the same array that chunk's own generator would draw, so
+the per-chunk seeds, the reduction order and with them the thread-count
+contract are untouched.
 """
 
 from __future__ import annotations
@@ -29,6 +43,15 @@ CHUNK_SIZE = 1 << 16
 
 DrawFn = Callable[[np.random.Generator, int], np.ndarray]
 ValueFn = Callable[[np.ndarray], np.ndarray]
+
+#: Largest run, in bytes of float64 draws, that the memo retains: the
+#: default 100,000 samples up to 40 worlds.
+_MEMO_BYTES = 32 << 20
+
+#: The last retained run: ((draw key, seed, samples), read-only chunk arrays).
+#: Only ever replaced whole, so threads need no lock: a reader holds either
+#: a complete run for its key or nothing.
+_memo: tuple[tuple, list[np.ndarray]] | None = None
 
 
 @dataclass(frozen=True)
@@ -66,13 +89,50 @@ def _chunk_sizes(total: int) -> list[int]:
     return [CHUNK_SIZE] * full + ([rest] if rest else [])
 
 
-def _map_chunks(work: Callable[[int, int], tuple], sizes: list[int]) -> list[tuple]:
+def _map_draws(
+    draw: DrawFn, reduce: Callable[[np.ndarray, int], tuple], samples: int, seed: int
+) -> list[tuple]:
+    """``reduce(xs, m)`` of every chunk's draw, in chunk order.
+
+    A keyed draw whose run fits the budget is retained read-only as the
+    memo; an identical run after it reuses those arrays instead of drawing.
+    """
+    global _memo
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    sizes = _chunk_sizes(samples)
+    tag = getattr(draw, "_memo_key", None)
+    reused = kept = None
+    if tag is not None:
+        key = (tag, seed, samples)
+        entry = _memo
+        if entry is not None and entry[0] == key:
+            reused = entry[1]
+        else:
+            _memo = entry = None  # free the stale run before drawing this one
+            if samples * tag[0] * 8 <= _MEMO_BYTES:
+                kept = [None] * len(sizes)
+
+    def work(j: int, m: int) -> tuple:
+        if reused is not None:
+            xs = reused[j]
+        else:
+            xs = draw(chunk_rng(seed, j), m)
+            if kept is not None:
+                xs.flags.writeable = False
+                kept[j] = xs
+        return reduce(xs, m)
+
     workers = thread_count()
     jobs = list(enumerate(sizes))
     if workers == 1 or len(jobs) == 1:
-        return [work(j, m) for j, m in jobs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda jm: work(*jm), jobs))
+        results = [work(j, m) for j, m in jobs]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(lambda jm: work(*jm), jobs))
+    if kept is not None:
+        _memo = (key, kept)
+    return results
 
 
 def mc_estimate(draw: DrawFn, values: ValueFn, samples: int, seed: int) -> ScoreEstimate:
@@ -82,12 +142,9 @@ def mc_estimate(draw: DrawFn, values: ValueFn, samples: int, seed: int) -> Score
     Per-chunk means and scatter are merged with the usual pairwise
     mean/M2 combination, sequentially in chunk order.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    sizes = _chunk_sizes(samples)
 
-    def work(j: int, m: int) -> tuple[int, float, float]:
-        chunk = np.asarray(values(draw(chunk_rng(seed, j), m)), dtype=float)
+    def moments(xs: np.ndarray, m: int) -> tuple[int, float, float]:
+        chunk = np.asarray(values(xs), dtype=float)
         if chunk.shape != (m,):
             raise ValueError(f"value function returned shape {chunk.shape}, expected ({m},)")
         mean = float(np.mean(chunk))
@@ -95,7 +152,7 @@ def mc_estimate(draw: DrawFn, values: ValueFn, samples: int, seed: int) -> Score
         return m, mean, m2
 
     count, mean, m2 = 0, 0.0, 0.0
-    for c_count, c_mean, c_m2 in _map_chunks(work, sizes):
+    for c_count, c_mean, c_m2 in _map_draws(draw, moments, samples, seed):
         delta = c_mean - mean
         total = count + c_count
         mean += delta * (c_count / total)
@@ -115,17 +172,14 @@ def mc_frequency(draw: DrawFn, hits: ValueFn, samples: int, seed: int) -> ScoreE
     ``hits`` must return a boolean (m,) array.  Counts are integers, so the
     frequency is exact for the drawn sample and trivially reproducible.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    sizes = _chunk_sizes(samples)
 
-    def work(j: int, m: int) -> tuple[int]:
-        mask = np.asarray(hits(draw(chunk_rng(seed, j), m)))
+    def count(xs: np.ndarray, m: int) -> tuple[int]:
+        mask = np.asarray(hits(xs))
         if mask.shape != (m,) or mask.dtype != np.bool_:
             raise ValueError(f"hit function returned {mask.dtype} shape {mask.shape}")
         return (int(np.count_nonzero(mask)),)
 
-    total_hits = sum(h for (h,) in _map_chunks(work, sizes))
+    total_hits = sum(h for (h,) in _map_draws(draw, count, samples, seed))
     freq = total_hits / samples
     std_error = math.sqrt(freq * (1.0 - freq) / samples)
     return ScoreEstimate(value=freq, std_error=std_error, samples=samples, seed=seed)
@@ -137,6 +191,8 @@ def gaussian_draw(dim: int, sigma: float) -> DrawFn:
         raise ValueError(f"sigma must be > 0, got {sigma}")
 
     def draw(rng: np.random.Generator, m: int) -> np.ndarray:
-        return rng.standard_normal((m, dim)) * sigma
+        z = rng.standard_normal((m, dim))
+        z *= sigma
+        return z
 
     return draw

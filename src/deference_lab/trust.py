@@ -336,10 +336,12 @@ def estimate_ae_trust(scenario: Scenario, sigma: float, samples: int, seed: int)
     def hits(xs: np.ndarray) -> np.ndarray:
         prev = xs @ stacked_t
         accepted = prev[:, :n] >= 0.0
+        agent_value = prev[:, n].copy()
+        del prev  # an (m, n+1) array: free it before the (m, n) product below
         event_prob = accepted @ pi
         partial = (xs * accepted) @ pi
         # Full acceptance reuses the agent column: no sub-ulp violations.
-        partial = np.where(accepted.all(axis=1), prev[:, n], partial)
+        partial = np.where(accepted.all(axis=1), agent_value, partial)
         return (event_prob > 0.0) & (partial < 0.0)
 
     return mc_frequency(gaussian_draw(n, sigma), hits, samples, seed)

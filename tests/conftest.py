@@ -5,7 +5,13 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from deference_lab import Scenario
+from deference_lab import Scenario, sampling
+
+
+@pytest.fixture(autouse=True)
+def empty_draw_memo() -> None:
+    """Start every test without a retained Monte-Carlo draw."""
+    sampling._memo = None
 
 
 @pytest.fixture

@@ -12,7 +12,9 @@ Nothing here imports the implementation paths it judges:
 * threshold-zero violations and the full local threshold sweep are
   re-derived with broadcast array algebra;
 * the class-quotient sign test of the exact global check is re-derived in
-  rational arithmetic, by Gaussian elimination over ``fractions.Fraction``.
+  rational arithmetic, by Gaussian elimination over ``fractions.Fraction``;
+* a prevision is re-added one product at a time, left to right, in Python
+  floats.
 """
 
 from __future__ import annotations
@@ -29,6 +31,14 @@ from deference_lab import Event, Gamble, Scenario, ValidationError, simplex
 #: Radial factor of int_0^inf r^2 exp(-r^2/2) dr / (2 pi) for a standard
 #: 2-D Gaussian in polar coordinates.
 _RADIAL = math.sqrt(math.pi / 2.0) / (2.0 * math.pi)
+
+
+def expectation_loop(weights, values) -> float:
+    """sum_i w_i * x_i, added one product at a time from 0.0, left to right."""
+    acc = 0.0
+    for w, v in zip(weights, values):
+        acc += float(w) * float(v)
+    return acc
 
 
 def _angles_of_line(normal: np.ndarray) -> list[float]:

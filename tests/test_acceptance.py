@@ -26,6 +26,7 @@ from deference_lab import (
     inaccuracy_mc,
     measure_symmetry_check,
     rhs_identity,
+    sampling,
 )
 from deference_lab.cli import EXIT_OK, main
 from oracles import (
@@ -205,6 +206,7 @@ def test_criterion_6_exactness_anchors(monkeypatch):
     runs = {}
     for threads in ("1", "4"):
         monkeypatch.setenv("DEFLAB_THREADS", threads)
+        monkeypatch.setattr(sampling, "_memo", None)  # a fresh draw, not the memo
         runs[threads] = (
             estimate_ae_trust(anti, 1.0, 200_000, seed=2),
             expected_gap(anti, mixture, 200_000, seed=2),

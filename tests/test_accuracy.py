@@ -16,6 +16,7 @@ from deference_lab import (
     inaccuracy_mc,
     is_almost_desirable,
     rhs_identity,
+    sampling,
 )
 from oracles import (
     coarse_trusting_scenario,
@@ -117,9 +118,10 @@ class TestInaccuracyMc:
         assert confident.value < spread.value
         assert FROZEN_SCORES[((0.9, 0.1), 0)] < FROZEN_SCORES[((0.5, 0.5), 0)]
 
-    def test_deterministic(self):
+    def test_deterministic(self, monkeypatch):
         p = ProbMass([0.3, 0.7])
         a = inaccuracy_mc(p, 0, GAUSS, 50_000, seed=9)
+        monkeypatch.setattr(sampling, "_memo", None)  # a fresh draw, not the memo
         b = inaccuracy_mc(p, 0, GAUSS, 50_000, seed=9)
         assert a == b
         assert inaccuracy_mc(p, 0, GAUSS, 50_000, seed=10) != a
@@ -210,5 +212,6 @@ class TestRhsIdentity:
         monkeypatch.setenv("DEFLAB_THREADS", "1")
         serial = rhs_identity(anti_expert, GAUSS, 150_000, seed=4)
         monkeypatch.setenv("DEFLAB_THREADS", "4")
+        monkeypatch.setattr(sampling, "_memo", None)  # a fresh draw, not the memo
         threaded = rhs_identity(anti_expert, GAUSS, 150_000, seed=4)
         assert serial == threaded

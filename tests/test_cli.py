@@ -89,6 +89,30 @@ POSITIVE_SIDE_REPORT = """\
   }
 }
 """
+# Byte-exact ``score --samples 131195 --seed 7`` report on POSITIVE_SIDE: two
+# full Monte-Carlo chunks and a partial one, gap and identity on one draw.
+POSITIVE_SIDE_SCORE = """\
+{
+  "command": "score",
+  "scenario": "scenario.json",
+  "digest": "sha256:4afd0b53958b16ead075bab52cdc7d687913973ae17428c1cf718b28bc74d41b",
+  "sigma": 1.0,
+  "samples": 131195,
+  "seed": 7,
+  "gap": {
+    "value": 0.057681628503024954,
+    "std_error": 0.00043686893614958692,
+    "samples": 131195,
+    "seed": 7
+  },
+  "identity": {
+    "value": 0.057681628503024954,
+    "std_error": 0.00043686893614958692,
+    "samples": 131195,
+    "seed": 7
+  }
+}
+"""
 
 
 @pytest.fixture
@@ -295,6 +319,15 @@ class TestScore:
         assert code == EXIT_OK
         assert report["identity"]["value"] > 0.0
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_score_bytes(self, threads, capsys, scenario_file, tmp_path, monkeypatch):
+        monkeypatch.setenv("DEFLAB_THREADS", threads)
+        scenario_file(POSITIVE_SIDE)
+        monkeypatch.chdir(tmp_path)
+        code = main(["score", "scenario.json", "--samples", "131195", "--seed", "7"])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out == POSITIVE_SIDE_SCORE
+
     def test_rejects_bad_sigma(self, capsys, scenario_file):
         assert main(["score", scenario_file(ANTI), "--sigma", "0"]) == EXIT_INPUT
         assert main(["score", scenario_file(ANTI), "--samples", "0"]) == EXIT_INPUT
@@ -425,11 +458,13 @@ class TestReportContracts:
         assert "wall_clock_s" not in captured.out
         assert "wall_clock_s" in captured.err
 
-    def test_seventeen_digit_floats_round_trip(self, capsys, scenario_file):
+    def test_seventeen_digit_floats_round_trip(self, capsys, scenario_file, monkeypatch):
         code, report = run_cli(
             capsys, "score", scenario_file(ANTI), "--samples", "10000", "--seed", "1"
         )
-        from deference_lab import MeasureSpec, expected_gap
+        from deference_lab import MeasureSpec, expected_gap, sampling
+
+        monkeypatch.setattr(sampling, "_memo", None)  # a fresh draw, not the memo
 
         scenario, _ = load_scenario(scenario_file(ANTI))
         direct = expected_gap(scenario, MeasureSpec.gaussian(1.0), 10_000, 1)

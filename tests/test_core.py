@@ -18,6 +18,7 @@ from deference_lab import (
     expectation,
     indicator,
 )
+from oracles import expectation_loop
 
 TOL = 1e-9
 
@@ -114,6 +115,33 @@ class TestExpectation:
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
             expectation(ProbMass([1.0]), Gamble([1.0, 2.0]))
+
+    @pytest.mark.parametrize("n", [1, 3, 8, 200])
+    def test_bits_match_left_to_right_loop(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(300):
+            p = ProbMass(rng.dirichlet(np.ones(n)))
+            x = Gamble(rng.normal(0.0, 10.0, n) * (rng.random(n) < 0.8))
+            assert expectation(p, x).hex() == expectation_loop(p.weights, x.values).hex()
+
+    def test_all_negative_zero_products_sum_to_positive_zero(self):
+        for p, x in (
+            (ProbMass([1.0]), Gamble([-0.0])),
+            (ProbMass([0.5, 0.5]), Gamble([-0.0, -0.0])),
+            (ProbMass([1.0, 0.0, 0.0]), Gamble([-0.0, -3.0, -1e300])),
+        ):
+            value = expectation(p, x)
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0
+            assert value.hex() == expectation_loop(p.weights, x.values).hex()
+
+    def test_event_probability_matches_loop_bits(self):
+        rng = np.random.default_rng(5)
+        for n in (1, 3, 8, 200):
+            for _ in range(50):
+                p = ProbMass(rng.dirichlet(np.ones(n)))
+                event = Event(n, frozenset(np.flatnonzero(rng.random(n) < 0.5).tolist()))
+                loop = expectation_loop(p.weights, indicator(event).values)
+                assert event_probability(p, event).hex() == loop.hex()
 
 
 class TestEventProbability:
