@@ -31,6 +31,7 @@ JSON document.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -411,7 +412,9 @@ def _cmd_counterexample(args: argparse.Namespace) -> tuple[int, dict]:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and then kept for the process."""
     parser = argparse.ArgumentParser(
         prog="deference-lab",
         description="Decide Total Trust exactly and verify its accuracy characterisation.",

@@ -121,20 +121,39 @@ class MeasureSpec:
     def sampler(self, dim: int) -> DrawFn:
         """Chunk-sampler: pick a component by weight, then one Gaussian draw.
 
+        Each chunk's stream is laid out as m uniforms for the component
+        pick, then m*dim standard normals.  A one-component measure (a plain
+        Gaussian) needs no pick, so it skips the m uniforms with the bit
+        generator's ``advance`` and draws the very same normals: not a bit
+        of the sample moves.
+
         The draw carries its content as a key (dim and the exact bytes of
         the components), so :mod:`deference_lab.sampling` can share one run
         of draws among estimators that ask for the same (seed, N, measure).
         """
         weights, means, scales = self.components(dim)
-        edges = np.cumsum(weights)
 
-        def draw(rng: np.random.Generator, m: int) -> np.ndarray:
-            which = np.searchsorted(edges, rng.random(m), side="right")
-            np.minimum(which, len(weights) - 1, out=which)  # guard u == 1.0 rounding
-            z = rng.standard_normal((m, dim))
-            z *= scales[which, None]
-            z += means[which]
-            return z
+        if len(weights) == 1:
+            sigma = self.sigma
+
+            def draw(rng: np.random.Generator, m: int) -> np.ndarray:
+                # m uniforms are m PCG64 words: test_measures.py::TestOneComponentDraw
+                rng.bit_generator.advance(m)
+                z = rng.standard_normal((m, dim))
+                z *= sigma
+                z += 0.0  # the zero mean: turns -0.0 into +0.0, as the pick path does
+                return z
+
+        else:
+            edges = np.cumsum(weights)
+
+            def draw(rng: np.random.Generator, m: int) -> np.ndarray:
+                which = np.searchsorted(edges, rng.random(m), side="right")
+                np.minimum(which, len(weights) - 1, out=which)  # guard u == 1.0 rounding
+                z = rng.standard_normal((m, dim))
+                z *= scales[which, None]
+                z += means[which]
+                return z
 
         draw._memo_key = (dim, weights.tobytes(), means.tobytes(), scales.tobytes())
         return draw

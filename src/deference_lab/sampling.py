@@ -7,9 +7,16 @@ partial results are combined in chunk order.  Because no stream crosses a
 chunk boundary and the reduction order is fixed, results are bit-identical
 for a given (seed, N) no matter how many worker threads run the chunks.
 
+Within a chunk, ``MeasureSpec.sampler`` lays the stream out as m uniforms
+for the component pick, then m*dim standard normals.  A one-component
+measure (a plain Gaussian) skips the m uniforms with the bit generator's
+``advance`` instead of drawing them; on the chunks' PCG64 generators that
+lands on the same normals, so not a bit moves.
+
 Thread count is taken from the ``DEFLAB_THREADS`` environment variable
-(default 1).  Long-axis reductions stay inside numpy's deterministic
-pairwise summation; only short world-axis reductions go through BLAS.
+(default 1); anything but a positive integer raises ``ValidationError``.
+Long-axis reductions stay inside numpy's deterministic pairwise summation;
+only short world-axis reductions go through BLAS.
 
 Drawing a chunk costs more than evaluating most value functions on it, and
 the accuracy estimators ask for the same run of draws one after another.
@@ -35,6 +42,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+from .core import ValidationError
 
 __all__ = ["ScoreEstimate", "mc_estimate", "mc_frequency", "chunk_rng", "thread_count"]
 
@@ -71,12 +80,18 @@ class ScoreEstimate:
 
 
 def thread_count() -> int:
-    """Worker threads for chunk evaluation, from DEFLAB_THREADS (default 1)."""
+    """Worker threads for chunk evaluation, from DEFLAB_THREADS (default 1).
+
+    Anything but a positive integer raises :class:`ValidationError`.
+    """
     raw = os.environ.get("DEFLAB_THREADS", "1")
     try:
-        return max(1, int(raw))
+        count = int(raw)
     except ValueError:
-        return 1
+        count = 0
+    if count < 1:
+        raise ValidationError(f"DEFLAB_THREADS must be a positive integer, got {raw!r}")
+    return count
 
 
 def chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:

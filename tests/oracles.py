@@ -14,7 +14,9 @@ Nothing here imports the implementation paths it judges:
 * the class-quotient sign test of the exact global check is re-derived in
   rational arithmetic, by Gaussian elimination over ``fractions.Fraction``;
 * a prevision is re-added one product at a time, left to right, in Python
-  floats.
+  floats;
+* a measure's chunk draw is re-drawn the long way: m uniforms pick a
+  component for every sample, whatever the number of components.
 """
 
 from __future__ import annotations
@@ -222,6 +224,26 @@ def local_sweep_violation_mask(scenario: Scenario, xs: np.ndarray) -> np.ndarray
     below = np.where(full, agent_dot[:, None] < attained, below)
     violated = (prob > 0.0) & below
     return violated.any(axis=1)
+
+
+def component_pick_sampler(measure, dim: int):
+    """A measure's chunk-sampler that always picks a component by weight.
+
+    m uniforms pick the components, then m * dim standard normals are
+    scaled and shifted by the picked ones, for a plain Gaussian too.
+    """
+    weights, means, scales = measure.components(dim)
+    edges = np.cumsum(weights)
+
+    def draw(rng: np.random.Generator, m: int) -> np.ndarray:
+        which = np.searchsorted(edges, rng.random(m), side="right")
+        np.minimum(which, len(weights) - 1, out=which)  # guard u == 1.0 rounding
+        z = rng.standard_normal((m, dim))
+        z *= scales[which, None]
+        z += means[which]
+        return z
+
+    return draw
 
 
 def random_measure(rng: np.random.Generator, dim: int):

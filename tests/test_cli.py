@@ -1,5 +1,6 @@
 """The deference-lab command line: reports, exit codes, determinism."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import deference_lab
-from deference_lab import SearchExhaustedError
+from deference_lab import SearchExhaustedError, cli
 from deference_lab.cli import (
     EXIT_EXHAUSTED,
     EXIT_INPUT,
@@ -471,17 +472,21 @@ class TestReportContracts:
         assert report["gap"]["value"] == direct.value  # parsed back bit-identically
 
 
+def _child_env() -> dict[str, str]:
+    """This environment, with the package importable from where it was found."""
+    package_root = str(Path(deference_lab.__file__).resolve().parents[1])
+    inherited = os.environ.get("PYTHONPATH")
+    return dict(
+        os.environ,
+        PYTHONPATH=package_root + (os.pathsep + inherited if inherited else ""),
+    )
+
+
 class TestByteIdentity:
     def test_repeated_runs_identical(self, scenario_file):
         path = scenario_file(ANTI)
         args = [sys.executable, "-m", "deference_lab.cli"]
-        # The child must import the package from where this process found it.
-        package_root = str(Path(deference_lab.__file__).resolve().parents[1])
-        inherited = os.environ.get("PYTHONPATH")
-        env = dict(
-            os.environ,
-            PYTHONPATH=package_root + (os.pathsep + inherited if inherited else ""),
-        )
+        env = _child_env()
 
         def run():
             return subprocess.run(
@@ -500,3 +505,79 @@ class TestByteIdentity:
         )
         assert result.returncode == EXIT_OK
         assert json.loads(result.stdout)["global"]["holds"] is False
+
+
+class TestParserCache:
+    @pytest.fixture
+    def parsers_built(self, monkeypatch) -> list[str]:
+        """Progs of the top-level parsers built from here on, cache emptied."""
+        built: list[str] = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(parser, *args, **kwargs):
+            init(parser, *args, **kwargs)
+            if parser.prog == "deference-lab":
+                built.append(parser.prog)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        cli._build_parser.cache_clear()
+        return built
+
+    def test_many_calls_build_one_parser(self, capsys, scenario_file, parsers_built):
+        path = scenario_file(POSITIVE_SIDE)
+        sampled = ["--samples", "2000"]
+        for _ in range(3):
+            assert main(["check", path, "--gamble", "nope"]) == EXIT_INPUT
+            assert main(["check", path]) == EXIT_OK
+            for command in ("score", "identity", "ae-trust", "counterexample"):
+                assert main([command, path, *sampled]) == EXIT_OK
+            assert main(["score", path, "--samples", "0"]) == EXIT_INPUT
+        assert parsers_built == ["deference-lab"]
+
+    def test_errors_and_help_leave_no_trace(self, capsys, scenario_file, tmp_path, monkeypatch):
+        scenario_file(ANTI)
+        monkeypatch.chdir(tmp_path)
+        argv = ["score", "scenario.json", "--samples", "3000", "--seed", "5"]
+        fresh = subprocess.run(
+            [sys.executable, "-m", "deference_lab.cli", *argv],
+            capture_output=True,
+            check=True,
+            env=_child_env(),
+        ).stdout.decode()
+
+        helps = []
+        for _ in range(2):
+            assert main(["score", "scenario.json", "--bogus"]) == EXIT_INPUT
+            assert main(["counterexample"]) == EXIT_INPUT
+            assert main(["--help"]) == EXIT_OK
+            helps.append(capsys.readouterr().out)
+            assert main(argv) == EXIT_OK
+            assert capsys.readouterr().out == fresh
+        assert helps[0] == helps[1] and "counterexample" in helps[0]
+
+    def test_import_builds_no_parser(self):
+        probe = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting(parser, *args, **kwargs):\n"
+            "    built.append(kwargs.get('prog'))\n"
+            "    init(parser, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "import deference_lab.cli as cli\n"
+            "print(len(built), cli._build_parser.cache_info().currsize)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, check=True, env=_child_env()
+        )
+        assert result.stdout.decode().split() == ["0", "0"]
+
+
+class TestThreadSetting:
+    @pytest.mark.parametrize("raw", ["abc", "0", "-2", "", "1.5"])
+    def test_malformed_value_exits_2_with_one_line(self, raw, capsys, scenario_file, monkeypatch):
+        monkeypatch.setenv("DEFLAB_THREADS", raw)
+        assert main(["score", scenario_file(ANTI), "--samples", "100"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: DEFLAB_THREADS must be a positive integer, got {raw!r}\n"

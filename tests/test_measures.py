@@ -5,7 +5,8 @@ import pytest
 
 from deference_lab import BumpPair, Gamble, MeasureSpec, ValidationError, measure_symmetry_check
 from deference_lab.measures import MIN_BASE_WEIGHT
-from deference_lab.sampling import chunk_rng
+from deference_lab.sampling import CHUNK_SIZE, chunk_rng
+from oracles import component_pick_sampler
 
 
 def _pair(center, scale=0.25, weight=0.5) -> BumpPair:
@@ -92,6 +93,50 @@ class TestSampling:
         spec = MeasureSpec.mixture(1.0, (_pair([5.0, -5.0], weight=0.8),))
         xs = spec.sampler(2)(chunk_rng(1, 0), 50_000)
         assert np.abs(xs.mean(axis=0)).max() < 0.1
+
+
+#: (seed, chunk index) pairs the draw tests cycle through.
+_STREAMS = [(0, 0), (1, 3), (12345, 1), (2**40 + 7, 17), (99, 250)]
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestOneComponentDraw:
+    """A plain Gaussian skips the component pick without moving a bit."""
+
+    @pytest.mark.parametrize("dim", range(1, 10))
+    def test_matches_the_component_pick_oracle(self, dim):
+        case = 0
+        for sigma in (2.0**-20, 0.3, 1.0, 1.7):
+            spec = MeasureSpec.gaussian(sigma)
+            fast, slow = spec.sampler(dim), component_pick_sampler(spec, dim)
+            for m in (1, 7, 50_000, CHUNK_SIZE, CHUNK_SIZE + 123):
+                seed, j = _STREAMS[(dim + case) % len(_STREAMS)]
+                case += 1
+                assert _same_bits(fast(chunk_rng(seed, j), m), slow(chunk_rng(seed, j), m))
+
+    @pytest.mark.parametrize("dim", [1, 4, 9])
+    def test_zero_weight_bump_keeps_the_pick(self, dim):
+        spec = MeasureSpec.mixture(0.7, (_pair(np.linspace(-1.0, 2.0, dim), weight=0.0),))
+        for seed, j in _STREAMS:
+            rng_a, rng_b = chunk_rng(seed, j), chunk_rng(seed, j)
+            assert _same_bits(
+                spec.sampler(dim)(rng_a, 5_000), component_pick_sampler(spec, dim)(rng_b, 5_000)
+            )
+
+    def test_chunk_rng_is_pcg64(self):
+        for seed, j in _STREAMS:
+            assert isinstance(chunk_rng(seed, j).bit_generator, np.random.PCG64)
+
+    @pytest.mark.parametrize("m", [1, 3, CHUNK_SIZE])
+    def test_random_takes_one_word_per_double(self, m):
+        for seed, j in _STREAMS:
+            drawn, advanced = chunk_rng(seed, j), chunk_rng(seed, j)
+            drawn.random(m)
+            advanced.bit_generator.advance(m)
+            assert drawn.bit_generator.state == advanced.bit_generator.state
 
 
 class _UnpairedBump:

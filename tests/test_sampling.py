@@ -13,6 +13,7 @@ from deference_lab import (
     MeasureSpec,
     ProbMass,
     Scenario,
+    ValidationError,
     estimate_ae_trust,
     expected_gap,
     inaccuracy_mc,
@@ -26,6 +27,7 @@ from deference_lab.sampling import (
     gaussian_draw,
     mc_estimate,
     mc_frequency,
+    thread_count,
 )
 
 
@@ -104,6 +106,23 @@ class TestMcFrequency:
         monkeypatch.setenv("DEFLAB_THREADS", "3")
         threaded = mc_frequency(draw, hits, 2 * CHUNK_SIZE + 5, seed=4)
         assert serial == threaded
+
+
+class TestThreadCount:
+    def test_default_is_one(self, monkeypatch):
+        monkeypatch.delenv("DEFLAB_THREADS", raising=False)
+        assert thread_count() == 1
+
+    @pytest.mark.parametrize("raw", ["1", "2", " 3 "])
+    def test_positive_integers_are_taken(self, raw, monkeypatch):
+        monkeypatch.setenv("DEFLAB_THREADS", raw)
+        assert thread_count() == int(raw)
+
+    @pytest.mark.parametrize("raw", ["abc", "0", "-2", "", "1.5", "two"])
+    def test_malformed_values_raise(self, raw, monkeypatch):
+        monkeypatch.setenv("DEFLAB_THREADS", raw)
+        with pytest.raises(ValidationError, match="DEFLAB_THREADS must be a positive integer"):
+            thread_count()
 
 
 class TestScoreEstimate:
