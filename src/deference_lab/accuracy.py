@@ -35,7 +35,7 @@ import numpy as np
 from .core import Gamble, ProbMass, ValidationError, expectation
 from .measures import MeasureSpec
 from .sampling import ScoreEstimate, mc_estimate
-from .trust import Scenario, _stacked_previsions
+from .trust import Scenario, _acceptance
 
 __all__ = [
     "ErrorKind",
@@ -76,11 +76,6 @@ def error_class(p: ProbMass, i: int, x: Gamble) -> ErrorKind:
     return ErrorKind.NONE
 
 
-def _check_measure(mu: MeasureSpec, dim: int) -> None:
-    if mu.dim is not None and mu.dim != dim:
-        raise ValidationError(f"measure is {mu.dim}-dimensional, scores need {dim}")
-
-
 def inaccuracy_mc(
     p: ProbMass, i: int, mu: MeasureSpec, samples: int, seed: int
 ) -> ScoreEstimate:
@@ -93,7 +88,6 @@ def inaccuracy_mc(
     """
     if i < 0 or i >= p.n:
         raise ValidationError(f"world index {i} out of range for n={p.n}")
-    _check_measure(mu, p.n)
     weights = p.weights
 
     def values(xs: np.ndarray) -> np.ndarray:
@@ -118,15 +112,12 @@ def expected_gap(
 
     Negative values mean the agent expects the expert to score better.
     """
-    _check_measure(mu, scenario.n)
     n = scenario.n
     pi = scenario.agent.weights
-    stacked_t = _stacked_previsions(scenario).T
 
     def values(xs: np.ndarray) -> np.ndarray:
-        prev = xs @ stacked_t
-        expert_accepts = prev[:, :n] >= 0.0
-        agent_accepts = prev[:, n] >= 0.0
+        expert_accepts, agent_value = _acceptance(scenario, xs)
+        agent_accepts = agent_value >= 0.0
         total = np.zeros(len(xs))
         for i in range(n):
             if pi[i] == 0.0:
@@ -158,16 +149,10 @@ def rhs_identity(
     estimates separate only by floating-point noise if the algebra that
     equates them is right -- that is exactly what the identity tests pin.
     """
-    _check_measure(mu, scenario.n)
-    n = scenario.n
     pi = scenario.agent.weights
-    stacked_t = _stacked_previsions(scenario).T
 
     def values(xs: np.ndarray) -> np.ndarray:
-        prev = xs @ stacked_t
-        accepted = prev[:, :n] >= 0.0
-        agent_value = prev[:, n].copy()
-        del prev  # an (m, n+1) array: free it before the (m, n) products below
+        accepted, agent_value = _acceptance(scenario, xs)
         accept_prob = accepted @ pi
         accept_part = (xs * accepted) @ pi
         reject_prob = (~accepted) @ pi
@@ -176,4 +161,4 @@ def rhs_identity(
         second = (reject_prob > 0.0) & (agent_value >= 0.0)
         return -accept_part * first + reject_part * second
 
-    return mc_estimate(mu.sampler(n), values, samples, seed)
+    return mc_estimate(mu.sampler(scenario.n), values, samples, seed)

@@ -42,7 +42,7 @@ from .core import (
     conditional_expectation,
     expectation,
 )
-from .trust import Scenario, expert_event
+from .trust import Scenario, _expert_previsions, expert_event
 
 __all__ = [
     "Orientation",
@@ -194,10 +194,8 @@ def event_margin(scenario: Scenario, x: Gamble) -> float:
 
 
 def _event_margin(scenario: Scenario, x: Gamble, event: Event) -> float:
-    outside = [i for i in range(scenario.n) if i not in event]
-    if not outside:
-        return math.inf
-    return min(-expectation(scenario.expert[i], x) for i in outside)
+    outside = np.delete(_expert_previsions(scenario, x), event.sorted_members())
+    return float(np.min(-outside)) if outside.size else math.inf
 
 
 def build_violation_box(scenario: Scenario, x: Gamble) -> ViolationBox:

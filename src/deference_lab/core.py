@@ -12,7 +12,11 @@ space of n worlds:
 Conventions fixed here and relied on everywhere else:
 
 * All reductions over worlds run in a fixed left-to-right order, so verdicts
-  and estimates are bit-reproducible across runs.
+  and estimates are bit-reproducible across runs.  One kernel,
+  :func:`_ordered_sum`, does that adding for :func:`expectation`,
+  :class:`ProbMass` normalization and :func:`conditional_expectation`, and
+  (over the rows of the expert matrix) for the expert previsions of
+  :mod:`deference_lab.trust`.
 * ``conditional_expectation`` treats zero-probability conditioning events as
   *undefined* (returns ``None``), never as zero; the definedness test is an
   exact ``> 0``, not an epsilon comparison.
@@ -168,7 +172,7 @@ class ProbMass:
         arr = _frozen_array(self.weights, "probability mass")
         if np.any(arr < 0.0) or np.any(arr > 1.0):
             raise ValidationError(f"mass weights must lie in [0, 1], got {arr.tolist()}")
-        total = _left_to_right_sum(arr)
+        total = float(_ordered_sum(arr))
         if abs(total - 1.0) > MASS_TOL:
             raise ValidationError(f"mass sums to {total!r}, expected 1 within {MASS_TOL}")
         normalized = arr / total
@@ -186,10 +190,6 @@ class ProbMass:
         w[i] = 1.0
         return cls(w)
 
-    @classmethod
-    def uniform(cls, n: int) -> "ProbMass":
-        return cls(np.full(n, 1.0 / n))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ProbMass):
             return NotImplemented
@@ -199,11 +199,12 @@ class ProbMass:
         return f"ProbMass({self.weights.tolist()})"
 
 
-def _left_to_right_sum(values: np.ndarray) -> float:
-    acc = 0.0
-    for v in values:
-        acc += float(v)
-    return acc
+def _ordered_sum(values: np.ndarray) -> np.ndarray:
+    """Sum over the last axis, strictly left to right, as a loop from 0.0 would.
+
+    ``accumulate`` adds in order; ``+ 0.0`` turns an all -0.0 sum into +0.0.
+    """
+    return np.add.accumulate(values, axis=-1)[..., -1] + 0.0
 
 
 def _check_dims(p: ProbMass, x: Gamble) -> None:
@@ -218,9 +219,7 @@ def expectation(p: ProbMass, x: Gamble) -> float:
     run and so that :func:`event_probability` agrees with it bit for bit.
     """
     _check_dims(p, x)
-    # accumulate adds strictly in order; + 0.0 turns an all -0.0 sum into +0.0
-    # as a sum started from 0.0 would.
-    return float(np.add.accumulate(p.weights * x.values)[-1]) + 0.0
+    return float(_ordered_sum(p.weights * x.values))
 
 
 def indicator(a: Event) -> Gamble:
@@ -261,5 +260,4 @@ def conditional_expectation(p: ProbMass, x: Gamble, a: Event) -> float | None:
     prob = event_probability(p, a)
     if not prob > 0.0:
         return None
-    restricted = Gamble(x.values * indicator(a).values)
-    return expectation(p, restricted) / prob
+    return float(_ordered_sum(p.weights * (x.values * indicator(a).values))) / prob

@@ -65,9 +65,9 @@ from .core import (
     ProbMass,
     ValidationError,
     WorldSpace,
+    _check_dims,
+    _ordered_sum,
     conditional_expectation,
-    expectation,
-    indicator,
 )
 from .sampling import ScoreEstimate, gaussian_draw, mc_frequency
 
@@ -91,7 +91,11 @@ _SIGN_SLACK = 1e-12
 
 @dataclass(frozen=True)
 class Scenario:
-    """Agent prevision plus one expert prevision per world."""
+    """Agent prevision plus one expert prevision per world.
+
+    The expert rows are stacked once, at construction, into the read-only
+    matrix :meth:`expert_matrix` returns.
+    """
 
     space: WorldSpace
     agent: ProbMass
@@ -108,6 +112,9 @@ class Scenario:
             if row.n != n:
                 raise ValidationError(f"expert prevision {i} has {row.n} worlds, space has {n}")
         object.__setattr__(self, "expert", expert)
+        matrix = np.vstack([p.weights for p in expert])
+        matrix.flags.writeable = False
+        object.__setattr__(self, "_matrix", matrix)
 
     @property
     def n(self) -> int:
@@ -115,7 +122,7 @@ class Scenario:
 
     def expert_matrix(self) -> np.ndarray:
         """Row i = the expert's mass function if world i is the case."""
-        return np.vstack([p.weights for p in self.expert])
+        return self._matrix
 
     @classmethod
     def from_weights(cls, agent, expert_rows, labels=None) -> "Scenario":
@@ -164,10 +171,17 @@ def expert_event(scenario: Scenario, x: Gamble, t: float) -> Event:
     Membership is the exact floating-point comparison ``P_i(x) >= t``; ties
     land inside the event.
     """
-    members = frozenset(
-        i for i, row in enumerate(scenario.expert) if expectation(row, x) >= t
-    )
-    return Event(scenario.n, members)
+    return _event_of(_expert_previsions(scenario, x) >= t)
+
+
+def _expert_previsions(scenario: Scenario, x: Gamble) -> np.ndarray:
+    """Every expert prevision ``P_i(x)`` at once, each bit for bit ``expectation``."""
+    _check_dims(scenario.agent, x)
+    return _ordered_sum(scenario.expert_matrix() * x.values)
+
+
+def _event_of(mask: np.ndarray) -> Event:
+    return Event(mask.size, frozenset(np.flatnonzero(mask).tolist()))
 
 
 def check_local_trust(scenario: Scenario, x: Gamble) -> TrustVerdict:
@@ -184,9 +198,10 @@ def check_local_trust(scenario: Scenario, x: Gamble) -> TrustVerdict:
     whose conditional is undefined are skipped, as are detections too thin
     to survive that interior shift (sub-ulp artifacts of the division).
     """
-    values = [expectation(row, x) for row in scenario.expert]
+    previsions = _expert_previsions(scenario, x)
+    values = previsions.tolist()
     for v in sorted(set(values) | {0.0}):
-        event = Event(scenario.n, frozenset(i for i, pv in enumerate(values) if pv >= v))
+        event = _event_of(previsions >= v)
         cond = conditional_expectation(scenario.agent, x, event)
         if cond is None or cond >= v:
             continue
@@ -262,15 +277,17 @@ def check_global_trust(scenario: Scenario) -> TrustVerdict:
     weight = masses[:, inside].sum(axis=1)
     x = x + max(0.0, weight @ x + 1.0) / -(weight @ direction) * direction
     witness = Gamble(x / np.abs(x).max())
-    event = expert_event(scenario, witness, 0.0)
+    previsions = _expert_previsions(scenario, witness)
+    accepted = previsions >= 0.0
+    event = _event_of(accepted)
     value = conditional_expectation(scenario.agent, witness, event)
     if value is None or not value < 0.0:
         raise RuntimeError(
             f"closed-form witness lost its violation for event {event.sorted_members()}"
         )
     # The event's cone-LP objective at the (feasible) witness.
-    partial = expectation(scenario.agent, Gamble(witness.values * indicator(event).values))
-    outside = [expectation(row, witness) for i, row in enumerate(scenario.expert) if i not in event]
+    partial = float(_ordered_sum(pi * (witness.values * accepted)))
+    outside = previsions[~accepted].tolist()
     return TrustVerdict(
         holds=False,
         witness=witness,
@@ -308,15 +325,16 @@ def _chain_offence(
     return prefixes[j], y - cuts[j], -residual[:, j]
 
 
-def _stacked_previsions(scenario: Scenario) -> np.ndarray:
-    """Expert rows with the agent appended, for one shared matmul.
+def _acceptance(scenario: Scenario, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per sample row: which experts accept it (``P_i(X) >= 0``), and ``pi(X)``.
 
-    Running the expert and agent previsions of each sample through the same
-    matrix product means identical mass functions give bit-identical
-    columns, so an expert equal to the agent cancels exactly, sample by
-    sample, not just in expectation.
+    The expert and agent previsions come from one matrix product with the
+    agent appended to the expert rows, so identical mass functions give
+    bit-identical columns: an expert equal to the agent cancels exactly,
+    sample by sample, not just in expectation.
     """
-    return np.vstack([scenario.expert_matrix(), scenario.agent.weights])
+    prev = xs @ np.vstack([scenario.expert_matrix(), scenario.agent.weights]).T
+    return prev[:, :-1] >= 0.0, prev[:, -1].copy()
 
 
 def estimate_ae_trust(scenario: Scenario, sigma: float, samples: int, seed: int) -> ScoreEstimate:
@@ -331,13 +349,9 @@ def estimate_ae_trust(scenario: Scenario, sigma: float, samples: int, seed: int)
         raise ValidationError(f"sigma must be positive and finite, got {sigma}")
     n = scenario.n
     pi = scenario.agent.weights
-    stacked_t = _stacked_previsions(scenario).T
 
     def hits(xs: np.ndarray) -> np.ndarray:
-        prev = xs @ stacked_t
-        accepted = prev[:, :n] >= 0.0
-        agent_value = prev[:, n].copy()
-        del prev  # an (m, n+1) array: free it before the (m, n) product below
+        accepted, agent_value = _acceptance(scenario, xs)
         event_prob = accepted @ pi
         partial = (xs * accepted) @ pi
         # Full acceptance reuses the agent column: no sub-ulp violations.

@@ -15,6 +15,9 @@ Nothing here imports the implementation paths it judges:
   rational arithmetic, by Gaussian elimination over ``fractions.Fraction``;
 * a prevision is re-added one product at a time, left to right, in Python
   floats;
+* the estimators' acceptance block is kept in the form each estimator once
+  wrote out for itself: one stacked product, then the mask and the agent
+  column;
 * a measure's chunk draw is re-drawn the long way: m uniforms pick a
   component for every sample, whatever the number of components.
 """
@@ -41,6 +44,16 @@ def expectation_loop(weights, values) -> float:
     for w, v in zip(weights, values):
         acc += float(w) * float(v)
     return acc
+
+
+def stacked_acceptance(scenario: Scenario, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(expert acceptance mask, agent prevision column) of each sample row."""
+    n = scenario.n
+    stacked_t = np.vstack([scenario.expert_matrix(), scenario.agent.weights]).T
+    prev = xs @ stacked_t
+    accepted = prev[:, :n] >= 0.0
+    agent_value = prev[:, n].copy()
+    return accepted, agent_value
 
 
 def _angles_of_line(normal: np.ndarray) -> list[float]:

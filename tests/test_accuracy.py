@@ -10,6 +10,7 @@ from deference_lab import (
     Gamble,
     MeasureSpec,
     ProbMass,
+    ValidationError,
     check_global_trust,
     error_class,
     expected_gap,
@@ -215,3 +216,24 @@ class TestRhsIdentity:
         monkeypatch.setattr(sampling, "_memo", None)  # a fresh draw, not the memo
         threaded = rhs_identity(anti_expert, GAUSS, 150_000, seed=4)
         assert serial == threaded
+
+
+def test_measure_of_another_dimension_raises_before_drawing(anti_expert, monkeypatch):
+    # The measure's own components check rejects it, before any chunk draws.
+    drawn: list[int] = []
+    original = sampling.chunk_rng
+
+    def counted(seed: int, chunk_index: int) -> np.random.Generator:
+        drawn.append(chunk_index)
+        return original(seed, chunk_index)
+
+    monkeypatch.setattr(sampling, "chunk_rng", counted)
+    mu = random_measure(np.random.default_rng(0), 3)
+    for estimate in (
+        lambda: expected_gap(anti_expert, mu, 1_000, seed=0),
+        lambda: rhs_identity(anti_expert, mu, 1_000, seed=0),
+        lambda: inaccuracy_mc(anti_expert.agent, 0, mu, 1_000, seed=0),
+    ):
+        with pytest.raises(ValidationError, match="3-dimensional, asked to sample in 2"):
+            estimate()
+    assert drawn == []

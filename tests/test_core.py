@@ -11,6 +11,7 @@ from deference_lab import (
     Event,
     Gamble,
     ProbMass,
+    Scenario,
     ValidationError,
     WorldSpace,
     conditional_expectation,
@@ -18,7 +19,9 @@ from deference_lab import (
     expectation,
     indicator,
 )
-from oracles import expectation_loop
+from deference_lab.sampling import CHUNK_SIZE
+from deference_lab.trust import _acceptance, _expert_previsions
+from oracles import expectation_loop, random_scenario, stacked_acceptance
 
 TOL = 1e-9
 
@@ -123,6 +126,28 @@ class TestExpectation:
             p = ProbMass(rng.dirichlet(np.ones(n)))
             x = Gamble(rng.normal(0.0, 10.0, n) * (rng.random(n) < 0.8))
             assert expectation(p, x).hex() == expectation_loop(p.weights, x.values).hex()
+        # The all-experts kernel, row by row, on payoffs scaled by 1e+-300 and
+        # on all -0.0 products: -0.0 payoffs, or negative ones on zero weights.
+        scenario = random_scenario(rng, n)
+        ideal = Scenario.from_weights(scenario.agent.weights, np.eye(n))
+        for scale in (1.0, 1e300, 1e-300):
+            for x in (
+                Gamble(rng.normal(0.0, 10.0, n) * (rng.random(n) < 0.8) * scale),
+                Gamble(-np.abs(rng.normal(0.0, 10.0, n)) * scale),
+                Gamble(np.full(n, -0.0)),
+            ):
+                for case in (scenario, ideal):
+                    got = [v.hex() for v in _expert_previsions(case, x).tolist()]
+                    loop = [expectation_loop(r, x.values).hex() for r in case.expert_matrix()]
+                    assert got == loop
+        # The shared acceptance kernel against the stacked block it replaced;
+        # at n = 200 a chunk's (m, n) blocks would take ~100 MB each.
+        if n <= 8:
+            xs = rng.normal(0.0, 1.0, (CHUNK_SIZE, n))
+            accepted, agent_value = _acceptance(scenario, xs)
+            ref_accepted, ref_agent_value = stacked_acceptance(scenario, xs)
+            assert np.array_equal(accepted, ref_accepted)
+            assert np.array_equal(agent_value.view(np.int64), ref_agent_value.view(np.int64))
 
     def test_all_negative_zero_products_sum_to_positive_zero(self):
         for p, x in (

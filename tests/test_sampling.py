@@ -1,5 +1,6 @@
 """Determinism contracts of the chunked Monte-Carlo plumbing."""
 
+import hashlib
 import json
 import sys
 import threading
@@ -29,6 +30,7 @@ from deference_lab.sampling import (
     mc_frequency,
     thread_count,
 )
+from oracles import random_measure, random_scenario
 
 
 def _norms(xs: np.ndarray) -> np.ndarray:
@@ -200,6 +202,38 @@ class TestGoldenBits:
             got.update(_pinned_bundle(scenario, name, mu))
         got[("ae",)] = _bits(estimate_ae_trust(scenario, 1.5, PIN_SAMPLES, PIN_SEED))
         assert got == PINS
+
+    #: sha256 over the (value, std_error) hex of ``_digest_lines``.
+    DIGEST = "a2a48ee4dd71892c4414a917aa3dc9d188d2a6fe0b3d22c1330ff2abb6308508"
+
+    @staticmethod
+    def _digest_lines() -> list[str]:
+        """Every estimator at n = 2, 5, 9 under a Gaussian and a mixture."""
+        samples, seed = CHUNK_SIZE + 123, 29
+        lines = []
+        for n in (2, 5, 9):
+            rng = np.random.default_rng([n, 23])
+            scenario = random_scenario(rng, n)
+            measures = {"gaussian": MeasureSpec.gaussian(1.5), "mixture": random_measure(rng, n)}
+            for name, mu in measures.items():
+                for label, estimate in (
+                    ("gap", expected_gap(scenario, mu, samples, seed)),
+                    ("identity", rhs_identity(scenario, mu, samples, seed)),
+                    ("inaccuracy", inaccuracy_mc(scenario.agent, n // 2, mu, samples, seed)),
+                ):
+                    lines.append(f"{n} {name} {label} {' '.join(_bits(estimate))}")
+            ae = estimate_ae_trust(scenario, 1.5, samples, seed)
+            lines.append(f"{n} ae {' '.join(_bits(ae))}")
+        return lines
+
+    def test_seeded_estimators_digest(self, monkeypatch):
+        digests = set()
+        for threads in ("1", "2"):
+            monkeypatch.setenv("DEFLAB_THREADS", threads)
+            monkeypatch.setattr(sampling, "_memo", None)
+            lines = "\n".join(self._digest_lines())
+            digests.add(hashlib.sha256(lines.encode()).hexdigest())
+        assert digests == {self.DIGEST}
 
     def test_python_threads_on_different_measures_keep_the_pins(self):
         # Four callers on two cores, switching often, keep replacing each

@@ -1,5 +1,6 @@
 """Local and global trust decisions, against hand values and oracles."""
 
+import hashlib
 import math
 import os
 import subprocess
@@ -436,6 +437,42 @@ class TestGlobalTrustBits:
             "-0x1.c063d602e97f9p-1",
         ),
     }
+
+    #: sha256 of ``_verdict_line`` over ``_digest_suite``, one line per scenario.
+    SUITE_DIGEST = "af877466246fc8146a6e23ef8cea6ce230eaa7e4c165ca0e03bb22363f0265a4"
+
+    @staticmethod
+    def _digest_suite() -> list[Scenario]:
+        """Five seeded scenarios per family and n = 2..9."""
+        makers = (
+            random_scenario,
+            trusting_scenario,
+            _repeated_row_scenario,
+            garbled_scenario,
+            coarse_trusting_scenario,
+            informed_zero_mass_scenario,
+        )
+        return [
+            make(np.random.default_rng([100, n, k, copy]), n)
+            for n in range(2, 10)
+            for k, make in enumerate(makers)
+            if n >= 3 or make not in (garbled_scenario, informed_zero_mass_scenario)
+            for copy in range(5)
+        ]
+
+    @staticmethod
+    def _verdict_line(verdict) -> str:
+        if verdict.holds:
+            return f"True {verdict.margin.hex()}"
+        witness = ",".join(float(v).hex() for v in verdict.witness.values)
+        members = verdict.witness_event.sorted_members()
+        return f"False {verdict.margin.hex()} {witness} {members} {verdict.witness_value.hex()}"
+
+    def test_seeded_suite_digest(self):
+        suite = self._digest_suite()
+        assert len(suite) >= 200
+        lines = "\n".join(self._verdict_line(check_global_trust(s)) for s in suite)
+        assert hashlib.sha256(lines.encode()).hexdigest() == self.SUITE_DIGEST
 
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_golden_verdict(self, name):
