@@ -111,24 +111,26 @@ def expected_gap(
         g(X) = sum_i pi(w_i) |x_i| ([expert errs at i] - [agent errs at i]).
 
     Negative values mean the agent expects the expert to score better.
+
+    Each term is computed as ``x_i pi_i (a - e_i)``, with ``a`` and ``e_i``
+    the agent's and expert i's acceptance: a nonzero term needs them to
+    differ, so exactly one errs, and ``sign(x_i) (a - e_i)`` is +1 just when
+    it is the expert.  So every nonzero term has the bits of
+    ``pi_i |x_i| (+-1)``, and adding the worlds with ``pi_i > 0`` in order,
+    from 0.0, is the per-world sum bit for bit.
     """
     n = scenario.n
     pi = scenario.agent.weights
+    support = pi > 0.0
+    weights = pi[support]
 
     def values(xs: np.ndarray) -> np.ndarray:
         expert_accepts, agent_value = _acceptance(scenario, xs)
-        agent_accepts = agent_value >= 0.0
+        agent_accepts = (agent_value >= 0.0)[:, None]
+        verdicts = np.subtract(agent_accepts, expert_accepts[:, support], dtype=float)
         total = np.zeros(len(xs))
-        for i in range(n):
-            if pi[i] == 0.0:
-                continue
-            payoff = xs[:, i]
-            gains = payoff >= 0.0
-            expert_errs = expert_accepts[:, i] != gains
-            agent_errs = agent_accepts != gains
-            total += pi[i] * np.abs(payoff) * (
-                expert_errs.astype(float) - agent_errs.astype(float)
-            )
+        for term in (xs[:, support] * weights * verdicts).T:
+            total += term
         return total
 
     return mc_estimate(mu.sampler(n), values, samples, seed)

@@ -16,13 +16,16 @@ from deference_lab import (
     expected_gap,
     inaccuracy_mc,
     is_almost_desirable,
+    accuracy,
     rhs_identity,
     sampling,
 )
 from oracles import (
     coarse_trusting_scenario,
+    coarse_zero_mass_scenario,
     random_measure,
     random_scenario,
+    stacked_acceptance,
     trusting_scenario,
     wedge_inaccuracy,
 )
@@ -152,6 +155,41 @@ class TestExpectedGap:
             for measure in (GAUSS, random_measure(rng, scenario.n)):
                 estimate = expected_gap(scenario, measure, 30_000, seed=k)
                 assert estimate.value <= 3 * estimate.std_error
+
+
+    def test_integrand_matches_the_per_world_loop(self, monkeypatch):
+        # The per-world sum of the docstring, added world by world from 0.0.
+        def per_world(scenario, xs):
+            expert_accepts, agent_value = stacked_acceptance(scenario, xs)
+            agent_accepts = agent_value >= 0.0
+            total = np.zeros(len(xs))
+            for i, weight in enumerate(scenario.agent.weights):
+                if weight == 0.0:
+                    continue
+                payoff = xs[:, i]
+                gains = payoff >= 0.0
+                expert_errs = (expert_accepts[:, i] != gains).astype(float)
+                agent_errs = (agent_accepts != gains).astype(float)
+                total += weight * np.abs(payoff) * (expert_errs - agent_errs)
+            return total
+
+        integrands = []
+        original = accuracy.mc_estimate
+
+        def capturing(draw, values, samples, seed):
+            integrands.append(values)
+            return original(draw, values, samples, seed)
+
+        monkeypatch.setattr(accuracy, "mc_estimate", capturing)
+        rng = np.random.default_rng(31)
+        for scenario in (random_scenario(rng, 6), coarse_zero_mass_scenario(rng, 6)):
+            expected_gap(scenario, GAUSS, 1, 0)
+            xs = rng.standard_normal((3_000, 6))
+            xs[::7, 2] = 0.0
+            xs[::5, 0] = -0.0
+            xs[::11] = 0.0
+            got = [v.hex() for v in integrands[-1](xs).tolist()]
+            assert got == [v.hex() for v in per_world(scenario, xs).tolist()]
 
 
 class TestRhsIdentity:

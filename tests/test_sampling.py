@@ -15,16 +15,20 @@ from deference_lab import (
     ProbMass,
     Scenario,
     ValidationError,
+    accuracy,
     estimate_ae_trust,
     expected_gap,
     inaccuracy_mc,
     rhs_identity,
     sampling,
+    trust,
 )
 from deference_lab.cli import main
 from deference_lab.sampling import (
+    _BLOCK_ROWS,
     CHUNK_SIZE,
     ScoreEstimate,
+    chunk_rng,
     gaussian_draw,
     mc_estimate,
     mc_frequency,
@@ -84,6 +88,19 @@ class TestMcEstimate:
         with pytest.raises(ValueError):
             mc_estimate(gaussian_draw(1, 1.0), _norms, 0, seed=0)
 
+    def test_each_block_is_shape_checked(self):
+        # One row too many in the first block and one too few in the second
+        # add up to the chunk's rows; the check must still see the first.
+        blocks: list[int] = []
+
+        def uneven(xs: np.ndarray) -> np.ndarray:
+            blocks.append(len(xs))
+            return np.zeros(len(xs) + (1 if len(blocks) == 1 else -1))
+
+        with pytest.raises(ValueError, match=r"value function returned shape \(4097,\)"):
+            mc_estimate(gaussian_draw(2, 1.0), uneven, 2 * _BLOCK_ROWS, seed=0)
+        assert blocks == [_BLOCK_ROWS]
+
 
 class TestMcFrequency:
     def test_exact_zero_and_one(self):
@@ -108,6 +125,23 @@ class TestMcFrequency:
         monkeypatch.setenv("DEFLAB_THREADS", "3")
         threaded = mc_frequency(draw, hits, 2 * CHUNK_SIZE + 5, seed=4)
         assert serial == threaded
+
+    @pytest.mark.parametrize("bad", ["int8", "uneven"])
+    def test_each_block_is_checked(self, bad):
+        # Only the second of three blocks is bad; the check must stop there.
+        blocks: list[int] = []
+
+        def hits(xs: np.ndarray) -> np.ndarray:
+            blocks.append(len(xs))
+            if len(blocks) != 2:
+                return xs[:, 0] > 0.0
+            if bad == "int8":
+                return (xs[:, 0] > 0.0).astype(np.int8)
+            return np.zeros(len(xs) + 1, dtype=bool)
+
+        with pytest.raises(ValueError, match="hit function returned"):
+            mc_frequency(gaussian_draw(2, 1.0), hits, 3 * _BLOCK_ROWS - 1, seed=0)
+        assert blocks == [_BLOCK_ROWS, _BLOCK_ROWS]
 
 
 class TestThreadCount:
@@ -262,6 +296,103 @@ class TestGoldenBits:
         assert not any(worker.is_alive() for worker in workers)
         for name, runs in zip(names, results):
             assert runs == [{k: v for k, v in PINS.items() if k[0] == name}] * 3
+
+
+# ---------------------------------------------------------------------------
+# Row blocks within a chunk
+# ---------------------------------------------------------------------------
+
+#: One row, a block's edges, and a full chunk followed by a partial one.
+BLOCK_EDGE_SAMPLES = [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, CHUNK_SIZE + 4097]
+
+
+def _chunks(draw, samples: int, seed: int):
+    for j, start in enumerate(range(0, samples, CHUNK_SIZE)):
+        yield draw(chunk_rng(seed, j), min(CHUNK_SIZE, samples - start))
+
+
+def _whole_chunk_estimate(draw, values, samples: int, seed: int) -> ScoreEstimate:
+    """``mc_estimate``'s reduction with one ``values`` call per chunk."""
+    count, mean, m2 = 0, 0.0, 0.0
+    for xs in _chunks(draw, samples, seed):
+        chunk = np.asarray(values(xs), dtype=float)
+        c_count, c_mean = len(chunk), float(np.mean(chunk))
+        c_m2 = float(np.sum((chunk - c_mean) ** 2))
+        delta = c_mean - mean
+        total = count + c_count
+        mean += delta * (c_count / total)
+        m2 += c_m2 + delta * delta * (count * c_count / total)
+        count = total
+    std_error = np.sqrt(m2 / (count - 1) / count) if count > 1 and m2 > 0.0 else 0.0
+    return ScoreEstimate(mean + 0.0, float(std_error), count, seed)
+
+
+def _whole_chunk_frequency(draw, hits, samples: int, seed: int) -> ScoreEstimate:
+    """``mc_frequency``'s reduction with one ``hits`` call per chunk."""
+    total = sum(int(np.count_nonzero(hits(xs))) for xs in _chunks(draw, samples, seed))
+    freq = total / samples
+    return ScoreEstimate(freq, float(np.sqrt(freq * (1.0 - freq) / samples)), samples, seed)
+
+
+def _capture(monkeypatch, module, name: str) -> list[tuple]:
+    """Records the (draw, function) pairs passed to ``module.name``."""
+    seen: list[tuple] = []
+    original = getattr(module, name)
+
+    def capturing(draw, fn, samples, seed):
+        seen.append((draw, fn))
+        return original(draw, fn, samples, seed)
+
+    monkeypatch.setattr(module, name, capturing)
+    return seen
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_blocks_give_the_whole_chunk_bits(self, threads, monkeypatch):
+        monkeypatch.setenv("DEFLAB_THREADS", threads)
+        scenario, measures = _pin_setup()
+        estimates = _capture(monkeypatch, accuracy, "mc_estimate")
+        frequencies = _capture(monkeypatch, trust, "mc_frequency")
+        for mu in measures.values():
+            expected_gap(scenario, mu, 1, 0)
+            rhs_identity(scenario, mu, 1, 0)
+            inaccuracy_mc(scenario.agent, PIN_WORLD, mu, 1, 0)
+        estimate_ae_trust(scenario, 1.5, 1, 0)
+        assert (len(estimates), len(frequencies)) == (6, 1)
+        for samples in BLOCK_EDGE_SAMPLES:
+            for draw, values in estimates:
+                blocked = mc_estimate(draw, values, samples, PIN_SEED)
+                whole = _whole_chunk_estimate(draw, values, samples, PIN_SEED)
+                assert _bits(blocked) == _bits(whole)
+            for draw, hits in frequencies:
+                blocked = mc_frequency(draw, hits, samples, PIN_SEED)
+                whole = _whole_chunk_frequency(draw, hits, samples, PIN_SEED)
+                assert _bits(blocked) == _bits(whole)
+
+    def test_acceptance_products_stay_within_a_block(self, monkeypatch):
+        rows: dict[str, list[int]] = {}
+        original = trust._acceptance
+
+        def recording(scenario, xs):
+            rows[label].append(len(xs))
+            return original(scenario, xs)
+
+        # accuracy holds its own reference to the kernel.
+        monkeypatch.setattr(trust, "_acceptance", recording)
+        monkeypatch.setattr(accuracy, "_acceptance", recording)
+        scenario, measures = _pin_setup()
+        samples = CHUNK_SIZE + 123
+        for label, run in (
+            ("gap", lambda: expected_gap(scenario, measures["gaussian"], samples, 1)),
+            ("identity", lambda: rhs_identity(scenario, measures["gaussian"], samples, 1)),
+            ("ae", lambda: estimate_ae_trust(scenario, 1.5, samples, 1)),
+        ):
+            rows[label] = []
+            run()
+        for label, seen in rows.items():
+            assert max(seen) == _BLOCK_ROWS, label
+            assert sum(seen) == samples, label
 
 
 @pytest.fixture
