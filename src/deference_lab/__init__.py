@@ -35,10 +35,8 @@ from .boxes import (
     ViolationBox,
     build_positive_box,
     build_violation_box,
-    event_margin,
-    value_margin,
 )
-from .measures import BumpPair, MeasureSpec, SymmetryReport, measure_symmetry_check
+from .measures import BumpPair, MeasureSpec
 from .accuracy import (
     ErrorKind,
     error_class,
@@ -64,7 +62,6 @@ __all__ = [
     "Scenario",
     "ScoreEstimate",
     "SearchExhaustedError",
-    "SymmetryReport",
     "TrustVerdict",
     "ValidationError",
     "ViolationBox",
@@ -78,7 +75,6 @@ __all__ = [
     "conditional_expectation",
     "error_class",
     "estimate_ae_trust",
-    "event_margin",
     "event_probability",
     "expectation",
     "expected_gap",
@@ -86,7 +82,5 @@ __all__ = [
     "inaccuracy_mc",
     "indicator",
     "is_almost_desirable",
-    "measure_symmetry_check",
     "rhs_identity",
-    "value_margin",
 ]

@@ -7,14 +7,15 @@ event, while staying clear of the n hyperplanes ``{Y : P_i(Y) = 0}`` on
 which expert previsions vanish.
 
 Two margins control the box for a witness with event A = [P(X) >= 0] and
-``pi(X | A) < 0``:
+``pi(X | A) < 0``; both are :class:`ViolationBox` fields:
 
-* ``value_margin`` -- how much X can be lifted uniformly before the
-  conditional value reaches zero; equals ``-pi(X | A)`` since a uniform
-  lift moves the conditional one-for-one.
-* ``event_margin`` -- how much X can be lifted before an excluded world
-  enters the acceptance event; equals ``min(-P_i(X))`` over worlds outside
-  A (infinite when A is everything).
+* ``value_margin`` (lambda) -- how much X can be lifted uniformly before
+  the conditional value reaches zero; equals ``-pi(X | A)`` since a
+  uniform lift moves the conditional one-for-one.
+* ``event_margin`` (xi) -- how much X can be lifted before an excluded
+  world enters the acceptance event; equals ``min(-P_i(X))`` over worlds
+  outside A (infinite when A is everything), since worlds already
+  accepting only become more accepting under a lift.
 
 With ``delta`` below both, every Y strictly between X and X + delta keeps
 the event and stays violating; the box is open, hence of positive Lebesgue
@@ -49,8 +50,6 @@ __all__ = [
     "ViolationBox",
     "NotAViolationWitness",
     "DegenerateBoxError",
-    "value_margin",
-    "event_margin",
     "build_violation_box",
     "build_positive_box",
 ]
@@ -171,33 +170,6 @@ def _require_negative_witness(scenario: Scenario, x: Gamble) -> tuple[Event, flo
     return event, value
 
 
-def value_margin(scenario: Scenario, x: Gamble) -> float:
-    """Uniform lift that drives the witness's conditional value to zero.
-
-    A lift by epsilon moves the conditional by exactly epsilon, so the
-    admissible lifts are ``(0, -pi(X | A))`` in closed form; no numeric
-    search is involved.
-    """
-    _, value = _require_negative_witness(scenario, x)
-    return -value
-
-
-def event_margin(scenario: Scenario, x: Gamble) -> float:
-    """Uniform lift below which the acceptance event cannot change.
-
-    Worlds already accepting only become more accepting under a lift, so
-    the binding constraint is the most nearly accepting excluded world:
-    ``min(-P_i(X))`` outside the event, infinite if nothing is excluded.
-    """
-    event, _ = _require_negative_witness(scenario, x)
-    return _event_margin(scenario, x, event)
-
-
-def _event_margin(scenario: Scenario, x: Gamble, event: Event) -> float:
-    outside = np.delete(_expert_previsions(scenario, x), event.sorted_members())
-    return float(np.min(-outside)) if outside.size else math.inf
-
-
 def build_violation_box(scenario: Scenario, x: Gamble) -> ViolationBox:
     """The open box (X, X + delta) of uniformly violating gambles.
 
@@ -214,7 +186,8 @@ def build_violation_box(scenario: Scenario, x: Gamble) -> ViolationBox:
 def _negative_box(scenario: Scenario, x: Gamble, event: Event, value: float) -> ViolationBox:
     """``build_violation_box`` for a witness whose event and value are known."""
     lam = -value
-    xi = _event_margin(scenario, x, event)
+    outside = np.delete(_expert_previsions(scenario, x), event.sorted_members())
+    xi = float(np.min(-outside)) if outside.size else math.inf
     delta = min(lam, xi)
     unconditional = expectation(scenario.agent, x)
     if unconditional < 0.0:

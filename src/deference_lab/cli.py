@@ -315,6 +315,13 @@ def _positive_int(raw: str) -> int:
     return value
 
 
+def _nonnegative_int(raw: str) -> int:
+    value = int(raw)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _positive_float(raw: str) -> float:
     value = float(raw)
     if not (value > 0.0 and math.isfinite(value)):
@@ -430,7 +437,7 @@ def _build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--sigma", type=_positive_float, default=1.0)
         if sampled:
             cmd.add_argument("--samples", type=_positive_int, default=100_000)
-            cmd.add_argument("--seed", type=int, default=0)
+            cmd.add_argument("--seed", type=_nonnegative_int, default=0)
         cmd.add_argument("--format", choices=("json", "text"), default="json")
         cmd.set_defaults(handler=handler)
 

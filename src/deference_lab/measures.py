@@ -17,10 +17,9 @@ the normalization, and none of the sign conclusions drawn from the scores
 depend on positive scaling, so a probability measure is the well-posed
 choice for Monte-Carlo work.
 
-:func:`measure_symmetry_check` estimates ``mu(B)`` against ``mu(-B)`` on
-random boxes; it exists to catch violations of (iii) in anything claiming
-to be admissible (its negative control in the test suite is an unpaired
-bump, which the public type cannot represent).
+Admissibility is thus structural, and no runtime check samples for it;
+the test suite pins it exactly, bit for bit, on the ``components`` every
+sampler draws from.
 """
 
 from __future__ import annotations
@@ -31,16 +30,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Gamble, ValidationError
-from .sampling import DrawFn, chunk_rng
+from .sampling import DrawFn
 
-__all__ = ["BumpPair", "MeasureSpec", "SymmetryReport", "measure_symmetry_check"]
+__all__ = ["BumpPair", "MeasureSpec"]
 
 #: Smallest base-Gaussian weight a mixture may carry; keeps the density
 #: strictly positive everywhere no matter how much mass the bumps take.
 MIN_BASE_WEIGHT = 2.0**-20
-
-# Box-mass discrepancies beyond this many standard errors fail the check.
-_THRESHOLD_SIGMAS = 4.0
 
 
 @dataclass(frozen=True)
@@ -157,76 +153,3 @@ class MeasureSpec:
 
         draw._memo_key = (dim, weights.tobytes(), means.tobytes(), scales.tobytes())
         return draw
-
-    def spread(self, dim: int) -> float:
-        """A length scale covering where the measure puts noticeable mass."""
-        reach = self.sigma
-        for bump in self.bumps:
-            reach = max(reach, float(np.max(np.abs(bump.center.values))) + 3.0 * bump.scale)
-        return reach
-
-
-@dataclass(frozen=True)
-class SymmetryReport:
-    """Worst observed box-mass asymmetry, in absolute and standard-error terms."""
-
-    max_discrepancy: float
-    max_sigma_ratio: float
-    threshold_sigmas: float
-    trials: int
-    passed: bool
-
-
-def measure_symmetry_check(
-    measure, dim: int, trials: int, samples: int, seed: int
-) -> SymmetryReport:
-    """Compare estimated masses of random boxes B against their mirrors -B.
-
-    For each trial an axis-aligned box is drawn from two Gaussian corners
-    scaled to the measure's spread; ``mu(B)`` and ``mu(-B)`` are estimated
-    from independent batches of ``samples`` draws each.  The check passes
-    when every trial's discrepancy stays within four times the combined
-    standard error.  Anything exposing ``sampler(dim)`` and
-    ``spread(dim)`` can be checked, admissible or not.
-    """
-    if trials < 1 or samples < 1:
-        raise ValidationError("trials and samples must both be >= 1")
-    draw = measure.sampler(dim)
-    scale = measure.spread(dim)
-    box_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
-
-    worst_abs = 0.0
-    worst_ratio = 0.0
-    passed = True
-    for trial in range(trials):
-        a = box_rng.normal(0.0, scale, dim)
-        b = box_rng.normal(0.0, scale, dim)
-        lower, upper = np.minimum(a, b), np.maximum(a, b)
-
-        def mass(points: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[float, float]:
-            inside = np.all((points >= lo) & (points <= hi), axis=1)
-            p = float(np.count_nonzero(inside)) / len(points)
-            return p, float(np.sqrt(p * (1.0 - p) / len(points)))
-
-        direct = draw(chunk_rng(seed, 2 * trial + 1), samples)
-        mirror = draw(chunk_rng(seed, 2 * trial + 2), samples)
-        p_box, se_box = mass(direct, lower, upper)
-        p_mirror, se_mirror = mass(mirror, -upper, -lower)
-
-        gap = abs(p_box - p_mirror)
-        combined = float(np.hypot(se_box, se_mirror))
-        worst_abs = max(worst_abs, gap)
-        if combined > 0.0:
-            worst_ratio = max(worst_ratio, gap / combined)
-        elif gap > 0.0:
-            worst_ratio = float("inf")
-        if gap > _THRESHOLD_SIGMAS * combined:
-            passed = False
-
-    return SymmetryReport(
-        max_discrepancy=worst_abs,
-        max_sigma_ratio=worst_ratio,
-        threshold_sigmas=_THRESHOLD_SIGMAS,
-        trials=trials,
-        passed=passed,
-    )

@@ -93,8 +93,9 @@ _SIGN_SLACK = 1e-12
 class Scenario:
     """Agent prevision plus one expert prevision per world.
 
-    The expert rows are stacked once, at construction, into the read-only
-    matrix :meth:`expert_matrix` returns.
+    The expert rows and then the agent row are stacked once, at
+    construction, into one read-only (n+1) x n matrix; :meth:`expert_matrix`
+    returns a view of its expert rows.
     """
 
     space: WorldSpace
@@ -112,9 +113,10 @@ class Scenario:
             if row.n != n:
                 raise ValidationError(f"expert prevision {i} has {row.n} worlds, space has {n}")
         object.__setattr__(self, "expert", expert)
-        matrix = np.vstack([p.weights for p in expert])
-        matrix.flags.writeable = False
-        object.__setattr__(self, "_matrix", matrix)
+        stack = np.vstack([p.weights for p in (*expert, self.agent)])
+        stack.flags.writeable = False
+        object.__setattr__(self, "_stack", stack)
+        object.__setattr__(self, "_matrix", stack[:-1])
 
     @property
     def n(self) -> int:
@@ -329,11 +331,11 @@ def _acceptance(scenario: Scenario, xs: np.ndarray) -> tuple[np.ndarray, np.ndar
     """Per sample row: which experts accept it (``P_i(X) >= 0``), and ``pi(X)``.
 
     The expert and agent previsions come from one matrix product with the
-    agent appended to the expert rows, so identical mass functions give
-    bit-identical columns: an expert equal to the agent cancels exactly,
-    sample by sample, not just in expectation.
+    scenario's stack (the agent row after the expert rows), so identical
+    mass functions give bit-identical columns: an expert equal to the agent
+    cancels exactly, sample by sample, not just in expectation.
     """
-    prev = xs @ np.vstack([scenario.expert_matrix(), scenario.agent.weights]).T
+    prev = xs @ scenario._stack.T
     return prev[:, :-1] >= 0.0, prev[:, -1].copy()
 
 

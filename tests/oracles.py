@@ -19,7 +19,9 @@ Nothing here imports the implementation paths it judges:
   wrote out for itself: one stacked product, then the mask and the agent
   column;
 * a measure's chunk draw is re-drawn the long way: m uniforms pick a
-  component for every sample, whatever the number of components.
+  component for every sample, whatever the number of components;
+* a measure's symmetry under negation is read off its components, bit
+  for bit, rather than sampled.
 """
 
 from __future__ import annotations
@@ -257,6 +259,25 @@ def component_pick_sampler(measure, dim: int):
         return z
 
     return draw
+
+
+def assert_negation_symmetric(measure, dim: int) -> None:
+    """Assert, bit for bit, that a measure's components are negation-symmetric.
+
+    Row 0 is the base Gaussian: positive weight and scale, mean +0.0 in
+    every coordinate.  The other rows come in adjacent pairs whose weights
+    and scales are bit-equal and whose means are exact negations, so the
+    mixture density satisfies f(-x) = f(x) term by term.
+    """
+    weights, means, scales = measure.components(dim)
+    count = len(weights)
+    assert count % 2 == 1 and means.shape == (count, dim) and scales.shape == (count,)
+    assert weights[0] > 0.0 and scales[0] > 0.0
+    assert np.array_equal(means[0].view(np.int64), np.zeros(dim, dtype=np.int64))  # +0.0
+    plus, minus = slice(1, None, 2), slice(2, None, 2)
+    assert np.array_equal(weights[plus].view(np.int64), weights[minus].view(np.int64))
+    assert np.array_equal(scales[plus].view(np.int64), scales[minus].view(np.int64))
+    assert np.array_equal((-means[plus]).view(np.int64), means[minus].view(np.int64))
 
 
 def random_measure(rng: np.random.Generator, dim: int):

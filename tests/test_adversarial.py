@@ -20,10 +20,9 @@ from deference_lab import (
     check_global_trust,
     expectation,
     expected_gap,
-    measure_symmetry_check,
     rhs_identity,
 )
-from oracles import random_scenario
+from oracles import assert_negation_symmetric, random_scenario
 
 
 def _informed_but_flawed() -> Scenario:
@@ -106,8 +105,7 @@ class TestBuildAdversarialMeasure:
         box = build_violation_box(anti_expert, Gamble([1.0, -1.0]))
         measure, _ = build_adversarial_measure(anti_expert, box, 1.0, 100_000, seed=0)
         assert measure.base_weight > 0.0
-        report = measure_symmetry_check(measure, 2, 10, 20_000, seed=5)
-        assert report.passed
+        assert_negation_symmetric(measure, 2)
 
     def test_identity_stays_positive_under_returned_measure(self):
         scenario = _informed_but_flawed()

@@ -15,9 +15,7 @@ from deference_lab import (
     build_violation_box,
     check_global_trust,
     check_local_trust,
-    event_margin,
     expectation,
-    value_margin,
 )
 from oracles import random_scenario
 
@@ -34,33 +32,33 @@ def _wide_event_scenario() -> tuple[Scenario, Gamble]:
 
 
 class TestMargins:
+    """lambda and xi as the box carries them: ``value_margin``, ``event_margin``."""
+
     def test_anti_expert_unit_witness(self, anti_expert):
-        x = Gamble([1.0, -1.0])
-        assert value_margin(anti_expert, x) == 1.0
-        assert event_margin(anti_expert, x) == 1.0
+        box = build_violation_box(anti_expert, Gamble([1.0, -1.0]))
+        assert box.value_margin == 1.0
+        assert box.event_margin == 1.0
 
     def test_value_margin_is_negated_conditional(self, anti_expert):
         # Conditional value -0.25 on the acceptance event {w2}.
-        assert value_margin(anti_expert, Gamble([1.0, -0.25])) == 0.25
+        assert build_violation_box(anti_expert, Gamble([1.0, -0.25])).value_margin == 0.25
 
     def test_half_scale_witness(self, anti_expert):
-        x = Gamble([0.5, -0.5])
-        assert value_margin(anti_expert, x) == 0.5
-        assert event_margin(anti_expert, x) == 0.5
+        box = build_violation_box(anti_expert, Gamble([0.5, -0.5]))
+        assert box.value_margin == 0.5
+        assert box.event_margin == 0.5
 
     def test_event_margin_with_looser_witness(self, anti_expert):
         # P_1(X) = -1 is the only excluded prevision: margin 1.
-        assert event_margin(anti_expert, Gamble([2.0, -1.0])) == 1.0
+        assert build_violation_box(anti_expert, Gamble([2.0, -1.0])).event_margin == 1.0
 
     def test_event_margin_infinite_when_everything_accepts(self):
         scenario, x = _wide_event_scenario()
-        assert event_margin(scenario, x) == math.inf
+        assert build_violation_box(scenario, x).event_margin == math.inf
 
     def test_margins_reject_non_witnesses(self, truth_expert):
         with pytest.raises(NotAViolationWitness, match="not a trust violation witness"):
-            value_margin(truth_expert, Gamble([1.0, 1.0]))
-        with pytest.raises(NotAViolationWitness):
-            event_margin(truth_expert, Gamble([1.0, 1.0]))
+            build_violation_box(truth_expert, Gamble([1.0, 1.0]))
 
 
 class TestViolationBox:

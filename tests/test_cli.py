@@ -341,6 +341,14 @@ class TestScore:
         assert captured.out == ""
         assert "argument --sigma: must be positive and finite" in captured.err
 
+    @pytest.mark.parametrize("command", ["score", "identity", "ae-trust", "counterexample"])
+    def test_rejects_negative_seed(self, capsys, scenario_file, command):
+        # A negative seed would reach SeedSequence and die with a traceback.
+        assert main([command, scenario_file(ANTI), "--seed", "-1"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --seed: must be >= 0, got -1" in captured.err
+
 
 class TestAeTrust:
     def test_anti_expert_frequency(self, capsys, scenario_file):

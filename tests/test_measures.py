@@ -1,12 +1,12 @@
-"""Measure specs: structural admissibility and the symmetry check."""
+"""Measure specs: structural admissibility, pinned exactly, and the chunk draw."""
 
 import numpy as np
 import pytest
 
-from deference_lab import BumpPair, Gamble, MeasureSpec, ValidationError, measure_symmetry_check
+from deference_lab import BumpPair, Gamble, MeasureSpec, ValidationError
 from deference_lab.measures import MIN_BASE_WEIGHT
 from deference_lab.sampling import CHUNK_SIZE, chunk_rng
-from oracles import component_pick_sampler
+from oracles import assert_negation_symmetric, component_pick_sampler, random_measure
 
 
 def _pair(center, scale=0.25, weight=0.5) -> BumpPair:
@@ -67,6 +67,27 @@ class TestMeasureSpec:
         assert means.tolist() == [[0.0, 0.0], [1.0, -1.0], [-1.0, 1.0]]
         assert scales.tolist() == [2.0, 0.1, 0.1]
 
+    def test_components_are_negation_symmetric(self):
+        specs = [
+            (MeasureSpec.gaussian(0.3), 3),
+            (MeasureSpec.mixture(0.7, (_pair([0.0, -0.0, 2.5], weight=0.0),)), 3),
+            (
+                MeasureSpec.mixture(
+                    1.3,
+                    (
+                        _pair([1.0, -0.0, 0.0], scale=0.1, weight=0.3),
+                        _pair([-2.0, 5e-324, 1e300], scale=2.0, weight=0.0),
+                        _pair([0.1, 0.2, -0.3], scale=0.7, weight=0.2),
+                    ),
+                ),
+                3,
+            ),
+        ]
+        rng = np.random.default_rng(13)
+        specs += [(random_measure(rng, dim), dim) for dim in range(1, 10) for _ in range(4)]
+        for spec, dim in specs:
+            assert_negation_symmetric(spec, dim)
+
     def test_total_mass_is_one(self):
         spec = MeasureSpec.mixture(1.0, (_pair([3.0], weight=0.7),))
         weights, _, _ = spec.components(1)
@@ -119,12 +140,18 @@ class TestOneComponentDraw:
 
     @pytest.mark.parametrize("dim", [1, 4, 9])
     def test_zero_weight_bump_keeps_the_pick(self, dim):
-        spec = MeasureSpec.mixture(0.7, (_pair(np.linspace(-1.0, 2.0, dim), weight=0.0),))
-        for seed, j in _STREAMS:
-            rng_a, rng_b = chunk_rng(seed, j), chunk_rng(seed, j)
-            assert _same_bits(
-                spec.sampler(dim)(rng_a, 5_000), component_pick_sampler(spec, dim)(rng_b, 5_000)
-            )
+        # A zero-weight bump and random mixtures all draw through the pick,
+        # bit for bit as the oracle does: the sampler draws from exactly the
+        # components test_components_are_negation_symmetric pins.
+        rng = np.random.default_rng(dim)
+        specs = [MeasureSpec.mixture(0.7, (_pair(np.linspace(-1.0, 2.0, dim), weight=0.0),))]
+        specs += [random_measure(rng, dim) for _ in range(3)]
+        for spec in specs:
+            for seed, j in _STREAMS:
+                rng_a, rng_b = chunk_rng(seed, j), chunk_rng(seed, j)
+                assert _same_bits(
+                    spec.sampler(dim)(rng_a, 5_000), component_pick_sampler(spec, dim)(rng_b, 5_000)
+                )
 
     def test_chunk_rng_is_pcg64(self):
         for seed, j in _STREAMS:
@@ -137,48 +164,3 @@ class TestOneComponentDraw:
             drawn.random(m)
             advanced.bit_generator.advance(m)
             assert drawn.bit_generator.state == advanced.bit_generator.state
-
-
-class _UnpairedBump:
-    """Inadmissible by construction: all bump mass on one side (test-only)."""
-
-    def __init__(self, center, scale=0.5, weight=0.7, sigma=1.0):
-        self.center = np.asarray(center, dtype=float)
-        self.scale = scale
-        self.weight = weight
-        self.sigma = sigma
-
-    def sampler(self, dim):
-        def draw(rng, m):
-            pick = rng.random(m) < self.weight
-            z = rng.standard_normal((m, dim))
-            out = z * self.sigma
-            out[pick] = z[pick] * self.scale + self.center
-            return out
-
-        return draw
-
-    def spread(self, dim):
-        return max(self.sigma, float(np.max(np.abs(self.center))) + 3 * self.scale)
-
-
-class TestSymmetryCheck:
-    def test_pure_gaussian_passes(self):
-        report = measure_symmetry_check(MeasureSpec.gaussian(1.0), 2, 12, 20_000, seed=0)
-        assert report.passed
-        assert report.max_sigma_ratio <= report.threshold_sigmas
-
-    def test_bump_pair_mixture_passes(self):
-        spec = MeasureSpec.mixture(1.0, (_pair([1.5, -0.5], scale=0.3, weight=0.6),))
-        report = measure_symmetry_check(spec, 2, 12, 20_000, seed=1)
-        assert report.passed
-
-    def test_unpaired_bump_fails(self):
-        broken = _UnpairedBump([4.0, -4.0])
-        report = measure_symmetry_check(broken, 2, 12, 20_000, seed=2)
-        assert not report.passed
-        assert report.max_sigma_ratio > report.threshold_sigmas
-
-    def test_argument_validation(self):
-        with pytest.raises(ValidationError):
-            measure_symmetry_check(MeasureSpec.gaussian(1.0), 2, 0, 100, seed=0)
