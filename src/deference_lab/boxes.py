@@ -175,9 +175,10 @@ def build_violation_box(scenario: Scenario, x: Gamble) -> ViolationBox:
 
     ``delta`` is the smaller of the two margins; when the witness itself
     has strictly negative unconditional prevision, delta is additionally
-    capped at ``-pi(X)`` so the whole box keeps a negative prevision (the
-    mirrored box then lies entirely on the nonnegative side, which the
-    adversarial measure construction relies on).
+    capped at ``-pi(X)`` so the whole box keeps a negative prevision.
+    Otherwise every Y in the box has ``pi(Y) > 0 > pi(Y 1_A)``.  Either way
+    the gap identity's integrand is strictly positive on the box and its
+    mirror, which the adversarial measure construction relies on.
     """
     event, value = _require_negative_witness(scenario, x)
     return _negative_box(scenario, x, event, value)

@@ -42,8 +42,8 @@ import numpy as np
 
 from .accuracy import expected_gap, rhs_identity
 from .adversarial import SearchExhaustedError, build_adversarial_measure
-from .boxes import ViolationBox, build_positive_box, build_violation_box
-from .core import Event, Gamble, ProbMass, ValidationError, WorldSpace, expectation
+from .boxes import ViolationBox, build_violation_box
+from .core import Event, Gamble, ProbMass, ValidationError, WorldSpace
 from .measures import MeasureSpec
 from .sampling import ScoreEstimate
 from .trust import (
@@ -392,12 +392,9 @@ def _cmd_counterexample(args: argparse.Namespace) -> tuple[int, dict]:
     if verdict.holds:
         return EXIT_TRUST_HOLDS, report
 
-    witness = verdict.witness
-    assert witness is not None
-    if expectation(scenario.agent, witness) > 0.0:
-        box = build_positive_box(scenario, witness)
-    else:
-        box = build_violation_box(scenario, witness)
+    # The witness has pi(X 1_A) < 0 whatever the sign of pi(X), so the box
+    # above it violates uniformly; a box below X can have no width.
+    box = build_violation_box(scenario, verdict.witness)
     report["box"] = _box_fragment(scenario, box)
 
     try:

@@ -186,6 +186,8 @@ class ProbMass:
     @classmethod
     def ideal(cls, n: int, i: int) -> "ProbMass":
         """The point mass at world i (the ideal prevision there)."""
+        if not 0 <= i < n:
+            raise ValidationError(f"world index {i} out of range for n={n}")
         w = np.zeros(n)
         w[i] = 1.0
         return cls(w)

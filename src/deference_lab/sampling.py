@@ -28,18 +28,21 @@ core.  Long-axis reductions stay inside numpy's deterministic pairwise
 summation over the whole chunk.
 
 Drawing a chunk costs more than evaluating most value functions on it, and
-the accuracy estimators ask for the same run of draws one after another.
-So both drivers keep a one-entry memo of the last run.  Its key is the
-content of the draw: a draw may carry a ``_memo_key`` tuple whose first
-entry is its row width (``MeasureSpec.sampler`` supplies dim and the exact
-bytes of its component weights, means and scales), and the memo adds seed
-and samples.  A matching run reuses those chunk arrays, which are
-read-only; any other keyed run drops the entry before it draws.  A run
-whose draws exceed ``_MEMO_BYTES`` (32 MiB) is never retained, so large
-runs keep O(chunk) memory, and draws without a key bypass the memo.  A hit
-hands each chunk the same array that chunk's own generator would draw, so
-the per-chunk seeds, the reduction order and with them the thread-count
-contract are untouched.
+the estimators ask for the same run of draws one after another.  So the
+drivers share a one-entry memo of the last run.  Its key is the content of
+the draw: a draw may carry a ``_memo_key`` tuple whose first entry is its
+row width (``MeasureSpec.sampler`` supplies dim and the exact bytes of its
+component weights, means and scales), and the memo adds seed and samples.
+A matching run reuses those chunk arrays, which are read-only.  On a miss,
+:func:`mc_estimate` drops the entry before it draws and retains its own
+run; :func:`mc_frequency` never fills or evicts the memo.  So
+``estimate_ae_trust`` reads the run its Gaussian shares with the accuracy
+estimators, and leaves a mixture's run in place.  A run whose draws exceed
+``_MEMO_BYTES`` (32 MiB) is never retained, so large runs keep O(chunk)
+memory, and draws without a key bypass the memo.  A hit hands each chunk
+the same array that chunk's own generator would draw, so the per-chunk
+seeds, the reduction order and with them the thread-count contract are
+untouched.
 """
 
 from __future__ import annotations
@@ -118,12 +121,13 @@ def _chunk_sizes(total: int) -> list[int]:
 
 
 def _map_draws(
-    draw: DrawFn, reduce: Callable[[np.ndarray, int], tuple], samples: int, seed: int
+    draw: DrawFn, reduce: Callable[[np.ndarray, int], tuple], samples: int, seed: int, retain: bool
 ) -> list[tuple]:
     """``reduce(xs, m)`` of every chunk's draw, in chunk order.
 
-    A keyed draw whose run fits the budget is retained read-only as the
-    memo; an identical run after it reuses those arrays instead of drawing.
+    A keyed run identical to the memo's reuses its arrays instead of
+    drawing; with ``retain``, any other keyed run that fits the budget
+    replaces the memo, read-only.
     """
     global _memo
     if samples < 1:
@@ -136,7 +140,7 @@ def _map_draws(
         entry = _memo
         if entry is not None and entry[0] == key:
             reused = entry[1]
-        else:
+        elif retain:
             _memo = entry = None  # free the stale run before drawing this one
             if samples * tag[0] * 8 <= _MEMO_BYTES:
                 kept = [None] * len(sizes)
@@ -197,7 +201,7 @@ def mc_estimate(draw: DrawFn, values: ValueFn, samples: int, seed: int) -> Score
         return m, mean, m2
 
     count, mean, m2 = 0, 0.0, 0.0
-    for c_count, c_mean, c_m2 in _map_draws(draw, moments, samples, seed):
+    for c_count, c_mean, c_m2 in _map_draws(draw, moments, samples, seed, True):
         delta = c_mean - mean
         total = count + c_count
         mean += delta * (c_count / total)
@@ -228,20 +232,8 @@ def mc_frequency(draw: DrawFn, hits: ValueFn, samples: int, seed: int) -> ScoreE
     def count(xs: np.ndarray, m: int) -> tuple[int]:
         return (int(np.count_nonzero(_by_blocks(hits, xs, vet))),)
 
-    total_hits = sum(h for (h,) in _map_draws(draw, count, samples, seed))
+    total_hits = sum(h for (h,) in _map_draws(draw, count, samples, seed, False))
     freq = total_hits / samples
     std_error = math.sqrt(freq * (1.0 - freq) / samples)
     return ScoreEstimate(value=freq, std_error=std_error, samples=samples, seed=seed)
 
-
-def gaussian_draw(dim: int, sigma: float) -> DrawFn:
-    """Centered spherical Gaussian sampler of the given scale."""
-    if not sigma > 0.0:
-        raise ValueError(f"sigma must be > 0, got {sigma}")
-
-    def draw(rng: np.random.Generator, m: int) -> np.ndarray:
-        z = rng.standard_normal((m, dim))
-        z *= sigma
-        return z
-
-    return draw

@@ -54,7 +54,6 @@ X satisfies ``pi(X | [P(X) >= 0]) < 0`` with the stored event and value.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,7 +68,8 @@ from .core import (
     _ordered_sum,
     conditional_expectation,
 )
-from .sampling import ScoreEstimate, gaussian_draw, mc_frequency
+from .measures import MeasureSpec
+from .sampling import ScoreEstimate, mc_frequency
 
 __all__ = [
     "Scenario",
@@ -345,11 +345,11 @@ def estimate_ae_trust(scenario: Scenario, sigma: float, samples: int, seed: int)
     Draws ``samples`` gambles i.i.d. from the centered spherical Gaussian of
     scale ``sigma`` and counts those whose conditional prevision given
     ``[P(X) >= 0]`` is defined and negative, with binomial standard error.
-    Deterministic for a given seed, independent of thread count.
+    Deterministic for a given seed, independent of thread count.  The draw
+    is ``MeasureSpec.gaussian(sigma)``'s, so after an accuracy estimator
+    with that measure and the same (seed, N) it reads the retained run.
     """
-    if not (sigma > 0.0 and math.isfinite(sigma)):
-        raise ValidationError(f"sigma must be positive and finite, got {sigma}")
-    n = scenario.n
+    draw = MeasureSpec.gaussian(sigma).sampler(scenario.n)
     pi = scenario.agent.weights
 
     def hits(xs: np.ndarray) -> np.ndarray:
@@ -360,4 +360,4 @@ def estimate_ae_trust(scenario: Scenario, sigma: float, samples: int, seed: int)
         partial = np.where(accepted.all(axis=1), agent_value, partial)
         return (event_prob > 0.0) & (partial < 0.0)
 
-    return mc_frequency(gaussian_draw(n, sigma), hits, samples, seed)
+    return mc_frequency(draw, hits, samples, seed)

@@ -64,27 +64,27 @@ POSITIVE_SIDE_REPORT = """\
     "witness_value": -0.3333333333333332
   },
   "box": {
-    "orientation": "positive_side",
-    "event": ["w1"],
-    "value_margin": 1.0,
-    "event_margin": 0.20000000000000009,
-    "delta": 0.066666666666666763,
-    "lower": [0.93333333333333324, -0.39999999999999997],
-    "upper": [1.0, -0.3333333333333332]
+    "orientation": "negative_side",
+    "event": ["w2"],
+    "value_margin": 0.3333333333333332,
+    "event_margin": 0.19999999999999987,
+    "delta": 0.19999999999999987,
+    "lower": [1.0, -0.3333333333333332],
+    "upper": [1.2, -0.13333333333333333]
   },
   "measure": {
     "kind": "mixture",
     "sigma": 1.0,
     "base_weight": 0.5,
     "bumps": [{
-      "center": [0.96666666666666656, -0.36666666666666659],
-      "scale": 0.011111111111111127,
+      "center": [1.1000000000000001, -0.23333333333333328],
+      "scale": 0.033333333333333312,
       "weight": 0.5
     }]
   },
   "gap": {
-    "value": 0.17429655387879411,
-    "std_error": 0.0011338170266494666,
+    "value": 0.19425609838045171,
+    "std_error": 0.0012412040873283458,
     "samples": 20000,
     "seed": 1201125462
   }
@@ -384,14 +384,32 @@ class TestCounterexample:
         assert gap["value"] > 5 * gap["std_error"]
 
     def test_positive_side_pipeline_bytes(self, capsys, scenario_file, tmp_path, monkeypatch):
-        # pi(witness) > 0 here, so the box is built on the positive side.
+        # pi(witness) > 0 here, and the box is still fattened upward.
         scenario_file(POSITIVE_SIDE)
         monkeypatch.chdir(tmp_path)
         code = main(["counterexample", "scenario.json", "--samples", "20000", "--seed", "7"])
         assert code == EXIT_OK
         out = capsys.readouterr().out
-        assert '"orientation": "positive_side"' in out
+        assert '"orientation": "negative_side"' in out
         assert out == POSITIVE_SIDE_REPORT
+
+    def test_witness_on_an_accepting_hyperplane_gets_a_box(self, capsys, scenario_file):
+        # pi(X) > 0 and P_1(X) = 0.0 for an accepting expert: a box below X
+        # would have no width, the box above it has.
+        document = {
+            "worlds": ["w1", "w2", "w3", "w4"],
+            "agent": [2 / 3, 0.0, 0.0, 1 / 3],
+            "expert": [[2 / 3, 0, 0, 1 / 3], [0, 1, 0, 0], [0.2, 0.2, 0.2, 0.4], [0, 0, 1 / 3, 2 / 3]],
+        }
+        code, report = run_cli(
+            capsys, "counterexample", scenario_file(document), "--samples", "20000"
+        )
+        assert code == EXIT_OK
+        assert report["verdict"]["witness"][1] == 0.0
+        box = report["box"]
+        assert box["orientation"] == "negative_side" and box["delta"] > 0.0
+        gap = report["gap"]
+        assert gap["value"] > 5 * gap["std_error"] > 0.0
 
     def test_trust_is_decided_once(self, capsys, scenario_file, monkeypatch):
         # The box certifies the violation, so the search need not re-decide it.

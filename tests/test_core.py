@@ -84,6 +84,16 @@ class TestConstruction:
         with pytest.raises(ValidationError, match="sums to 0.9"):
             ProbMass([0.5, 0.4])
 
+    @pytest.mark.parametrize("i", [-1, 3])
+    def test_ideal_mass_checks_its_world(self, i):
+        # -1 would silently pick the last world; 3 would be a bare IndexError.
+        with pytest.raises(ValidationError, match=f"world index {i} out of range for n=3"):
+            ProbMass.ideal(3, i)
+
+    def test_ideal_mass_is_the_point_mass(self):
+        assert ProbMass.ideal(3, 0) == ProbMass([1.0, 0.0, 0.0])
+        assert ProbMass.ideal(3, 2) == ProbMass([0.0, 0.0, 1.0])
+
     def test_mass_renormalized_once(self):
         # 1/3 three times misses 1.0 by an ulp; construction must absorb it.
         third = 1.0 / 3.0

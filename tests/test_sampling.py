@@ -29,7 +29,6 @@ from deference_lab.sampling import (
     CHUNK_SIZE,
     ScoreEstimate,
     chunk_rng,
-    gaussian_draw,
     mc_estimate,
     mc_frequency,
     thread_count,
@@ -41,15 +40,21 @@ def _norms(xs: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(xs**2, axis=1))
 
 
+def _gaussian(dim: int, sigma: float):
+    """The centred Gaussian draw every estimator uses."""
+    return MeasureSpec.gaussian(sigma).sampler(dim)
+
+
 class TestMcEstimate:
-    def test_deterministic_given_seed(self):
-        draw = gaussian_draw(3, 1.0)
+    def test_deterministic_given_seed(self, monkeypatch):
+        draw = _gaussian(3, 1.0)
         a = mc_estimate(draw, _norms, 50_000, seed=11)
+        monkeypatch.setattr(sampling, "_memo", None)  # a second draw, not the retained run
         b = mc_estimate(draw, _norms, 50_000, seed=11)
         assert a == b
 
     def test_seed_changes_result(self):
-        draw = gaussian_draw(3, 1.0)
+        draw = _gaussian(3, 1.0)
         a = mc_estimate(draw, _norms, 10_000, seed=1)
         b = mc_estimate(draw, _norms, 10_000, seed=2)
         assert a.value != b.value
@@ -57,7 +62,7 @@ class TestMcEstimate:
     def test_spans_chunk_boundaries_consistently(self):
         # Crossing a chunk boundary must not disturb the earlier chunks:
         # the first CHUNK_SIZE samples are the same stream either way.
-        draw = gaussian_draw(2, 1.0)
+        draw = _gaussian(2, 1.0)
         small = mc_estimate(draw, _norms, CHUNK_SIZE, seed=5)
         large = mc_estimate(draw, _norms, CHUNK_SIZE + 123, seed=5)
         assert small.samples == CHUNK_SIZE
@@ -65,28 +70,29 @@ class TestMcEstimate:
         assert small.value != large.value  # extra partial chunk was included
 
     def test_thread_count_does_not_change_bits(self, monkeypatch):
-        draw = gaussian_draw(4, 2.0)
+        draw = _gaussian(4, 2.0)
         monkeypatch.setenv("DEFLAB_THREADS", "1")
         serial = mc_estimate(draw, _norms, 3 * CHUNK_SIZE + 17, seed=9)
+        monkeypatch.setattr(sampling, "_memo", None)  # a second draw, not the retained run
         monkeypatch.setenv("DEFLAB_THREADS", "4")
         threaded = mc_estimate(draw, _norms, 3 * CHUNK_SIZE + 17, seed=9)
         assert serial == threaded
 
     def test_gaussian_mean_and_se_are_sane(self):
-        draw = gaussian_draw(1, 1.0)
+        draw = _gaussian(1, 1.0)
         est = mc_estimate(draw, lambda xs: xs[:, 0], 200_000, seed=3)
         assert abs(est.value) < 5 * est.std_error
         assert est.std_error == pytest.approx(1.0 / np.sqrt(200_000), rel=0.05)
 
     def test_constant_zero_integrand_is_exact(self):
-        draw = gaussian_draw(2, 1.0)
+        draw = _gaussian(2, 1.0)
         est = mc_estimate(draw, lambda xs: np.zeros(len(xs)), 10_000, seed=0)
         assert est.value == 0.0
         assert est.std_error == 0.0
 
     def test_rejects_bad_sample_count(self):
         with pytest.raises(ValueError):
-            mc_estimate(gaussian_draw(1, 1.0), _norms, 0, seed=0)
+            mc_estimate(_gaussian(1, 1.0), _norms, 0, seed=0)
 
     def test_each_block_is_shape_checked(self):
         # One row too many in the first block and one too few in the second
@@ -98,27 +104,27 @@ class TestMcEstimate:
             return np.zeros(len(xs) + (1 if len(blocks) == 1 else -1))
 
         with pytest.raises(ValueError, match=r"value function returned shape \(4097,\)"):
-            mc_estimate(gaussian_draw(2, 1.0), uneven, 2 * _BLOCK_ROWS, seed=0)
+            mc_estimate(_gaussian(2, 1.0), uneven, 2 * _BLOCK_ROWS, seed=0)
         assert blocks == [_BLOCK_ROWS]
 
 
 class TestMcFrequency:
     def test_exact_zero_and_one(self):
-        draw = gaussian_draw(1, 1.0)
+        draw = _gaussian(1, 1.0)
         never = mc_frequency(draw, lambda xs: np.zeros(len(xs), dtype=bool), 1_000, 0)
         always = mc_frequency(draw, lambda xs: np.ones(len(xs), dtype=bool), 1_000, 0)
         assert (never.value, never.std_error) == (0.0, 0.0)
         assert (always.value, always.std_error) == (1.0, 0.0)
 
     def test_binomial_standard_error(self):
-        draw = gaussian_draw(1, 1.0)
+        draw = _gaussian(1, 1.0)
         est = mc_frequency(draw, lambda xs: xs[:, 0] > 0.0, 40_000, seed=2)
         assert est.value == pytest.approx(0.5, abs=0.02)
         f = est.value
         assert est.std_error == pytest.approx(np.sqrt(f * (1 - f) / 40_000))
 
     def test_thread_count_does_not_change_bits(self, monkeypatch):
-        draw = gaussian_draw(2, 1.0)
+        draw = _gaussian(2, 1.0)
         hits = lambda xs: xs[:, 0] > xs[:, 1]
         monkeypatch.setenv("DEFLAB_THREADS", "1")
         serial = mc_frequency(draw, hits, 2 * CHUNK_SIZE + 5, seed=4)
@@ -140,7 +146,7 @@ class TestMcFrequency:
             return np.zeros(len(xs) + 1, dtype=bool)
 
         with pytest.raises(ValueError, match="hit function returned"):
-            mc_frequency(gaussian_draw(2, 1.0), hits, 3 * _BLOCK_ROWS - 1, seed=0)
+            mc_frequency(_gaussian(2, 1.0), hits, 3 * _BLOCK_ROWS - 1, seed=0)
         assert blocks == [_BLOCK_ROWS, _BLOCK_ROWS]
 
 
@@ -178,8 +184,9 @@ PIN_SAMPLES = 2 * CHUNK_SIZE + 123
 PIN_SEED = 17
 PIN_WORLD = 3
 
-#: float.hex of (value, std_error), captured before the draw memo existed;
-#: identical at DEFLAB_THREADS 1 and 2.
+#: float.hex of (value, std_error), identical at DEFLAB_THREADS 1 and 2.  The
+#: gap, identity and inaccuracy bits were captured before the draw memo
+#: existed; the ae-trust bits when it began to draw the MeasureSpec Gaussian.
 PINS = {
     ("gaussian", "gap"): ("0x1.92fd098867d42p-3", "0x1.c70e6bfe7dcf4p-11"),
     ("gaussian", "identity"): ("0x1.92fd098867d42p-3", "0x1.c70e6bfe7dcf4p-11"),
@@ -187,7 +194,7 @@ PINS = {
     ("mixture", "gap"): ("0x1.1fa139da0879fp-3", "0x1.3d858805cc337p-11"),
     ("mixture", "identity"): ("0x1.1fa139da0879fp-3", "0x1.3d858805cc337p-11"),
     ("mixture", "inaccuracy"): ("0x1.cc79252e15fa4p-3", "0x1.5d43eecf30b25p-10"),
-    ("ae",): ("0x1.a41514ef78789p-2", "0x1.63fd5b5812de2p-10"),
+    ("ae",): ("0x1.a4310e3715c44p-2", "0x1.6400f67140cc3p-10"),
 }
 
 SCORE_SCENARIO = {
@@ -238,7 +245,7 @@ class TestGoldenBits:
         assert got == PINS
 
     #: sha256 over the (value, std_error) hex of ``_digest_lines``.
-    DIGEST = "a2a48ee4dd71892c4414a917aa3dc9d188d2a6fe0b3d22c1330ff2abb6308508"
+    DIGEST = "3d21585569266d7ed1933f2fcd072a91620aad70e1b7023fd1b6308c23edad6c"
 
     @staticmethod
     def _digest_lines() -> list[str]:
@@ -271,7 +278,8 @@ class TestGoldenBits:
 
     def test_python_threads_on_different_measures_keep_the_pins(self):
         # Four callers on two cores, switching often, keep replacing each
-        # other's memo; a torn or mismatched entry would change a bit.
+        # other's memo, and ae-trust reads it whenever the Gaussian run is
+        # there; a torn or mismatched entry would change a bit.
         scenario, measures = _pin_setup()
         names = list(measures) * 2
         start = threading.Barrier(len(names))
@@ -281,7 +289,9 @@ class TestGoldenBits:
             start.wait()
             for _ in range(3):
                 name = names[slot]
-                results[slot].append(_pinned_bundle(scenario, name, measures[name]))
+                bundle = _pinned_bundle(scenario, name, measures[name])
+                ae = estimate_ae_trust(scenario, 1.5, PIN_SAMPLES, PIN_SEED)
+                results[slot].append({**bundle, ("ae",): _bits(ae)})
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -295,7 +305,7 @@ class TestGoldenBits:
             sys.setswitchinterval(interval)
         assert not any(worker.is_alive() for worker in workers)
         for name, runs in zip(names, results):
-            assert runs == [{k: v for k, v in PINS.items() if k[0] == name}] * 3
+            assert runs == [{k: v for k, v in PINS.items() if k[0] in (name, "ae")}] * 3
 
 
 # ---------------------------------------------------------------------------
@@ -421,9 +431,62 @@ class TestDrawMemo:
         scenario, measures = _pin_setup()
         mu = measures["gaussian"]
         expected_gap(scenario, mu, PIN_SAMPLES, PIN_SEED)
-        estimate_ae_trust(scenario, 1.5, PIN_SAMPLES, PIN_SEED)
+        unkeyed = lambda rng, m: rng.standard_normal((m, scenario.n))
+        mc_estimate(unkeyed, _norms, PIN_SAMPLES, PIN_SEED)
         inaccuracy_mc(scenario.agent, 0, mu, PIN_SAMPLES, PIN_SEED)
         assert len(chunk_draws) == 2 * self.CHUNKS
+
+    def test_gaussian_bundle_draws_each_chunk_once(self, chunk_draws):
+        # ae-trust's Gaussian is the measure's, so it reads the gap's run.
+        scenario, measures = _pin_setup()
+        _four_estimators(scenario, measures["gaussian"])
+        assert sorted(chunk_draws) == list(range(self.CHUNKS))
+
+    def test_mixture_bundle_draws_each_stream_once(self, chunk_draws):
+        # ae-trust draws its Gaussian between identity and inaccuracy without
+        # pushing the mixture run out of the memo.
+        scenario, measures = _pin_setup()
+        _four_estimators(scenario, measures["mixture"])
+        assert sorted(chunk_draws) == sorted(list(range(self.CHUNKS)) * 2)
+
+    def test_frequency_reads_the_memo_but_never_fills_it(self, chunk_draws):
+        scenario, measures = _pin_setup()
+        estimate_ae_trust(scenario, 1.5, PIN_SAMPLES, PIN_SEED)
+        assert sampling._memo is None
+        expected_gap(scenario, measures["mixture"], PIN_SAMPLES, PIN_SEED)
+        held = sampling._memo
+        estimate_ae_trust(scenario, 1.5, PIN_SAMPLES, PIN_SEED)
+        assert sampling._memo is held
+        assert len(chunk_draws) == 3 * self.CHUNKS
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_ae_trust_bits_cold_and_after_the_gap(self, threads, monkeypatch):
+        monkeypatch.setenv("DEFLAB_THREADS", threads)
+        scenario, measures = _pin_setup()
+        cold = estimate_ae_trust(scenario, 1.5, PIN_SAMPLES, PIN_SEED)
+        expected_gap(scenario, measures["gaussian"], PIN_SAMPLES, PIN_SEED)
+        warm = estimate_ae_trust(scenario, 1.5, PIN_SAMPLES, PIN_SEED)
+        assert _bits(cold) == _bits(warm) == PINS[("ae",)]
+
+    def test_every_estimator_draw_is_keyed(self, monkeypatch, tmp_path, capsys):
+        draws = []
+        original = sampling._map_draws
+
+        def recording(draw, *args):
+            draws.append(draw)
+            return original(draw, *args)
+
+        monkeypatch.setattr(sampling, "_map_draws", recording)
+        scenario, measures = _pin_setup()
+        for mu in measures.values():
+            _four_estimators(scenario, mu, samples=1_000)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(SCORE_SCENARIO))
+        for command in ("score", "identity", "ae-trust", "counterexample"):
+            assert main([command, str(path), "--samples", "2000"]) == 0
+        capsys.readouterr()
+        assert len(draws) >= 8 + 5  # score 2, identity 1, ae-trust 1, counterexample 1+ rungs
+        assert all(isinstance(getattr(draw, "_memo_key", None), tuple) for draw in draws)
 
     def test_cli_score_draws_each_chunk_once(self, chunk_draws, tmp_path, capsys):
         path = tmp_path / "scenario.json"
@@ -473,6 +536,14 @@ class TestDrawMemo:
 
     def test_budget_holds_the_default_cli_run_up_to_forty_worlds(self):
         assert 100_000 * 40 * 8 <= sampling._MEMO_BYTES
+
+
+def _four_estimators(scenario: Scenario, mu: MeasureSpec, samples: int = PIN_SAMPLES) -> None:
+    """An mc-scores bundle, in the benchmark's order."""
+    expected_gap(scenario, mu, samples, PIN_SEED)
+    rhs_identity(scenario, mu, samples, PIN_SEED)
+    estimate_ae_trust(scenario, mu.sigma, samples, PIN_SEED)
+    inaccuracy_mc(scenario.agent, PIN_WORLD, mu, samples, PIN_SEED)
 
 
 def _miss_case(change: str) -> tuple[tuple, tuple]:
