@@ -15,9 +15,7 @@ from .core import (
     ValidationError,
     WorldSpace,
     conditional_expectation,
-    event_probability,
     expectation,
-    indicator,
 )
 from .sampling import ScoreEstimate
 from .trust import (
@@ -37,22 +35,14 @@ from .boxes import (
     build_violation_box,
 )
 from .measures import BumpPair, MeasureSpec
-from .accuracy import (
-    ErrorKind,
-    error_class,
-    expected_gap,
-    inaccuracy_mc,
-    is_almost_desirable,
-    rhs_identity,
-)
-from .adversarial import SearchExhaustedError, build_adversarial_measure, bump_pair_for_box
+from .accuracy import expected_gap, inaccuracy_mc, rhs_identity
+from .adversarial import SearchExhaustedError, build_adversarial_measure
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BumpPair",
     "DegenerateBoxError",
-    "ErrorKind",
     "Event",
     "Gamble",
     "MeasureSpec",
@@ -69,18 +59,13 @@ __all__ = [
     "build_adversarial_measure",
     "build_positive_box",
     "build_violation_box",
-    "bump_pair_for_box",
     "check_global_trust",
     "check_local_trust",
     "conditional_expectation",
-    "error_class",
     "estimate_ae_trust",
-    "event_probability",
     "expectation",
     "expected_gap",
     "expert_event",
     "inaccuracy_mc",
-    "indicator",
-    "is_almost_desirable",
     "rhs_identity",
 ]

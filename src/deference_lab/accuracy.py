@@ -17,63 +17,26 @@ expert to score than itself, weighting world i's score difference by the
 agent's own probability of world i.  :func:`rhs_identity` estimates the
 same quantity along an entirely different route -- partial expectations of
 X over the acceptance event and its complement, split by the sign of the
-agent's prevision -- and exists so the algebraic identity between the two
-can be verified numerically rather than trusted.  Both estimators share
-one sample stream per (seed, N, measure), which makes their difference a
-low-variance statistic.  They and :func:`inaccuracy_mc` share the draw
-itself, too: called one after another with one (seed, N, measure), only
-the first draws, and the others reuse its chunks through the memo in
-:mod:`deference_lab.sampling`.
+agent's prevision.  The identity between the two is pointwise algebra:
+their integrands are equal on every gamble, up to the order in which each
+adds its products.  Both estimators share one sample stream per (seed, N,
+measure), so the gap and identity that ``score`` reports differ only by
+rounding, not by sampling error.  They and :func:`inaccuracy_mc` share
+the draw itself, too: called one after another with one (seed, N,
+measure), only the first draws, and the others reuse its chunks through
+the memo in :mod:`deference_lab.sampling`.
 """
 
 from __future__ import annotations
 
-from enum import Enum
-
 import numpy as np
 
-from .core import Gamble, ProbMass, ValidationError, expectation
+from .core import ProbMass, ValidationError
 from .measures import MeasureSpec
 from .sampling import ScoreEstimate, mc_estimate
 from .trust import Scenario, _acceptance
 
-__all__ = [
-    "ErrorKind",
-    "is_almost_desirable",
-    "error_class",
-    "inaccuracy_mc",
-    "expected_gap",
-    "rhs_identity",
-]
-
-
-class ErrorKind(Enum):
-    NONE = "none"
-    TYPE1 = "type1"
-    TYPE2 = "type2"
-
-
-def is_almost_desirable(p: ProbMass, x: Gamble) -> bool:
-    """Whether x has nonnegative prevision under p (weak inequality)."""
-    return expectation(p, x) >= 0.0
-
-
-def error_class(p: ProbMass, i: int, x: Gamble) -> ErrorKind:
-    """How p's desirability verdict on x errs at world i, if at all.
-
-    Conventions are fixed once and exactly: acceptance is ``p(X) >= 0``,
-    type 1 requires ``x_i < 0``, type 2 requires ``x_i >= 0``.  Boundary
-    cases carry no measure, but pinning them keeps unit tests exact.
-    """
-    if i < 0 or i >= x.n:
-        raise ValidationError(f"world index {i} out of range for n={x.n}")
-    accepted = expectation(p, x) >= 0.0
-    payoff = float(x.values[i])
-    if accepted and payoff < 0.0:
-        return ErrorKind.TYPE1
-    if not accepted and payoff >= 0.0:
-        return ErrorKind.TYPE2
-    return ErrorKind.NONE
+__all__ = ["inaccuracy_mc", "expected_gap", "rhs_identity"]
 
 
 def inaccuracy_mc(
@@ -147,9 +110,8 @@ def rhs_identity(
                + pi(X 1_{A^c})  if pi(A^c) > 0 and pi(X) >= 0
 
     (zero when neither side's condition holds).  Shares the sample stream
-    with :func:`expected_gap` for equal (seed, N, mu), so the two
-    estimates separate only by floating-point noise if the algebra that
-    equates them is right -- that is exactly what the identity tests pin.
+    with :func:`expected_gap` for equal (seed, N, mu), and h(X) equals the
+    gap's g(X) as algebra, so the two estimates separate only by rounding.
     """
     pi = scenario.agent.weights
 

@@ -18,13 +18,12 @@ from __future__ import annotations
 import numpy as np
 
 from .boxes import Orientation, ViolationBox, _require_negative_witness
-from .core import Gamble
 from .accuracy import expected_gap
 from .measures import BumpPair, MeasureSpec
 from .sampling import ScoreEstimate
 from .trust import Scenario
 
-__all__ = ["SearchExhaustedError", "bump_pair_for_box", "build_adversarial_measure"]
+__all__ = ["SearchExhaustedError", "build_adversarial_measure"]
 
 #: Geometric weight ladder 1 - 2^-(k+1); 20 rungs leave the base Gaussian
 #: at least 2^-20 of the mass, as measure admissibility requires.
@@ -43,17 +42,6 @@ class SearchExhaustedError(RuntimeError):
         self.best_estimate = best_estimate
 
 
-def bump_pair_for_box(box: ViolationBox) -> tuple[Gamble, float]:
-    """Bump location and scale that pin a pair's mass inside the box.
-
-    The bump sits at the box midpoint with scale ``delta / 6``: three
-    standard deviations inside every face, so nearly all of each half's
-    mass (99% and change in low dimension) lands in the box and, by
-    symmetry, the negated half's lands in the mirrored box.
-    """
-    return box.midpoint(), box.delta / 6.0
-
-
 def _candidate_seed(seed: int, step: int) -> int:
     return int(np.random.SeedSequence(seed, spawn_key=(step,)).generate_state(1)[0])
 
@@ -68,19 +56,23 @@ def build_adversarial_measure(
     """Find an admissible measure giving this scenario a positive gap.
 
     Tries bump weights 0.5, 0.75, 0.875, ... (up to 20 doublings toward 1);
-    each candidate mixes that much mass into the box's bump pair on top of
-    a base Gaussian of scale ``base_sigma``.  Returns the first candidate
-    whose estimated gap clears five standard errors, together with that
-    estimate.  Raises :class:`SearchExhaustedError` carrying the best
-    candidate seen if none clears -- a sign of too few samples or a
-    degenerate box, not of a refuted theorem.  The box's negative-side base
+    each candidate mixes that much mass into a bump pair at the box midpoint,
+    of scale ``box.delta / 6``, on top of a base Gaussian of scale
+    ``base_sigma``.  Returns the first candidate whose estimated gap clears
+    five standard errors, together with that estimate.  Raises
+    :class:`SearchExhaustedError` carrying the best candidate seen if none
+    clears -- a sign of too few samples or a degenerate box, not of a
+    refuted theorem.  The box's negative-side base
     (``-box.base`` on the positive side) must witness a violation of this
     scenario: an O(n^2) check before any sampling, raising
     :class:`NotAViolationWitness` otherwise.
     """
     base = box.base if box.orientation is Orientation.NEGATIVE_SIDE else -box.base
     _require_negative_witness(scenario, base)
-    center, scale = bump_pair_for_box(box)
+    # Three standard deviations inside every face: nearly all of each half's
+    # mass (99% and change in low dimension) lands in the box and, by
+    # symmetry, the negated half's lands in the mirrored box.
+    center, scale = box.midpoint(), box.delta / 6.0
 
     def sigmas_above_zero(est: ScoreEstimate) -> float:
         if est.std_error > 0.0:

@@ -15,7 +15,8 @@ the optional ``gambles`` map names payoff vectors for local checks.
 
 Subcommands: ``check`` (exact trust verdict, optionally for one named
 gamble), ``score`` (expected gap plus its identity form), ``identity``
-(identity form alone), ``ae-trust`` (sampled violation frequency), and
+(identity form alone), ``ae-trust`` (sampled violation frequency under the
+standard Gaussian), and
 ``counterexample`` (witness, violation box, and an adversarial measure
 with a statistically positive gap).
 
@@ -376,10 +377,12 @@ def _cmd_identity(args: argparse.Namespace) -> tuple[int, dict]:
 
 
 def _cmd_ae_trust(args: argparse.Namespace) -> tuple[int, dict]:
+    # The violation set is a cone, so its Gaussian measure is the same at
+    # every scale: ae-trust takes no --sigma and always draws at 1.0.
     scenario, _ = load_scenario(args.scenario)
     report = _base_report("ae-trust", args, scenario)
     report["violation_frequency"] = _estimate_fragment(
-        estimate_ae_trust(scenario, args.sigma, args.samples, args.seed)
+        estimate_ae_trust(scenario, 1.0, args.samples, args.seed)
     )
     return EXIT_OK, report
 
@@ -441,7 +444,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add("check", _cmd_check, gamble=True)
     add("score", _cmd_score, sigma=True, sampled=True)
     add("identity", _cmd_identity, sigma=True, sampled=True)
-    add("ae-trust", _cmd_ae_trust, sigma=True, sampled=True)
+    add("ae-trust", _cmd_ae_trust, sampled=True)
     add("counterexample", _cmd_counterexample, sigma=True, sampled=True)
     return parser
 

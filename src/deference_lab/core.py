@@ -35,8 +35,6 @@ __all__ = [
     "Event",
     "ProbMass",
     "expectation",
-    "event_probability",
-    "indicator",
     "conditional_expectation",
 ]
 
@@ -217,39 +215,21 @@ def _check_dims(p: ProbMass, x: Gamble) -> None:
 def expectation(p: ProbMass, x: Gamble) -> float:
     """The prevision of x under p: the dot product sum_i p(w_i) * x_i.
 
-    Accumulated strictly left to right so results are identical from run to
-    run and so that :func:`event_probability` agrees with it bit for bit.
+    Accumulated strictly left to right, so results are identical from run to
+    run and equal, bit for bit, a Python loop adding one product at a time.
     """
     _check_dims(p, x)
     return float(_ordered_sum(p.weights * x.values))
-
-
-def indicator(a: Event) -> Gamble:
-    """The 0/1 gamble paying 1 exactly on the members of the event."""
-    values = np.zeros(a.n)
-    for i in a.members:
-        values[i] = 1.0
-    return Gamble(values)
-
-
-def event_probability(p: ProbMass, a: Event) -> float:
-    """Probability of the event: the prevision of its indicator gamble.
-
-    Implemented literally as ``expectation(p, indicator(a))`` so the two are
-    equal by construction, not merely up to rounding.
-    """
-    if p.n != a.n:
-        raise ValidationError(f"dimension mismatch: mass has {p.n} worlds, event has {a.n}")
-    return expectation(p, indicator(a))
 
 
 def conditional_expectation(p: ProbMass, x: Gamble, a: Event) -> float | None:
     """The conditional prevision of x given the event, or None if undefined.
 
     Defined exactly when the event has strictly positive probability, in
-    which case it equals ``expectation(p, x * 1_A) / p(A)``.  A
-    zero-probability event yields ``None`` -- undefined is a distinguished
-    result here, not an error and not zero.
+    which case it equals ``p(X 1_A) / p(A)``: both sums run left to right
+    over the products with the event's 0/1 mask, as :func:`expectation`
+    adds.  A zero-probability event yields ``None`` -- undefined is a
+    distinguished result here, not an error and not zero.
 
     Conditioning on the full space returns ``expectation(p, x)`` itself:
     the two are equal for a normalized mass, and taking the quotient would
@@ -257,9 +237,13 @@ def conditional_expectation(p: ProbMass, x: Gamble, a: Event) -> float | None:
     compare conditional values against unconditional ones.
     """
     _check_dims(p, x)
+    if p.n != a.n:
+        raise ValidationError(f"dimension mismatch: mass has {p.n} worlds, event has {a.n}")
     if len(a.members) == a.n:
         return expectation(p, x)
-    prob = event_probability(p, a)
+    mask = np.zeros(a.n)
+    mask[list(a.members)] = 1.0
+    prob = float(_ordered_sum(p.weights * mask))
     if not prob > 0.0:
         return None
-    return float(_ordered_sum(p.weights * (x.values * indicator(a).values))) / prob
+    return float(_ordered_sum(p.weights * (x.values * mask))) / prob

@@ -21,19 +21,24 @@ Nothing here imports the implementation paths it judges:
 * a measure's chunk draw is re-drawn the long way: m uniforms pick a
   component for every sample, whatever the number of components;
 * a measure's symmetry under negation is read off its components, bit
-  for bit, rather than sampled.
+  for bit, rather than sampled;
+* a prevision's error at a world is classified one gamble at a time, the
+  scalar form of ``inaccuracy_mc``'s integrand;
+* under a centred Gaussian, the inaccuracy and the gap have closed forms
+  for any n, from the bivariate-normal orthant moment.
 """
 
 from __future__ import annotations
 
 import math
+from enum import Enum
 from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import linprog
 
-from deference_lab import Event, Gamble, Scenario, ValidationError, simplex
+from deference_lab import Event, Gamble, ProbMass, Scenario, ValidationError, simplex
 
 #: Radial factor of int_0^inf r^2 exp(-r^2/2) dr / (2 pi) for a standard
 #: 2-D Gaussian in polar coordinates.
@@ -46,6 +51,57 @@ def expectation_loop(weights, values) -> float:
     for w, v in zip(weights, values):
         acc += float(w) * float(v)
     return acc
+
+
+class ErrorKind(Enum):
+    NONE = "none"
+    TYPE1 = "type1"
+    TYPE2 = "type2"
+
+
+def is_almost_desirable(p: ProbMass, x: Gamble) -> bool:
+    """Whether x has nonnegative prevision under p (weak inequality)."""
+    return expectation_loop(p.weights, x.values) >= 0.0
+
+
+def error_class(p: ProbMass, i: int, x: Gamble) -> ErrorKind:
+    """How p's desirability verdict on x errs at world i, if at all.
+
+    Conventions are fixed once and exactly: acceptance is ``p(X) >= 0``,
+    type 1 requires ``x_i < 0``, type 2 requires ``x_i >= 0``.  Boundary
+    cases carry no measure, but pinning them keeps unit tests exact.
+    """
+    if i < 0 or i >= x.n:
+        raise ValidationError(f"world index {i} out of range for n={x.n}")
+    accepted = is_almost_desirable(p, x)
+    payoff = float(x.values[i])
+    if accepted and payoff < 0.0:
+        return ErrorKind.TYPE1
+    if not accepted and payoff >= 0.0:
+        return ErrorKind.TYPE2
+    return ErrorKind.NONE
+
+
+def exact_inaccuracy(p_weights, world: int, sigma: float = 1.0) -> float:
+    """Inaccuracy of a mass at one world under N(0, sigma^2 I), any n.
+
+    The two error regions are mirror images, so the score is twice
+    sigma E[Z1 1{Z1 > 0, Z2 < 0}] for standard normals of correlation
+    rho = p_i / ||p||_2, and that orthant moment is (1 - rho) / (2 sqrt(2 pi)).
+    """
+    p = np.asarray(p_weights, dtype=float)
+    rho = p[world] / math.sqrt(float(p @ p))
+    return sigma * (1.0 - rho) / math.sqrt(2.0 * math.pi)
+
+
+def exact_gap(scenario: Scenario, sigma: float = 1.0) -> float:
+    """Expected inaccuracy gap under N(0, sigma^2 I), any n, in closed form."""
+    pi = scenario.agent.weights
+    return sum(
+        float(pi[i])
+        * (exact_inaccuracy(row.weights, i, sigma) - exact_inaccuracy(pi, i, sigma))
+        for i, row in enumerate(scenario.expert)
+    )
 
 
 def stacked_acceptance(scenario: Scenario, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

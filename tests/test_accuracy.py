@@ -6,31 +6,83 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deference_lab import (
-    ErrorKind,
     Gamble,
     MeasureSpec,
     ProbMass,
+    Scenario,
     ValidationError,
     check_global_trust,
-    error_class,
     expected_gap,
     inaccuracy_mc,
-    is_almost_desirable,
     accuracy,
     rhs_identity,
     sampling,
 )
 from oracles import (
+    ErrorKind,
     coarse_trusting_scenario,
     coarse_zero_mass_scenario,
+    error_class,
+    exact_gap,
+    exact_inaccuracy,
+    informed_zero_mass_scenario,
+    is_almost_desirable,
     random_measure,
     random_scenario,
     stacked_acceptance,
     trusting_scenario,
+    wedge_gap,
     wedge_inaccuracy,
 )
 
 GAUSS = MeasureSpec.gaussian(1.0)
+
+#: Unit roundoff of IEEE double precision.
+UNIT_ROUNDOFF = 2.0**-53
+
+
+@pytest.fixture
+def integrands(monkeypatch) -> list:
+    """The value functions the estimators hand to ``mc_estimate``, in order."""
+    captured = []
+    original = accuracy.mc_estimate
+
+    def capturing(draw, values, samples, seed):
+        captured.append(values)
+        return original(draw, values, samples, seed)
+
+    monkeypatch.setattr(accuracy, "mc_estimate", capturing)
+    return captured
+
+
+def dyadic_mass(rng: np.random.Generator, n: int, units: int) -> np.ndarray:
+    """A mass in multiples of 1/units: that many units dealt to random worlds."""
+    return np.bincount(rng.integers(0, n, size=units), minlength=n) / units
+
+
+def quarter_rows(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
+    """m rows of multiples of 1/4 in [-2, 2], some all +0.0, some all -0.0.
+
+    With dyadic masses every prevision of such a row is exact in any
+    summation order, so a tie P(X) = 0 is a tie for every route.
+    """
+    xs = rng.integers(-8, 9, size=(m, n)) / 4.0
+    xs[::13] = 0.0
+    xs[::17] = -0.0
+    xs[::5, 0] = -0.0
+    return xs
+
+
+def tie_rows(weights: np.ndarray) -> np.ndarray:
+    """Rows p_k e_j - p_j e_k for j < k: their prevision under p is exactly 0."""
+    n = weights.size
+    rows = []
+    for j in range(n):
+        for k in range(j + 1, n):
+            row = np.zeros(n)
+            row[j], row[k] = weights[k], -weights[j]
+            rows.append(row)
+    return np.array(rows)
 
 # Frozen angular-quadrature values (see oracles.wedge_inaccuracy); the
 # self-check test below recomputes them from the oracle.
@@ -130,6 +182,27 @@ class TestInaccuracyMc:
         assert a == b
         assert inaccuracy_mc(p, 0, GAUSS, 50_000, seed=10) != a
 
+    def test_integrand_matches_error_class_row_by_row(self, integrands):
+        # Quarter masses and quarter rows: each row's value must be |x_i|
+        # where the scalar classifier finds an error, +0.0 elsewhere.
+        rng = np.random.default_rng(41)
+        ties = 0
+        for n in range(2, 7):
+            for _ in range(8):
+                p = ProbMass(dyadic_mass(rng, n, 4))
+                xs = np.vstack([quarter_rows(rng, 300, n), tie_rows(p.weights)])
+                ties += int(np.sum((xs @ p.weights == 0.0) & np.any(xs != 0.0, axis=1)))
+                for i in range(n):
+                    inaccuracy_mc(p, i, GAUSS, 1, seed=0)
+                    got = [v.hex() for v in integrands[-1](xs).tolist()]
+                    expected = [
+                        abs(float(row[i])) if error_class(p, i, Gamble(row)) is not ErrorKind.NONE
+                        else 0.0
+                        for row in xs
+                    ]
+                    assert got == [v.hex() for v in expected], (n, i, p)
+        assert ties > 100
+
 
 class TestExpectedGap:
     def test_agent_as_expert_contributes_nothing(self, agent_expert):
@@ -157,7 +230,7 @@ class TestExpectedGap:
                 assert estimate.value <= 3 * estimate.std_error
 
 
-    def test_integrand_matches_the_per_world_loop(self, monkeypatch):
+    def test_integrand_matches_the_per_world_loop(self, integrands):
         # The per-world sum of the docstring, added world by world from 0.0.
         def per_world(scenario, xs):
             expert_accepts, agent_value = stacked_acceptance(scenario, xs)
@@ -173,14 +246,6 @@ class TestExpectedGap:
                 total += weight * np.abs(payoff) * (expert_errs - agent_errs)
             return total
 
-        integrands = []
-        original = accuracy.mc_estimate
-
-        def capturing(draw, values, samples, seed):
-            integrands.append(values)
-            return original(draw, values, samples, seed)
-
-        monkeypatch.setattr(accuracy, "mc_estimate", capturing)
         rng = np.random.default_rng(31)
         for scenario in (random_scenario(rng, 6), coarse_zero_mass_scenario(rng, 6)):
             expected_gap(scenario, GAUSS, 1, 0)
@@ -254,6 +319,103 @@ class TestRhsIdentity:
         monkeypatch.setattr(sampling, "_memo", None)  # a fresh draw, not the memo
         threaded = rhs_identity(anti_expert, GAUSS, 150_000, seed=4)
         assert serial == threaded
+
+    def test_gap_and_identity_agree_row_by_row(self, integrands):
+        # On every row g and h add the same rounded products pi_i x_i (the
+        # others are exact zeros): g in a loop over the worlds, h in a BLAS
+        # dot.  Either order errs from the exact sum by at most
+        # gamma_n sum|pi_i x_i|, gamma_n = n u / (1 - n u), so g and h differ
+        # by at most twice that.  The computed pi.|X| is at least
+        # (1 - gamma_n) sum|pi_i x_i|, which the bound divides out.
+        rng = np.random.default_rng(97)
+
+        def dyadic_scenario(rng, n):
+            return Scenario.from_weights(
+                dyadic_mass(rng, n, 16), [dyadic_mass(rng, n, 16) for _ in range(n)]
+            )
+
+        families = (
+            random_scenario,
+            trusting_scenario,
+            coarse_trusting_scenario,
+            coarse_zero_mass_scenario,
+            dyadic_scenario,
+        )
+        agent_ties = expert_ties = differing = 0
+        for n in range(3, 10):
+            gamma = n * UNIT_ROUNDOFF / (1.0 - n * UNIT_ROUNDOFF)
+            for make in families:
+                for _ in range(2):
+                    scenario = make(rng, n)
+                    pi = scenario.agent.weights
+                    if make is dyadic_scenario:
+                        xs = np.vstack([quarter_rows(rng, 2_000, n), tie_rows(pi)])
+                        live = np.any(xs != 0.0, axis=1)
+                        agent_ties += int(np.sum((xs @ pi == 0.0) & live))
+                        rows_zero = xs @ scenario.expert_matrix().T == 0.0
+                        expert_ties += int(np.sum(rows_zero.any(axis=1) & live))
+                    else:
+                        xs = rng.standard_normal((2_000, n))
+                        xs[::7, 1] = 0.0
+                        xs[::5, 0] = -0.0
+                        xs[::11] = 0.0
+                        xs[::13] = -0.0
+                    expected_gap(scenario, GAUSS, 1, seed=0)
+                    rhs_identity(scenario, GAUSS, 1, seed=0)
+                    g, h = (values(xs) for values in integrands[-2:])
+                    bound = 2.0 * gamma / (1.0 - gamma) * (np.abs(xs) @ pi)
+                    assert np.all(np.abs(g - h) <= bound), (make.__name__, n)
+                    differing += int(np.sum(g != h))
+        assert agent_ties > 100 and expert_ties > 100
+        assert differing > 0  # the two routes do round differently
+
+
+class TestExactGaussian:
+    """The centred-Gaussian closed forms of the oracles, for any n."""
+
+    def test_closed_forms_match_two_world_quadrature(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            p = rng.dirichlet(np.ones(2))
+            for i in range(2):
+                assert abs(exact_inaccuracy(p, i) - wedge_inaccuracy(p, i)) <= 1e-15
+            scenario = random_scenario(rng, 2)
+            assert abs(exact_gap(scenario) - wedge_gap(scenario)) <= 1e-15
+
+    def test_gap_and_identity_sit_within_five_se(self):
+        rng = np.random.default_rng(19)
+        for k in range(22):
+            n = 3 + k % 6
+            make = random_scenario if k % 2 else trusting_scenario
+            scenario = make(rng, n)
+            exact = exact_gap(scenario)
+            for estimator in (expected_gap, rhs_identity):
+                estimate = estimator(scenario, GAUSS, 100_000, seed=k)
+                assert abs(estimate.value - exact) <= 5 * estimate.std_error, (k, estimator)
+
+    def test_inaccuracy_sits_within_five_se(self):
+        rng = np.random.default_rng(23)
+        for k in range(30):
+            n = 3 + k % 6
+            p = ProbMass(rng.dirichlet(np.ones(n)))
+            i = int(rng.integers(0, n))
+            estimate = inaccuracy_mc(p, i, GAUSS, 100_000, seed=k)
+            exact = exact_inaccuracy(p.weights, i)
+            assert abs(estimate.value - exact) <= 5 * estimate.std_error, (k, n, i)
+
+    def test_exact_gap_never_positive_under_trust(self):
+        # The theorem's "if" half, with no sampling.
+        rng = np.random.default_rng(29)
+        families = (
+            trusting_scenario,
+            coarse_trusting_scenario,
+            coarse_zero_mass_scenario,
+            informed_zero_mass_scenario,
+        )
+        for k in range(40):
+            scenario = families[k % 4](rng, 3 + k % 7)
+            assert check_global_trust(scenario).holds
+            assert exact_gap(scenario) <= 0.0, k
 
 
 def test_measure_of_another_dimension_raises_before_drawing(anti_expert, monkeypatch):

@@ -16,7 +16,6 @@ from deference_lab import (
     build_adversarial_measure,
     build_positive_box,
     build_violation_box,
-    bump_pair_for_box,
     check_global_trust,
     expectation,
     expected_gap,
@@ -44,23 +43,32 @@ def _box_for_witness(scenario: Scenario):
     return build_violation_box(scenario, witness)
 
 
+def _bump(scenario: Scenario, box: ViolationBox):
+    """The bump pair of the measure built for the box."""
+    measure, _ = build_adversarial_measure(scenario, box, 1.0, 20_000, seed=0)
+    return measure.bumps[0]
+
+
 class TestBumpPair:
     def test_unit_box_midpoint_and_scale(self, anti_expert):
         box = build_violation_box(anti_expert, Gamble([1.0, -1.0]))
-        center, scale = bump_pair_for_box(box)
-        assert center.values.tolist() == [1.5, -0.5]
-        assert scale == pytest.approx(1.0 / 6.0)
+        bump = _bump(anti_expert, box)
+        assert bump.center == box.midpoint()
+        assert bump.center.values.tolist() == [1.5, -0.5]
+        assert bump.scale == box.delta / 6.0 == pytest.approx(1.0 / 6.0)
 
     def test_half_box_midpoint_and_scale(self, anti_expert):
         box = build_violation_box(anti_expert, Gamble([0.5, -0.5]))
-        center, scale = bump_pair_for_box(box)
-        assert center.values.tolist() == [0.75, -0.25]
-        assert scale == pytest.approx(1.0 / 12.0)
+        bump = _bump(anti_expert, box)
+        assert bump.center == box.midpoint()
+        assert bump.center.values.tolist() == [0.75, -0.25]
+        assert bump.scale == box.delta / 6.0 == pytest.approx(1.0 / 12.0)
 
     def test_mass_containment_both_sides(self, anti_expert):
         box = build_violation_box(anti_expert, Gamble([1.0, -1.0]))
         mirror = box.mirrored()
-        center, scale = bump_pair_for_box(box)
+        bump = _bump(anti_expert, box)
+        center, scale = bump.center, bump.scale
         rng = np.random.default_rng(0)
         plus = center.values + scale * rng.standard_normal((50_000, 2))
         minus = -center.values + scale * rng.standard_normal((50_000, 2))

@@ -333,7 +333,7 @@ class TestScore:
         assert main(["score", scenario_file(ANTI), "--sigma", "0"]) == EXIT_INPUT
         assert main(["score", scenario_file(ANTI), "--samples", "0"]) == EXIT_INPUT
 
-    @pytest.mark.parametrize("command", ["score", "identity", "ae-trust", "counterexample"])
+    @pytest.mark.parametrize("command", ["score", "identity", "counterexample"])
     @pytest.mark.parametrize("sigma", ["inf", "-inf", "nan"])
     def test_rejects_non_finite_sigma(self, capsys, scenario_file, command, sigma):
         assert main([command, scenario_file(ANTI), f"--sigma={sigma}"]) == EXIT_INPUT
@@ -364,6 +364,20 @@ class TestAeTrust:
             capsys, "ae-trust", scenario_file(TRUTH), "--samples", "20000"
         )
         assert report["violation_frequency"]["value"] == 0.0
+
+    def test_report_names_no_sigma(self, capsys, scenario_file):
+        code, report = run_cli(capsys, "ae-trust", scenario_file(ANTI), "--samples", "2000")
+        assert code == EXIT_OK
+        assert list(report) == [
+            "command", "scenario", "digest", "samples", "seed", "violation_frequency"
+        ]
+
+    def test_takes_no_sigma(self, capsys, scenario_file):
+        # The violation set is a cone: no scale could change the frequency.
+        assert main(["ae-trust", scenario_file(ANTI), "--sigma", "1"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --sigma 1" in captured.err
 
 
 class TestCounterexample:

@@ -15,15 +15,18 @@ from deference_lab import (
     ValidationError,
     WorldSpace,
     conditional_expectation,
-    event_probability,
     expectation,
-    indicator,
 )
 from deference_lab.sampling import CHUNK_SIZE
 from deference_lab.trust import _acceptance, _expert_previsions
 from oracles import expectation_loop, random_scenario, stacked_acceptance
 
 TOL = 1e-9
+
+
+def indicator(event: Event) -> Gamble:
+    """The 0/1 gamble paying 1 exactly on the members of the event."""
+    return Gamble(np.isin(np.arange(event.n), event.sorted_members()).astype(float))
 
 
 # ---------------------------------------------------------------------------
@@ -170,35 +173,71 @@ class TestExpectation:
             assert value.hex() == expectation_loop(p.weights, x.values).hex()
 
     def test_event_probability_matches_loop_bits(self):
+        # conditional_expectation divides p(X 1_A) by p(A), each added left
+        # to right like the loop, and is undefined exactly when p(A) is not
+        # positive; the full space gives expectation(p, X) itself.
         rng = np.random.default_rng(5)
+        undefined = 0
         for n in (1, 3, 8, 200):
             for _ in range(50):
-                p = ProbMass(rng.dirichlet(np.ones(n)))
-                event = Event(n, frozenset(np.flatnonzero(rng.random(n) < 0.5).tolist()))
-                loop = expectation_loop(p.weights, indicator(event).values)
-                assert event_probability(p, event).hex() == loop.hex()
+                weights = rng.dirichlet(np.ones(n))
+                weights[rng.random(n) < 0.2] = 0.0
+                if not weights.any():
+                    weights[0] = 1.0
+                p = ProbMass(weights / weights.sum())
+                x = Gamble(rng.normal(0.0, 3.0, n))
+                mask = (rng.random(n) < 0.5).astype(float)
+                event = Event(n, frozenset(np.flatnonzero(mask).tolist()))
+                got = conditional_expectation(p, x, event)
+                if len(event) == n:
+                    assert got.hex() == expectation(p, x).hex()
+                    continue
+                prob = expectation_loop(p.weights, mask)
+                if not prob > 0.0:
+                    assert got is None
+                    undefined += 1
+                    continue
+                loop = expectation_loop(p.weights, x.values * mask) / prob
+                assert got.hex() == loop.hex()
+        assert undefined > 0
 
 
 class TestEventProbability:
+    """The conditioning event's probability, as conditional_expectation uses it."""
+
     def test_single_world(self):
-        assert event_probability(ProbMass([0.25, 0.75]), Event(2, frozenset({1}))) == 0.75
+        # p(A) = 0.75 divides p(X 1_A) = 0.75 * 3.
+        p = ProbMass([0.25, 0.75])
+        assert conditional_expectation(p, Gamble([4.0, 3.0]), Event(2, frozenset({1}))) == 3.0
 
     def test_empty_event(self):
-        assert event_probability(ProbMass([0.3, 0.7]), Event.empty(2)) == 0.0
+        p, x = ProbMass([0.3, 0.7]), Gamble([1.0, 2.0])
+        assert conditional_expectation(p, x, Event.empty(2)) is None
 
     def test_full_event(self):
-        assert event_probability(ProbMass([0.3, 0.7]), Event.full(2)) == 1.0
+        p, x = ProbMass([0.3, 0.7]), Gamble([1.0, -2.0])
+        assert conditional_expectation(p, x, Event.full(2)) == expectation(p, x)
+
+    def test_event_of_another_size_is_rejected(self):
+        for event in (Event.full(3), Event.empty(3), Event(3, frozenset({0}))):
+            with pytest.raises(ValidationError, match="event has 3"):
+                conditional_expectation(ProbMass([0.3, 0.7]), Gamble([1.0, 2.0]), event)
 
 
 class TestIndicator:
+    """The event's 0/1 mask: only its members' payoffs reach the quotient."""
+
     def test_singleton(self):
-        assert indicator(Event(2, frozenset({0}))).values.tolist() == [1.0, 0.0]
+        p = ProbMass([0.5, 0.5])
+        assert conditional_expectation(p, Gamble([1.0, 2.0]), Event(2, frozenset({0}))) == 1.0
 
     def test_empty(self):
-        assert indicator(Event.empty(3)).values.tolist() == [0.0, 0.0, 0.0]
+        p = ProbMass([0.25, 0.25, 0.5])
+        assert conditional_expectation(p, Gamble([1.0, 2.0, 4.0]), Event.empty(3)) is None
 
     def test_full(self):
-        assert indicator(Event.full(2)).values.tolist() == [1.0, 1.0]
+        p = ProbMass([0.5, 0.5])
+        assert conditional_expectation(p, Gamble([1.0, 2.0]), Event.full(2)) == 1.5
 
 
 class TestConditionalExpectation:
@@ -223,10 +262,20 @@ class TestLaws:
     @given(mass_gamble_pairs(), st.data())
     @settings(max_examples=200)
     def test_event_probability_is_indicator_expectation_exactly(self, pair, data):
-        p, _ = pair
+        # Off the full space the quotient's denominator is the prevision of
+        # the event's indicator, exactly, and so is its numerator's mask.
+        p, x = pair
         members = data.draw(st.sets(st.integers(min_value=0, max_value=p.n - 1)))
         event = Event(p.n, frozenset(members))
-        assert event_probability(p, event) == expectation(p, indicator(event))
+        if len(event) == p.n:
+            return
+        mask = indicator(event)
+        prob = expectation(p, mask)
+        got = conditional_expectation(p, x, event)
+        if not prob > 0.0:
+            assert got is None
+        else:
+            assert got == expectation(p, Gamble(x.values * mask.values)) / prob
 
     @given(mass_gamble_pairs(), st.data())
     @settings(max_examples=200)
@@ -247,7 +296,7 @@ class TestLaws:
         members = data.draw(st.sets(st.integers(min_value=0, max_value=p.n - 1)))
         event = Event(p.n, frozenset(members))
         other = event.complement()
-        pa, pb = event_probability(p, event), event_probability(p, other)
+        pa, pb = expectation(p, indicator(event)), expectation(p, indicator(other))
         if pa <= 0.0 or pb <= 0.0:
             return
         total = pa * conditional_expectation(p, x, event) + pb * conditional_expectation(

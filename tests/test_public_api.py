@@ -1,4 +1,4 @@
-"""The public names: every export resolves, and none is listed twice."""
+"""The public names: every export resolves, none is listed twice, and the set is pinned."""
 
 import importlib
 import pkgutil
@@ -28,3 +28,36 @@ def test_package_exports_resolve_once():
     assert len(exported) == len(set(exported)), "deference_lab.__all__ lists a name twice"
     missing = [attr for attr in exported if not hasattr(deference_lab, attr)]
     assert not missing, f"deference_lab.__all__ names missing attributes: {missing}"
+
+
+def test_package_exports_are_pinned():
+    # A public name added or removed shows up here as a test change.
+    assert sorted(deference_lab.__all__) == [
+        "BumpPair",
+        "DegenerateBoxError",
+        "Event",
+        "Gamble",
+        "MeasureSpec",
+        "NotAViolationWitness",
+        "Orientation",
+        "ProbMass",
+        "Scenario",
+        "ScoreEstimate",
+        "SearchExhaustedError",
+        "TrustVerdict",
+        "ValidationError",
+        "ViolationBox",
+        "WorldSpace",
+        "build_adversarial_measure",
+        "build_positive_box",
+        "build_violation_box",
+        "check_global_trust",
+        "check_local_trust",
+        "conditional_expectation",
+        "estimate_ae_trust",
+        "expectation",
+        "expected_gap",
+        "expert_event",
+        "inaccuracy_mc",
+        "rhs_identity",
+    ]

@@ -23,7 +23,6 @@ from deference_lab import (
     check_local_trust,
     conditional_expectation,
     estimate_ae_trust,
-    event_probability,
     expectation,
     expert_event,
 )
@@ -35,6 +34,7 @@ from oracles import (
     event_violation_margin,
     exact_quotient_holds,
     exact_witness_violates,
+    expectation_loop,
     garbled_scenario,
     informed_zero_mass_scenario,
     local_sweep_violation_mask,
@@ -202,7 +202,8 @@ class TestGlobalTrust:
             n = scenario.n
             for mask in range(1, 1 << n):
                 members = frozenset(i for i in range(n) if mask >> i & 1)
-                if event_probability(scenario.agent, Event(n, members)) <= 0.0:
+                indicator = [float(i in members) for i in range(n)]
+                if expectation_loop(scenario.agent.weights, indicator) <= 0.0:
                     continue
                 ours, _ = event_violation_margin(scenario, Event(n, members))
                 assert ours == pytest.approx(
@@ -287,7 +288,8 @@ class TestGlobalTrust:
                 continue
             event = expert_event(scenario, verdict.witness, 0.0)
             assert event == verdict.witness_event
-            assert event_probability(scenario.agent, event) > 0.0
+            indicator = [float(i in event) for i in range(scenario.n)]
+            assert expectation_loop(scenario.agent.weights, indicator) > 0.0
             value = conditional_expectation(scenario.agent, verdict.witness, event)
             assert value == verdict.witness_value < 0.0
 
