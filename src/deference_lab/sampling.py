@@ -15,6 +15,20 @@ lands on the same normals, so not a bit moves.
 
 Thread count is taken from the ``DEFLAB_THREADS`` environment variable
 (default 1); anything but a positive integer raises ``ValidationError``.
+With one worker, or a run of one chunk, the chunks run in the calling
+thread and no thread is started.  Otherwise they run on one worker pool
+kept between calls: it is built on the first such run (importing the
+module starts no thread), and rebuilt when ``DEFLAB_THREADS`` changes.
+The replaced pool is not shut down, because a concurrent caller may still
+hold it; its idle threads exit once it is garbage-collected.  A forked
+child inherits the pool but none of its threads, so an at-fork hook drops
+it there and the child builds its own.  When a chunk raises, the chunks
+not yet begun are dropped and the call returns once the running ones have
+finished, so no chunk outlives its call.  The pool decides only which
+thread runs a chunk, never its seed or its place in the reduction, so no
+bit moves.  Value and hit functions run on the pool's threads, so they
+must not call the estimators themselves: with every worker waiting on
+chunks queued behind it, the pool would deadlock.
 
 Value and hit functions must work row by row: the function's value for a
 row may depend on that row alone.  Each chunk is evaluated in consecutive
@@ -49,7 +63,7 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable
 
@@ -77,6 +91,31 @@ _MEMO_BYTES = 32 << 20
 #: Only ever replaced whole, so threads need no lock: a reader holds either
 #: a complete run for its key or nothing.
 _memo: tuple[tuple, list[np.ndarray]] | None = None
+
+#: The kept worker pool: (workers, executor), or None until a run needs one.
+#: Only ever replaced whole, never shut down.  Two callers that race to build
+#: one each get a working pool; the one not kept is collected like a
+#: replaced one.
+_pool: tuple[int, ThreadPoolExecutor] | None = None
+
+
+def _executor(workers: int) -> ThreadPoolExecutor:
+    """The kept executor, rebuilt when ``workers`` differs from its size."""
+    global _pool
+    entry = _pool
+    if entry is None or entry[0] != workers:
+        entry = _pool = (workers, ThreadPoolExecutor(max_workers=workers))
+    return entry[1]
+
+
+def _forget_pool() -> None:
+    """Drop the pool in a forked child, which inherits none of its threads."""
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):  # absent where there is no fork
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 @dataclass(frozen=True)
@@ -160,8 +199,14 @@ def _map_draws(
     if workers == 1 or len(jobs) == 1:
         results = [work(j, m) for j, m in jobs]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda jm: work(*jm), jobs))
+        pool = _executor(workers)
+        futures = [pool.submit(work, j, m) for j, m in jobs]
+        try:
+            results = [future.result() for future in futures]
+        finally:  # on an error, drop the chunks not begun and await the rest
+            for future in futures:
+                future.cancel()
+            wait(futures)
     if kept is not None:
         _memo = (key, kept)
     return results

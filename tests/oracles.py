@@ -25,7 +25,10 @@ Nothing here imports the implementation paths it judges:
 * a prevision's error at a world is classified one gamble at a time, the
   scalar form of ``inaccuracy_mc``'s integrand;
 * under a centred Gaussian, the inaccuracy and the gap have closed forms
-  for any n, from the bivariate-normal orthant moment.
+  for any n, from the bivariate-normal orthant moment;
+* under one Gaussian component N(m, s^2 I), and so under any
+  ``MeasureSpec``, they are 1-D integrals over X_i of a normal CDF, taken
+  by scipy quadrature.
 """
 
 from __future__ import annotations
@@ -101,6 +104,70 @@ def exact_gap(scenario: Scenario, sigma: float = 1.0) -> float:
         float(pi[i])
         * (exact_inaccuracy(row.weights, i, sigma) - exact_inaccuracy(pi, i, sigma))
         for i, row in enumerate(scenario.expert)
+    )
+
+
+def component_inaccuracy(p_weights, world: int, mean, scale: float) -> float:
+    """Inaccuracy of a mass at one world under N(mean, scale^2 I), any n.
+
+    Given X_i = t, p(X) = p_i t + R with R ~ N(sum_{j != i} p_j m_j,
+    scale^2 sum_{j != i} p_j^2), so p accepts with a normal-CDF probability
+    and the score is one integral over t: -t P(accept | t) for t < 0 plus
+    t P(reject | t) for t >= 0, against the density of X_i.  It is taken
+    by scipy's ``quad`` on [m_i - 12 scale, m_i + 12 scale], split at the
+    kink t = 0.  The point mass at world i never errs.
+    """
+    p = np.asarray(p_weights, dtype=float)
+    m = np.asarray(mean, dtype=float)
+    rest = np.arange(p.size) != world
+    spread = scale * math.sqrt(float(p[rest] @ p[rest])) * math.sqrt(2.0)
+    if spread == 0.0:
+        return 0.0
+    shift, p_i, m_i = float(p[rest] @ m[rest]), float(p[world]), float(m[world])
+    norm = scale * math.sqrt(2.0 * math.pi)
+
+    def loss(t: float) -> float:
+        z = (p_i * t + shift) / spread
+        density = math.exp(-0.5 * ((t - m_i) / scale) ** 2) / norm
+        if t < 0.0:
+            return -t * 0.5 * math.erfc(-z) * density
+        return t * 0.5 * math.erfc(z) * density
+
+    lo, hi = m_i - 12.0 * scale, m_i + 12.0 * scale
+    edges = [lo, 0.0, hi] if lo < 0.0 < hi else [lo, hi]
+    return sum(
+        quad(loss, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        for a, b in zip(edges, edges[1:])
+    )
+
+
+def component_gap(scenario: Scenario, mean, scale: float) -> float:
+    """Expected inaccuracy gap under one component N(mean, scale^2 I)."""
+    pi = scenario.agent.weights
+    return sum(
+        float(pi[i])
+        * (
+            component_inaccuracy(row.weights, i, mean, scale)
+            - component_inaccuracy(pi, i, mean, scale)
+        )
+        for i, row in enumerate(scenario.expert)
+    )
+
+
+def measure_inaccuracy(p_weights, world: int, measure) -> float:
+    """Inaccuracy under a ``MeasureSpec``: its components' scores by weight."""
+    weights, means, scales = measure.components(len(p_weights))
+    return sum(
+        float(w) * component_inaccuracy(p_weights, world, m, float(s))
+        for w, m, s in zip(weights, means, scales)
+    )
+
+
+def measure_gap(scenario: Scenario, measure) -> float:
+    """Expected inaccuracy gap under a ``MeasureSpec``: sum_c w_c gap_c."""
+    weights, means, scales = measure.components(scenario.n)
+    return sum(
+        float(w) * component_gap(scenario, m, float(s)) for w, m, s in zip(weights, means, scales)
     )
 
 

@@ -22,11 +22,15 @@ from oracles import (
     ErrorKind,
     coarse_trusting_scenario,
     coarse_zero_mass_scenario,
+    component_gap,
+    component_inaccuracy,
     error_class,
     exact_gap,
     exact_inaccuracy,
     informed_zero_mass_scenario,
     is_almost_desirable,
+    measure_gap,
+    measure_inaccuracy,
     random_measure,
     random_scenario,
     stacked_acceptance,
@@ -416,6 +420,62 @@ class TestExactGaussian:
             scenario = families[k % 4](rng, 3 + k % 7)
             assert check_global_trust(scenario).holds
             assert exact_gap(scenario) <= 0.0, k
+
+
+class TestExactMixture:
+    """One Gaussian component N(m, s^2 I) by quadrature, so any MeasureSpec."""
+
+    def test_component_matches_closed_form_at_zero_mean(self):
+        rng = np.random.default_rng(31)
+        for k in range(30):
+            n = 2 + k % 7
+            sigma = float(rng.uniform(0.2, 3.0))
+            p = rng.dirichlet(np.ones(n))
+            i = int(rng.integers(0, n))
+            got = component_inaccuracy(p, i, np.zeros(n), sigma)
+            assert abs(got - exact_inaccuracy(p, i, sigma)) <= 1e-12, (k, n, i)
+            scenario = random_scenario(rng, n)
+            got = measure_gap(scenario, MeasureSpec.gaussian(sigma))
+            assert abs(got - exact_gap(scenario, sigma)) <= 1e-12, (k, n)
+
+    def test_gap_and_inaccuracy_sit_within_five_se_on_mixtures(self):
+        rng = np.random.default_rng(37)
+        for k in range(12):
+            n = 3 + k % 6
+            make = random_scenario if k % 2 else trusting_scenario
+            scenario, mu = make(rng, n), random_measure(rng, n)
+            estimate = expected_gap(scenario, mu, 100_000, seed=k)
+            exact = measure_gap(scenario, mu)
+            assert abs(estimate.value - exact) <= 5 * estimate.std_error, (k, n)
+            i = int(rng.integers(0, n))
+            estimate = inaccuracy_mc(scenario.agent, i, mu, 100_000, seed=k)
+            exact = measure_inaccuracy(scenario.agent.weights, i, mu)
+            assert abs(estimate.value - exact) <= 5 * estimate.std_error, (k, n, i)
+
+    def test_symmetric_bump_pairs_never_raise_the_gap_under_trust(self):
+        # Each inaccuracy is at most E|X_i| <= |m_i| + s, and each quadrature
+        # is asked for 1e-13 relative accuracy, so a gap that is 0 in exact
+        # arithmetic (rows equal up to rounding) lands within the slack.
+        rng = np.random.default_rng(41)
+        families = (
+            trusting_scenario,
+            coarse_trusting_scenario,
+            coarse_zero_mass_scenario,
+            informed_zero_mass_scenario,
+        )
+        negative = 0
+        for k in range(30):
+            scenario = families[k % 4](rng, 3 + k % 6)
+            assert check_global_trust(scenario).holds
+            for _ in range(4):
+                center = rng.normal(0.0, 2.0, scenario.n)
+                scale = float(rng.uniform(0.05, 1.0))
+                gap = 0.5 * (
+                    component_gap(scenario, center, scale) + component_gap(scenario, -center, scale)
+                )
+                assert gap <= 1e-12 * (np.abs(center).max() + scale), (k, gap)
+                negative += gap < 0.0
+        assert negative >= 90
 
 
 def test_measure_of_another_dimension_raises_before_drawing(anti_expert, monkeypatch):

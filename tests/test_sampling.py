@@ -2,8 +2,13 @@
 
 import hashlib
 import json
+import multiprocessing
+import os
+import subprocess
 import sys
 import threading
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -280,32 +285,150 @@ class TestGoldenBits:
         # Four callers on two cores, switching often, keep replacing each
         # other's memo, and ae-trust reads it whenever the Gaussian run is
         # there; a torn or mismatched entry would change a bit.
+        _callers_keep_the_pins(callers=4, interval=1e-5, rounds=3)
+
+    def test_eight_callers_sharing_the_worker_pool_keep_the_pins(self, monkeypatch):
+        # Every caller's chunks queue on the one kept three-worker pool.
+        monkeypatch.setenv("DEFLAB_THREADS", "3")
+        _callers_keep_the_pins(callers=8, interval=1e-6, rounds=2)
+
+
+def _callers_keep_the_pins(callers: int, interval: float, rounds: int) -> None:
+    """``callers`` Python threads, half per measure, each run the four
+    estimators ``rounds`` times at switch interval ``interval``; every
+    result must equal its pin."""
+    scenario, measures = _pin_setup()
+    names = list(measures) * (callers // 2)
+    start = threading.Barrier(len(names))
+    results: list[list[dict]] = [[] for _ in names]
+
+    def run(slot: int) -> None:
+        start.wait()
+        for _ in range(rounds):
+            name = names[slot]
+            bundle = _pinned_bundle(scenario, name, measures[name])
+            ae = estimate_ae_trust(scenario, 1.5, PIN_SAMPLES, PIN_SEED)
+            results[slot].append({**bundle, ("ae",): _bits(ae)})
+
+    saved = sys.getswitchinterval()
+    sys.setswitchinterval(interval)
+    try:
+        workers = [threading.Thread(target=run, args=(slot,)) for slot in range(len(names))]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=120)
+    finally:
+        sys.setswitchinterval(saved)
+    assert not any(worker.is_alive() for worker in workers)
+    for name, runs in zip(names, results):
+        assert runs == [{k: v for k, v in PINS.items() if k[0] in (name, "ae")}] * rounds
+
+
+# ---------------------------------------------------------------------------
+# The kept worker pool
+# ---------------------------------------------------------------------------
+
+
+class TestWorkerPool:
+    def test_import_starts_no_thread(self):
+        code = "import threading, deference_lab; print(threading.active_count())"
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "DEFLAB_THREADS": "2"},
+            capture_output=True,
+            text=True,
+            timeout=60,
+            check=True,
+        )
+        assert done.stdout.strip() == "1"
+
+    def test_one_thread_starts_no_thread(self, monkeypatch):
+        monkeypatch.setenv("DEFLAB_THREADS", "1")
+        monkeypatch.setattr(sampling, "_pool", None)
         scenario, measures = _pin_setup()
-        names = list(measures) * 2
-        start = threading.Barrier(len(names))
-        results: list[list[dict]] = [[] for _ in names]
+        before = threading.active_count()
+        for mu in measures.values():
+            _four_estimators(scenario, mu)
+        assert threading.active_count() <= before
+        assert sampling._pool is None
 
-        def run(slot: int) -> None:
-            start.wait()
-            for _ in range(3):
-                name = names[slot]
-                bundle = _pinned_bundle(scenario, name, measures[name])
-                ae = estimate_ae_trust(scenario, 1.5, PIN_SAMPLES, PIN_SEED)
-                results[slot].append({**bundle, ("ae",): _bits(ae)})
+    def test_changing_the_thread_count_keeps_the_pins(self, monkeypatch):
+        monkeypatch.setattr(sampling, "_pool", None)
+        before = threading.active_count()
+        scenario, measures = _pin_setup()
+        for threads in ("2", "3", "1", "2"):
+            monkeypatch.setenv("DEFLAB_THREADS", threads)
+            got = {}
+            for name, mu in measures.items():
+                sampling._memo = None
+                got.update(_pinned_bundle(scenario, name, mu))
+            got[("ae",)] = _bits(estimate_ae_trust(scenario, 1.5, PIN_SAMPLES, PIN_SEED))
+            assert got == PINS, threads
+        assert sampling._pool[0] == 2
+        # The replaced three-worker pool is collected and its threads exit.
+        deadline = time.monotonic() + 10.0
+        while threading.active_count() > before + 2 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert threading.active_count() <= before + 2
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
+    def test_forked_child_gets_the_parent_bits(self, monkeypatch):
+        # The child inherits the pool object but none of its threads; work
+        # queued on it would wait forever.
+        monkeypatch.setenv("DEFLAB_THREADS", "2")
+        scenario, measures = _pin_setup()
+        mu = measures["gaussian"]
+        parent = _bits(expected_gap(scenario, mu, PIN_SAMPLES, PIN_SEED))
+        assert sampling._pool is not None
+        context = multiprocessing.get_context("fork")
+        receive, send = context.Pipe(duplex=False)
+
+        def child() -> None:
+            sampling._memo = None  # draw every chunk again, on the child's pool
+            send.send(_bits(expected_gap(scenario, mu, PIN_SAMPLES, PIN_SEED)))
+
+        with warnings.catch_warnings():
+            # Python 3.12+ warns when a process with threads forks.
+            warnings.filterwarnings(
+                "ignore",
+                r"This process \(pid=\d+\) is multi-threaded, use of fork\(\)",
+                DeprecationWarning,
+            )
+            process = context.Process(target=child)
+            process.start()
         try:
-            workers = [threading.Thread(target=run, args=(slot,)) for slot in range(len(names))]
-            for worker in workers:
-                worker.start()
-            for worker in workers:
-                worker.join(timeout=120)
+            process.join(timeout=60)
+            assert not process.is_alive()
+            assert process.exitcode == 0
+            assert receive.recv() == parent == PINS[("gaussian", "gap")]
         finally:
-            sys.setswitchinterval(interval)
-        assert not any(worker.is_alive() for worker in workers)
-        for name, runs in zip(names, results):
-            assert runs == [{k: v for k, v in PINS.items() if k[0] in (name, "ae")}] * 3
+            if process.is_alive():
+                process.kill()
+                process.join()
+
+    def test_a_failing_chunk_stops_the_run_and_leaves_no_chunk_running(self, monkeypatch):
+        # Six chunks on two workers: the chunks not yet begun when the first
+        # block fails are dropped, and none runs on after the call returns.
+        monkeypatch.setenv("DEFLAB_THREADS", "2")
+        lock = threading.Lock()
+        calls: list[int] = []
+
+        def values(xs: np.ndarray) -> np.ndarray:
+            with lock:
+                calls.append(len(xs))
+                first = len(calls) == 1
+            if first:
+                raise RuntimeError("first block fails")
+            time.sleep(0.001)
+            return xs[:, 0]
+
+        unkeyed = lambda rng, m: rng.standard_normal((m, 2))
+        with pytest.raises(RuntimeError, match="first block fails"):
+            mc_estimate(unkeyed, values, 6 * CHUNK_SIZE, seed=0)
+        seen = len(calls)
+        time.sleep(0.2)
+        assert len(calls) == seen
+        assert seen < 1 + 5 * (CHUNK_SIZE // _BLOCK_ROWS)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Local and global trust decisions, against hand values and oracles."""
 
 import hashlib
+import itertools
 import math
 import os
 import subprocess
@@ -394,6 +395,56 @@ def _repeated_row_scenario(rng: np.random.Generator, n: int) -> Scenario:
     distinct = [rng.dirichlet(np.ones(n)) for _ in range(2)]
     agent = np.append(rng.dirichlet(np.ones(n - 1)), 0.0)
     return Scenario.from_weights(agent, [distinct[i % 2] for i in range(n)])
+
+
+#: Every probability vector on three worlds in quarters: 15 rows.
+QUARTER_ROWS = [(a / 4, b / 4, (4 - a - b) / 4) for a in range(5) for b in range(5 - a)]
+
+
+def _quarter_grid_orbits() -> list[tuple[tuple[int, ...], int]]:
+    """One scenario per orbit of the n = 3 quarter grid under world permutations.
+
+    A scenario is (agent, expert rows) as indices into ``QUARTER_ROWS``.
+    Relabelling worlds by s maps the agent to agent[s] and expert row k to
+    row s[k] with its columns in the order s.  Returns (smallest key of the
+    orbit, orbit size); the sizes add up to the 15**4 scenarios of the grid.
+    """
+    index = {row: k for k, row in enumerate(QUARTER_ROWS)}
+    perms = list(itertools.permutations(range(3)))
+    moved = [[index[tuple(row[j] for j in s)] for row in QUARTER_ROWS] for s in perms]
+    orbits = []
+    for key in itertools.product(range(len(QUARTER_ROWS)), repeat=4):
+        agent, expert = key[0], key[1:]
+        orbit = {(m[agent],) + tuple(m[expert[i]] for i in s) for m, s in zip(moved, perms)}
+        if key == min(orbit):
+            orbits.append((key, len(orbit)))
+    return orbits
+
+
+class TestQuarterGrid:
+    """The n = 3 grid of rows in quarters, whose masses are exact floats.
+
+    There the exact decision needs no slack, so the float decision must
+    match the rational sign test at zero slack on every scenario (exactly
+    dependent rows count as failing), and every witness must violate trust
+    in exact arithmetic.  Trust is invariant under relabelling worlds, so
+    one scenario per orbit stands for the whole orbit.
+    """
+
+    def test_decisions_and_witnesses_match_exact_arithmetic(self):
+        orbits = _quarter_grid_orbits()
+        assert sum(size for _, size in orbits) == len(QUARTER_ROWS) ** 4 == 50_625
+        holding = 0
+        for key, size in orbits:
+            agent, *expert = (QUARTER_ROWS[k] for k in key)
+            scenario = Scenario.from_weights(agent, expert)
+            verdict = check_global_trust(scenario)
+            assert verdict.holds == (exact_quotient_holds(scenario, 0.0, 0.0) is True), key
+            if verdict.holds:
+                holding += size
+            else:
+                assert exact_witness_violates(scenario, verdict.witness), key
+        assert (len(orbits), holding) == (8_505, 1_998)
 
 
 class TestGlobalTrustBits:
