@@ -54,11 +54,8 @@ def inaccuracy_mc(
     weights = p.weights
 
     def values(xs: np.ndarray) -> np.ndarray:
-        accepted = (xs @ weights) >= 0.0
         payoff = xs[:, i]
-        type1 = accepted & (payoff < 0.0)
-        type2 = ~accepted & (payoff >= 0.0)
-        return np.abs(payoff) * (type1 | type2)
+        return np.abs(payoff) * ((xs @ weights >= 0.0) != (payoff >= 0.0))
 
     return mc_estimate(mu.sampler(p.n), values, samples, seed)
 
@@ -79,24 +76,22 @@ def expected_gap(
     the agent's and expert i's acceptance: a nonzero term needs them to
     differ, so exactly one errs, and ``sign(x_i) (a - e_i)`` is +1 just when
     it is the expert.  So every nonzero term has the bits of
-    ``pi_i |x_i| (+-1)``, and adding the worlds with ``pi_i > 0`` in order,
-    from 0.0, is the per-world sum bit for bit.
+    ``pi_i |x_i| (+-1)``, a world with ``pi_i = 0`` adds a signed zero that
+    leaves the running total (from +0.0) unchanged, and adding the worlds in
+    order is the per-world sum bit for bit.
     """
-    n = scenario.n
     pi = scenario.agent.weights
-    support = pi > 0.0
-    weights = pi[support]
 
     def values(xs: np.ndarray) -> np.ndarray:
         expert_accepts, agent_value = _acceptance(scenario, xs)
         agent_accepts = (agent_value >= 0.0)[:, None]
-        verdicts = np.subtract(agent_accepts, expert_accepts[:, support], dtype=float)
+        verdicts = np.subtract(agent_accepts, expert_accepts, dtype=float)
         total = np.zeros(len(xs))
-        for term in (xs[:, support] * weights * verdicts).T:
+        for term in (xs * pi * verdicts).T:
             total += term
         return total
 
-    return mc_estimate(mu.sampler(n), values, samples, seed)
+    return mc_estimate(mu.sampler(scenario.n), values, samples, seed)
 
 
 def rhs_identity(
@@ -106,23 +101,21 @@ def rhs_identity(
 
     Per sampled gamble X with acceptance event A = [P(X) >= 0]:
 
-        h(X) = - pi(X 1_A)      if pi(A) > 0 and pi(X) < 0
-               + pi(X 1_{A^c})  if pi(A^c) > 0 and pi(X) >= 0
+        h(X) = - pi(X 1_A)      if pi(X) < 0
+               + pi(X 1_{A^c})  if pi(X) >= 0
 
-    (zero when neither side's condition holds).  Shares the sample stream
-    with :func:`expected_gap` for equal (seed, N, mu), and h(X) equals the
-    gap's g(X) as algebra, so the two estimates separate only by rounding.
+    An event of zero agent mass has partial expectation +-0, so h needs no
+    case for it.  Shares the sample stream with :func:`expected_gap` for
+    equal (seed, N, mu), and h(X) equals the gap's g(X) as algebra, so the
+    two estimates separate only by rounding.
     """
     pi = scenario.agent.weights
 
     def values(xs: np.ndarray) -> np.ndarray:
         accepted, agent_value = _acceptance(scenario, xs)
-        accept_prob = accepted @ pi
         accept_part = (xs * accepted) @ pi
-        reject_prob = (~accepted) @ pi
         reject_part = (xs * ~accepted) @ pi
-        first = (accept_prob > 0.0) & (agent_value < 0.0)
-        second = (reject_prob > 0.0) & (agent_value >= 0.0)
-        return -accept_part * first + reject_part * second
+        negative = agent_value < 0.0
+        return -accept_part * negative + reject_part * ~negative
 
     return mc_estimate(mu.sampler(scenario.n), values, samples, seed)

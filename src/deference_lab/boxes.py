@@ -38,7 +38,6 @@ import numpy as np
 from .core import (
     Event,
     Gamble,
-    ProbMass,
     ValidationError,
     conditional_expectation,
     expectation,
@@ -71,12 +70,14 @@ class Orientation(Enum):
 
 @dataclass(frozen=True)
 class ViolationBox:
-    """An open box of gambles violating trust uniformly, minus hyperplanes.
+    """An open box of gambles violating trust uniformly.
 
-    ``lower``/``upper`` are componentwise *open* bounds.  ``hyperplanes``
-    holds the expert mass functions; the open set represented is the box
-    interior with the (Lebesgue-null) zero sets ``P_i(Y) = 0`` removed,
-    so membership is tested pointwise rather than carved out geometrically.
+    ``lower``/``upper`` are componentwise *open* bounds.  No expert's zero
+    hyperplane ``P_i(Y) = 0`` meets a built box, so none is carved out: a
+    negative-side box holds the Y = X + D with every D_j in (0, delta), so
+    0 < P_i(D) < delta for every mass function, and the margins keep the
+    accepting experts above zero and the others below.  A positive-side box
+    is such a box negated.
     """
 
     base: Gamble
@@ -87,7 +88,6 @@ class ViolationBox:
     lower: np.ndarray
     upper: np.ndarray
     orientation: Orientation
-    hyperplanes: tuple[ProbMass, ...]
 
     def __post_init__(self) -> None:
         if not (self.delta > 0.0 and math.isfinite(self.delta)):
@@ -111,28 +111,14 @@ class ViolationBox:
         return Gamble((self.lower + self.upper) / 2.0)
 
     def contains(self, y: Gamble) -> bool:
-        """Strict interior membership, excluding the expert hyperplanes."""
-        if y.n != self.n:
-            return False
-        inside = bool(np.all(y.values > self.lower) and np.all(y.values < self.upper))
-        return inside and all(expectation(p, y) != 0.0 for p in self.hyperplanes)
+        """Strict interior membership."""
+        return y.n == self.n and bool(
+            np.all(y.values > self.lower) and np.all(y.values < self.upper)
+        )
 
     def sample_interior(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Uniform draws from the open set; hyperplane hits are redrawn.
-
-        Exact hits have probability zero, so the redraw loop is a formality
-        that keeps the advertised set and the sampled set identical.
-        """
-        width = self.upper - self.lower
-        points = self.lower + rng.random((count, self.n)) * width
-        normals = np.vstack([p.weights for p in self.hyperplanes])
-        for _ in range(100):
-            on_plane = np.any(points @ normals.T == 0.0, axis=1)
-            if not on_plane.any():
-                return points
-            redraw = int(np.count_nonzero(on_plane))
-            points[on_plane] = self.lower + rng.random((redraw, self.n)) * width
-        raise RuntimeError("could not sample off the expert hyperplanes")  # pragma: no cover
+        """``count`` uniform draws from the box, one row each."""
+        return self.lower + rng.random((count, self.n)) * (self.upper - self.lower)
 
     def mirrored(self) -> "ViolationBox":
         """The negated box -Y, which backs the opposite strict inequality.
@@ -155,7 +141,6 @@ class ViolationBox:
             lower=-self.upper,
             upper=-self.lower,
             orientation=flipped,
-            hyperplanes=self.hyperplanes,
         )
 
 
@@ -202,7 +187,6 @@ def _negative_box(scenario: Scenario, x: Gamble, event: Event, value: float) -> 
         lower=x.values.copy(),
         upper=x.values + delta,
         orientation=Orientation.NEGATIVE_SIDE,
-        hyperplanes=tuple(scenario.expert),
     )
 
 

@@ -63,10 +63,6 @@ EXIT_TRUST_HOLDS = 3
 EXIT_EXHAUSTED = 4
 
 
-class InputError(Exception):
-    """Anything wrong with the invocation or the scenario file."""
-
-
 # ---------------------------------------------------------------------------
 # Scenario ingestion
 # ---------------------------------------------------------------------------
@@ -74,7 +70,7 @@ class InputError(Exception):
 
 def _require(condition: bool, message: str) -> None:
     if not condition:
-        raise InputError(message)
+        raise ValidationError(message)
 
 
 def load_scenario(path: str) -> tuple[Scenario, dict[str, Gamble]]:
@@ -83,9 +79,9 @@ def load_scenario(path: str) -> tuple[Scenario, dict[str, Gamble]]:
         with open(path, "r", encoding="utf-8") as handle:
             raw = json.load(handle)
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+        raise ValidationError(f"cannot read {path}: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise InputError(f"{path} is not valid JSON: {exc}") from exc
+        raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
 
     _require(isinstance(raw, dict), "scenario document must be a JSON object")
     for key in ("worlds", "agent", "expert"):
@@ -101,7 +97,7 @@ def load_scenario(path: str) -> tuple[Scenario, dict[str, Gamble]]:
     try:
         space = WorldSpace(tuple(worlds))
     except ValidationError as exc:
-        raise InputError(f"worlds: {exc}") from exc
+        raise ValidationError(f"worlds: {exc}") from exc
     n = space.n
 
     def parse_vector(values: object, field: str) -> np.ndarray:
@@ -116,14 +112,14 @@ def load_scenario(path: str) -> tuple[Scenario, dict[str, Gamble]]:
         try:
             return np.asarray(values, dtype=float)
         except OverflowError as exc:
-            raise InputError(f"{field} has a number beyond float range") from exc
+            raise ValidationError(f"{field} has a number beyond float range") from exc
 
     def parse_mass(values: object, field: str) -> ProbMass:
         vec = parse_vector(values, field)
         try:
             return ProbMass(vec)
         except ValidationError as exc:
-            raise InputError(f"{field} {exc}") from exc
+            raise ValidationError(f"{field} {exc}") from exc
 
     agent = parse_mass(raw["agent"], "agent")
     expert_raw = raw["expert"]
@@ -138,10 +134,11 @@ def load_scenario(path: str) -> tuple[Scenario, dict[str, Gamble]]:
     if "gambles" in raw:
         _require(isinstance(raw["gambles"], dict), "gambles must be an object of named vectors")
         for name, values in raw["gambles"].items():
+            vec = parse_vector(values, f"gamble {name!r}")
             try:
-                gambles[name] = Gamble(parse_vector(values, f"gamble {name!r}"))
+                gambles[name] = Gamble(vec)
             except ValidationError as exc:
-                raise InputError(f"gamble {name!r}: {exc}") from exc
+                raise ValidationError(f"gamble {name!r}: {exc}") from exc
     return scenario, gambles
 
 
@@ -344,7 +341,7 @@ def _cmd_check(args: argparse.Namespace) -> tuple[int, dict]:
     report["global"] = _verdict_fragment(scenario, check_global_trust(scenario))
     if args.gamble is not None:
         if args.gamble not in gambles:
-            raise InputError(
+            raise ValidationError(
                 f"gamble {args.gamble!r} not present in {args.scenario} "
                 f"(available: {sorted(gambles)})"
             )
@@ -459,7 +456,7 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         code, report = args.handler(args)
-    except (InputError, ValidationError) as exc:
+    except ValidationError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
     _emit(report, args.format, time.perf_counter() - started)

@@ -127,11 +127,9 @@ class Scenario:
         return self._matrix
 
     @classmethod
-    def from_weights(cls, agent, expert_rows, labels=None) -> "Scenario":
-        n = len(agent)
-        space = WorldSpace(tuple(labels)) if labels is not None else WorldSpace.of_size(n)
+    def from_weights(cls, agent, expert_rows) -> "Scenario":
         return cls(
-            space=space,
+            space=WorldSpace.of_size(len(agent)),
             agent=ProbMass(np.asarray(agent, dtype=float)),
             expert=tuple(ProbMass(np.asarray(row, dtype=float)) for row in expert_rows),
         )
@@ -354,10 +352,10 @@ def estimate_ae_trust(scenario: Scenario, sigma: float, samples: int, seed: int)
 
     def hits(xs: np.ndarray) -> np.ndarray:
         accepted, agent_value = _acceptance(scenario, xs)
-        event_prob = accepted @ pi
         partial = (xs * accepted) @ pi
         # Full acceptance reuses the agent column: no sub-ulp violations.
         partial = np.where(accepted.all(axis=1), agent_value, partial)
-        return (event_prob > 0.0) & (partial < 0.0)
+        # An event of zero agent mass has partial +-0, never below zero.
+        return partial < 0.0
 
     return mc_frequency(draw, hits, samples, seed)

@@ -18,6 +18,9 @@ Nothing here imports the implementation paths it judges:
 * the estimators' acceptance block is kept in the form each estimator once
   wrote out for itself: one stacked product, then the mask and the agent
   column;
+* ``rhs_identity``'s integrand and ``estimate_ae_trust``'s hit test are
+  kept as first written, with the guards pi(A) > 0 and pi(A^c) > 0 that
+  the algebra makes redundant;
 * a measure's chunk draw is re-drawn the long way: m uniforms pick a
   component for every sample, whatever the number of components;
 * a measure's symmetry under negation is read off its components, bit
@@ -537,6 +540,135 @@ def informed_zero_mass_scenario(rng: np.random.Generator, n: int) -> Scenario:
             picked = rng.choice(points, size=int(rng.integers(2, points.size + 1)), replace=False)
             rows.append(np.eye(n)[picked].mean(axis=0))
     return Scenario.from_weights(agent, rows)
+
+
+def dyadic_mass(rng: np.random.Generator, n: int, units: int) -> np.ndarray:
+    """A mass in multiples of 1/units: that many units dealt to random worlds."""
+    return np.bincount(rng.integers(0, n, size=units), minlength=n) / units
+
+
+def quarter_rows(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
+    """m rows of multiples of 1/4 in [-2, 2], some all +0.0, some all -0.0.
+
+    With dyadic masses every prevision of such a row is exact in any
+    summation order, so a tie P(X) = 0 is a tie for every route.
+    """
+    xs = rng.integers(-8, 9, size=(m, n)) / 4.0
+    xs[::13] = 0.0
+    xs[::17] = -0.0
+    xs[::5, 0] = -0.0
+    return xs
+
+
+def tie_rows(weights: np.ndarray) -> np.ndarray:
+    """Rows p_k e_j - p_j e_k for j < k: their prevision under p is exactly 0."""
+    n = weights.size
+    rows = []
+    for j in range(n):
+        for k in range(j + 1, n):
+            row = np.zeros(n)
+            row[j], row[k] = weights[k], -weights[j]
+            rows.append(row)
+    return np.array(rows)
+
+
+def signed_zero_rows(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
+    """m standard normal rows with +0.0 and -0.0 entries, some rows all zero."""
+    xs = rng.standard_normal((m, n))
+    xs[::7, 1] = 0.0
+    xs[::5, 0] = -0.0
+    xs[::11] = 0.0
+    xs[::13] = -0.0
+    return xs
+
+
+def dyadic_zero_mass_scenario(rng: np.random.Generator, n: int) -> Scenario:
+    """Masses in sixteenths, the agent's on 2..n-1 worlds only.
+
+    Each expert row is the agent's row, a point mass or random sixteenths,
+    so with ``quarter_rows`` every prevision is exact and acceptance events
+    of zero agent mass come up often.
+    """
+    assert n >= 3
+    agent = np.bincount(rng.choice(np.flatnonzero(_support(rng, n)), size=16), minlength=n) / 16
+    kinds = (lambda: agent, lambda: np.eye(n)[rng.integers(n)], lambda: dyadic_mass(rng, n, 16))
+    return Scenario.from_weights(agent, [kinds[rng.integers(3)]() for _ in range(n)])
+
+
+def zero_mass_suite(rng: np.random.Generator) -> list[tuple[Scenario, np.ndarray]]:
+    """(scenario, sample rows) pairs that reach every zero-mass case, n = 3..7.
+
+    Per n: six ``dyadic_zero_mass_scenario`` with ``quarter_rows`` plus the
+    ``tie_rows`` of the agent and of every expert, and one coarse and one
+    informed zero-mass scenario with ``signed_zero_rows``.  Asserts that
+    each case of ``_zero_mass_cases`` comes up at least 20 times.
+    """
+    suite = []
+    for n in range(3, 8):
+        for _ in range(6):
+            scenario = dyadic_zero_mass_scenario(rng, n)
+            weights = [scenario.agent.weights, *scenario.expert_matrix()]
+            xs = np.vstack([quarter_rows(rng, 400, n), *map(tie_rows, weights)])
+            suite.append((scenario, xs))
+        for make in (coarse_zero_mass_scenario, informed_zero_mass_scenario):
+            suite.append((make(rng, n), signed_zero_rows(rng, 2_000, n)))
+    cases = {}
+    for scenario, xs in suite:
+        for case, count in _zero_mass_cases(scenario, xs).items():
+            cases[case] = cases.get(case, 0) + count
+    assert min(cases.values()) >= 20, cases
+    return suite
+
+
+def _zero_mass_cases(scenario: Scenario, xs: np.ndarray) -> dict[str, int]:
+    """How many rows of xs fall in each case the zero-mass guards once split off.
+
+    A is the acceptance event [P(X) >= 0] of the row.
+    """
+    pi = scenario.agent.weights
+    previsions = xs @ scenario.expert_matrix().T
+    accepted = previsions >= 0.0
+    some, every = accepted.any(axis=1), accepted.all(axis=1)
+    zero = xs == 0.0
+    live = ~zero.all(axis=1)
+    return {
+        "pi(A) = 0, A nonempty": int(np.sum((accepted @ pi == 0.0) & some)),
+        "pi(A^c) = 0, A^c nonempty": int(np.sum((~accepted @ pi == 0.0) & ~every)),
+        "A empty": int(np.sum(~some)),
+        "A everything": int(np.sum(every)),
+        "P_i(X) = 0, X != 0": int(np.sum((previsions == 0.0).any(axis=1) & live)),
+        "pi(X) = 0, X != 0": int(np.sum((xs @ pi == 0.0) & live)),
+        "X = +0.0": int(np.sum((zero & ~np.signbit(xs)).all(axis=1))),
+        "X = -0.0": int(np.sum((zero & np.signbit(xs)).all(axis=1))),
+    }
+
+
+def guarded_identity_values(scenario: Scenario, xs: np.ndarray) -> np.ndarray:
+    """``rhs_identity``'s integrand as first written, with zero-mass guards.
+
+    h(X) = -pi(X 1_A) if pi(A) > 0 and pi(X) < 0, +pi(X 1_{A^c}) if
+    pi(A^c) > 0 and pi(X) >= 0, zero otherwise.
+    """
+    pi = scenario.agent.weights
+    accepted, agent_value = stacked_acceptance(scenario, xs)
+    accept_prob = accepted @ pi
+    accept_part = (xs * accepted) @ pi
+    reject_prob = (~accepted) @ pi
+    reject_part = (xs * ~accepted) @ pi
+    first = (accept_prob > 0.0) & (agent_value < 0.0)
+    second = (reject_prob > 0.0) & (agent_value >= 0.0)
+    return -accept_part * first + reject_part * second
+
+
+def guarded_ae_hits(scenario: Scenario, xs: np.ndarray) -> np.ndarray:
+    """``estimate_ae_trust``'s hit test as first written: pi(A) > 0 and pi(X 1_A) < 0."""
+    pi = scenario.agent.weights
+    accepted, agent_value = stacked_acceptance(scenario, xs)
+    event_prob = accepted @ pi
+    partial = (xs * accepted) @ pi
+    # Full acceptance reuses the agent column: no sub-ulp violations.
+    partial = np.where(accepted.all(axis=1), agent_value, partial)
+    return (event_prob > 0.0) & (partial < 0.0)
 
 
 def _solve_exact(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]] | None:

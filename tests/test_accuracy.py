@@ -24,19 +24,25 @@ from oracles import (
     coarse_zero_mass_scenario,
     component_gap,
     component_inaccuracy,
+    dyadic_mass,
     error_class,
     exact_gap,
     exact_inaccuracy,
+    guarded_identity_values,
     informed_zero_mass_scenario,
     is_almost_desirable,
     measure_gap,
     measure_inaccuracy,
+    quarter_rows,
     random_measure,
     random_scenario,
+    signed_zero_rows,
     stacked_acceptance,
+    tie_rows,
     trusting_scenario,
     wedge_gap,
     wedge_inaccuracy,
+    zero_mass_suite,
 )
 
 GAUSS = MeasureSpec.gaussian(1.0)
@@ -58,35 +64,6 @@ def integrands(monkeypatch) -> list:
     monkeypatch.setattr(accuracy, "mc_estimate", capturing)
     return captured
 
-
-def dyadic_mass(rng: np.random.Generator, n: int, units: int) -> np.ndarray:
-    """A mass in multiples of 1/units: that many units dealt to random worlds."""
-    return np.bincount(rng.integers(0, n, size=units), minlength=n) / units
-
-
-def quarter_rows(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
-    """m rows of multiples of 1/4 in [-2, 2], some all +0.0, some all -0.0.
-
-    With dyadic masses every prevision of such a row is exact in any
-    summation order, so a tie P(X) = 0 is a tie for every route.
-    """
-    xs = rng.integers(-8, 9, size=(m, n)) / 4.0
-    xs[::13] = 0.0
-    xs[::17] = -0.0
-    xs[::5, 0] = -0.0
-    return xs
-
-
-def tie_rows(weights: np.ndarray) -> np.ndarray:
-    """Rows p_k e_j - p_j e_k for j < k: their prevision under p is exactly 0."""
-    n = weights.size
-    rows = []
-    for j in range(n):
-        for k in range(j + 1, n):
-            row = np.zeros(n)
-            row[j], row[k] = weights[k], -weights[j]
-            rows.append(row)
-    return np.array(rows)
 
 # Frozen angular-quadrature values (see oracles.wedge_inaccuracy); the
 # self-check test below recomputes them from the oracle.
@@ -259,6 +236,11 @@ class TestExpectedGap:
             xs[::11] = 0.0
             got = [v.hex() for v in integrands[-1](xs).tolist()]
             assert got == [v.hex() for v in per_world(scenario, xs).tolist()]
+        # Zero-mass worlds add a signed zero to a total that starts at +0.0.
+        for scenario, xs in zero_mass_suite(np.random.default_rng(67)):
+            expected_gap(scenario, GAUSS, 1, 0)
+            got = integrands[-1](xs)
+            assert np.array_equal(got.view(np.int64), per_world(scenario, xs).view(np.int64))
 
 
 class TestRhsIdentity:
@@ -316,6 +298,16 @@ class TestRhsIdentity:
                     checked += 1
         assert checked >= 50
 
+    def test_integrand_matches_the_guarded_form(self, integrands):
+        # On an event of zero agent mass every product pi_i x_i is +-0, so
+        # the dropped guards pi(A) > 0 and pi(A^c) > 0 only chose between
+        # z * 0.0 and z * 1.0 for a signed zero z: the same bits.
+        for scenario, xs in zero_mass_suite(np.random.default_rng(59)):
+            rhs_identity(scenario, GAUSS, 1, seed=0)
+            got = integrands[-1](xs)
+            expected = guarded_identity_values(scenario, xs)
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64)), scenario
+
     def test_thread_invariance(self, anti_expert, monkeypatch):
         monkeypatch.setenv("DEFLAB_THREADS", "1")
         serial = rhs_identity(anti_expert, GAUSS, 150_000, seed=4)
@@ -359,11 +351,7 @@ class TestRhsIdentity:
                         rows_zero = xs @ scenario.expert_matrix().T == 0.0
                         expert_ties += int(np.sum(rows_zero.any(axis=1) & live))
                     else:
-                        xs = rng.standard_normal((2_000, n))
-                        xs[::7, 1] = 0.0
-                        xs[::5, 0] = -0.0
-                        xs[::11] = 0.0
-                        xs[::13] = -0.0
+                        xs = signed_zero_rows(rng, 2_000, n)
                     expected_gap(scenario, GAUSS, 1, seed=0)
                     rhs_identity(scenario, GAUSS, 1, seed=0)
                     g, h = (values(xs) for values in integrands[-2:])

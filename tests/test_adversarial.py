@@ -161,7 +161,6 @@ class TestBuildAdversarialMeasure:
             lower=np.array([5.0, 5.0, 5.0]),
             upper=np.array([6.0, 6.0, 6.0]),
             orientation=Orientation.NEGATIVE_SIDE,
-            hyperplanes=tuple(scenario.expert),
         )
         with pytest.raises(SearchExhaustedError) as excinfo:
             build_adversarial_measure(scenario, decoy, 1.0, samples=10_000, seed=0)

@@ -12,13 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import deference_lab
-from deference_lab import SearchExhaustedError, cli
+from deference_lab import SearchExhaustedError, ValidationError, cli
 from deference_lab.cli import (
     EXIT_EXHAUSTED,
     EXIT_INPUT,
     EXIT_OK,
     EXIT_TRUST_HOLDS,
-    InputError,
     load_scenario,
     main,
     scenario_digest,
@@ -263,7 +262,7 @@ def _perturbed_documents(draw):
 
 
 class TestLoadScenarioFuzz:
-    """Any JSON document either loads or raises InputError, never anything else."""
+    """Any JSON document either loads or raises ValidationError, never anything else."""
 
     @pytest.fixture(scope="class")
     def path(self, tmp_path_factory):
@@ -274,7 +273,7 @@ class TestLoadScenarioFuzz:
         path.write_text(json.dumps(document), encoding="utf-8")
         try:
             load_scenario(str(path))
-        except InputError:
+        except ValidationError:
             return False
         return True
 

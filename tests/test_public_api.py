@@ -1,11 +1,17 @@
-"""The public names: every export resolves, none is listed twice, and the set is pinned."""
+"""The public names: every export resolves, none is listed twice, and the set is pinned.
+
+The benchmark's tracer patches library functions by name, so it is run
+here too: a name it needs must not leave the package unnoticed.
+"""
 
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
 import deference_lab
+from deference_lab import adversarial
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(deference_lab.__path__))
 
@@ -61,3 +67,21 @@ def test_package_exports_are_pinned():
         "inaccuracy_mc",
         "rhs_identity",
     ]
+
+
+def test_benchmark_tracer_installs_and_restores(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
+    tracing = importlib.import_module("tracing")
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        patched = list(tracer._undo)
+        assert all(getattr(owner, name) is not original for owner, name, original in patched)
+    finally:
+        tracer.uninstall()
+    # Every (module, name) reference the tracer wraps; a new count means
+    # the benchmark's spans now see a different set of calls.
+    assert len(patched) == 37
+    assert all(getattr(owner, name) is original for owner, name, original in patched)
+    # The span wrapper names this exception in an ``except`` clause.
+    assert issubclass(adversarial.SearchExhaustedError, Exception)

@@ -26,6 +26,7 @@ from deference_lab import (
     estimate_ae_trust,
     expectation,
     expert_event,
+    trust,
 )
 from oracles import (
     coarse_trusting_scenario,
@@ -37,12 +38,14 @@ from oracles import (
     exact_witness_violates,
     expectation_loop,
     garbled_scenario,
+    guarded_ae_hits,
     informed_zero_mass_scenario,
     local_sweep_violation_mask,
     lp_margin_scipy,
     random_scenario,
     t0_violation_mask,
     trusting_scenario,
+    zero_mass_suite,
 )
 
 TOL = 1e-9
@@ -583,6 +586,23 @@ class TestAlmostEverywhereTrust:
                 assert estimate.value == 0.0
             else:
                 assert estimate.value > 5 * estimate.std_error > 0.0
+
+    def test_hits_match_the_guarded_form(self, monkeypatch):
+        # pi(A) = 0 makes pi(X 1_A) a signed zero, never below zero, so the
+        # dropped guard pi(A) > 0 changed no hit.
+        captured = []
+        original = trust.mc_frequency
+
+        def capturing(draw, hits, samples, seed):
+            captured.append(hits)
+            return original(draw, hits, samples, seed)
+
+        monkeypatch.setattr(trust, "mc_frequency", capturing)
+        for scenario, xs in zero_mass_suite(np.random.default_rng(61)):
+            estimate_ae_trust(scenario, 1.0, 1, seed=0)
+            got = captured[-1](xs)
+            assert got.dtype == bool
+            assert np.array_equal(got, guarded_ae_hits(scenario, xs)), scenario
 
     def test_deterministic_and_thread_invariant(self, anti_expert, monkeypatch):
         monkeypatch.setenv("DEFLAB_THREADS", "1")
