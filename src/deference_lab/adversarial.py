@@ -8,42 +8,35 @@ strictly positive -- the agent expects the expert to score *worse* --
 while staying admissible: the concentration is a symmetric bump pair and
 a sliver of base Gaussian keeps the density positive everywhere.
 
-How much concentration is "enough" has no a-priori bound, so the weight
-escalates geometrically toward one and each candidate is judged by its
-estimated gap; the first statistically positive candidate wins.
+The gap is affine in the bump weight w: gap(w) = (1 - w) g0 + w gb, with
+g0 the base Gaussian's gap and gb the bump pair's.  At the heaviest
+admissible weight, 1 - ``MIN_BASE_WEIGHT``, the base term shrinks to
+2^-20 g0, so a positive gb decides the sign unless it is within about
+2^-20 |g0| of zero.  No search over weights is needed: one measure, one
+estimate.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from .boxes import Orientation, ViolationBox, _require_negative_witness
 from .accuracy import expected_gap
-from .measures import BumpPair, MeasureSpec
+from .measures import MIN_BASE_WEIGHT, BumpPair, MeasureSpec
 from .sampling import ScoreEstimate
 from .trust import Scenario
 
 __all__ = ["SearchExhaustedError", "build_adversarial_measure"]
 
-#: Geometric weight ladder 1 - 2^-(k+1); 20 rungs leave the base Gaussian
-#: at least 2^-20 of the mass, as measure admissibility requires.
-MAX_WEIGHT_STEPS = 20
-
-#: How many standard errors above zero a candidate's gap must sit.
+#: How many standard errors above zero the estimated gap must sit.
 REQUIRED_SIGMAS = 5.0
 
 
 class SearchExhaustedError(RuntimeError):
-    """No candidate weight produced a statistically positive gap."""
+    """The adversarial measure's estimated gap was not statistically positive."""
 
     def __init__(self, message: str, best_weight: float, best_estimate: ScoreEstimate):
         super().__init__(message)
         self.best_weight = best_weight
         self.best_estimate = best_estimate
-
-
-def _candidate_seed(seed: int, step: int) -> int:
-    return int(np.random.SeedSequence(seed, spawn_key=(step,)).generate_state(1)[0])
 
 
 def build_adversarial_measure(
@@ -53,53 +46,37 @@ def build_adversarial_measure(
     samples: int,
     seed: int,
 ) -> tuple[MeasureSpec, ScoreEstimate]:
-    """Find an admissible measure giving this scenario a positive gap.
+    """An admissible measure giving this scenario a positive gap.
 
-    Tries bump weights 0.5, 0.75, 0.875, ... (up to 20 doublings toward 1);
-    each candidate mixes that much mass into a bump pair at the box midpoint,
-    of scale ``box.delta / 6``, on top of a base Gaussian of scale
-    ``base_sigma``.  Returns the first candidate whose estimated gap clears
-    five standard errors, together with that estimate.  Raises
-    :class:`SearchExhaustedError` carrying the best candidate seen if none
-    clears -- a sign of too few samples or a degenerate box, not of a
-    refuted theorem.  The box's negative-side base
-    (``-box.base`` on the positive side) must witness a violation of this
-    scenario: an O(n^2) check before any sampling, raising
+    The measure puts all but ``MIN_BASE_WEIGHT`` of its mass into a bump
+    pair at the box midpoint, of scale ``box.delta / 6``, on top of a base
+    Gaussian of scale ``base_sigma``.  Its gap is affine in the bump weight,
+    (1 - w) g0 + w gb.  The identity integrand is strictly positive on the
+    box and its mirror, where all but a sliver of the bump pair's mass
+    lands, so gb > 0 unless that sliver outweighs the box, and at this
+    weight the bump term outweighs the base term.  Returns the measure
+    with its gap estimated at ``seed`` when the estimate clears five
+    standard errors.  Raises :class:`SearchExhaustedError` with that
+    weight and estimate if it does not -- a sign of too few samples or a
+    degenerate box, not of a refuted theorem.  The box's negative-side
+    base (``-box.base`` on the positive side) must witness a violation of
+    this scenario: an O(n^2) check before any sampling, raising
     :class:`NotAViolationWitness` otherwise.
     """
     base = box.base if box.orientation is Orientation.NEGATIVE_SIDE else -box.base
     _require_negative_witness(scenario, base)
+    weight = 1.0 - MIN_BASE_WEIGHT
     # Three standard deviations inside every face: nearly all of each half's
     # mass (99% and change in low dimension) lands in the box and, by
     # symmetry, the negated half's lands in the mirrored box.
-    center, scale = box.midpoint(), box.delta / 6.0
-
-    def sigmas_above_zero(est: ScoreEstimate) -> float:
-        if est.std_error > 0.0:
-            return est.value / est.std_error
-        return np.inf if est.value > 0.0 else -np.inf
-
-    best_weight = 0.0
-    best_estimate: ScoreEstimate | None = None
-    best_score = -np.inf
-    for step in range(MAX_WEIGHT_STEPS):
-        weight = 1.0 - 2.0 ** -(step + 1)
-        candidate = MeasureSpec.mixture(
-            sigma=base_sigma, bumps=(BumpPair(center=center, scale=scale, weight=weight),)
-        )
-        estimate = expected_gap(scenario, candidate, samples, _candidate_seed(seed, step))
-        score = sigmas_above_zero(estimate)
-        if estimate.value > 0.0 and score > REQUIRED_SIGMAS:
-            return candidate, estimate
-        if best_estimate is None or score > best_score:
-            best_score, best_weight, best_estimate = score, weight, estimate
-
-    assert best_estimate is not None
+    bump = BumpPair(center=box.midpoint(), scale=box.delta / 6.0, weight=weight)
+    measure = MeasureSpec.mixture(sigma=base_sigma, bumps=(bump,))
+    estimate = expected_gap(scenario, measure, samples, seed)
+    if estimate.value > REQUIRED_SIGMAS * estimate.std_error:
+        return measure, estimate
     raise SearchExhaustedError(
-        f"no bump weight up to {1.0 - 2.0 ** -MAX_WEIGHT_STEPS} reached a gap "
-        f"{REQUIRED_SIGMAS} standard errors above zero with {samples} samples "
-        f"(best: weight {best_weight}, gap {best_estimate.value} "
-        f"+- {best_estimate.std_error})",
-        best_weight=best_weight,
-        best_estimate=best_estimate,
+        f"bump weight {weight} did not reach a gap {REQUIRED_SIGMAS} standard errors "
+        f"above zero with {samples} samples (gap {estimate.value} +- {estimate.std_error})",
+        best_weight=weight,
+        best_estimate=estimate,
     )

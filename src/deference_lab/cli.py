@@ -18,10 +18,11 @@ gamble), ``score`` (expected gap plus its identity form), ``identity``
 (identity form alone), ``ae-trust`` (sampled violation frequency under the
 standard Gaussian), and
 ``counterexample`` (witness, violation box, and an adversarial measure
-with a statistically positive gap).
+with a statistically positive gap, estimated at ``--seed``).
 
 Exit codes: 0 evaluated, 2 input error, 3 counterexample requested but
-trust holds, 4 adversarial search exhausted.
+trust holds, 4 the adversarial measure's gap did not clear five standard
+errors.
 
 Reports render as JSON (machine) or aligned text (human).  JSON output is
 byte-identical across reruns with the same inputs and seed: numbers carry
@@ -209,19 +210,16 @@ def _to_json(value, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _to_text(value, indent: int = 0) -> list[str]:
+def _to_text(value: dict, indent: int = 0) -> list[str]:
     pad = "  " * indent
     lines: list[str] = []
-    if isinstance(value, dict):
-        width = max((len(str(k)) for k in value), default=0)
-        for key, item in value.items():
-            if isinstance(item, dict):
-                lines.append(f"{pad}{key}:")
-                lines.extend(_to_text(item, indent + 1))
-            else:
-                lines.append(f"{pad}{str(key):<{width}}  {_scalar_text(item)}")
-    else:
-        lines.append(f"{pad}{_scalar_text(value)}")
+    width = max((len(str(k)) for k in value), default=0)
+    for key, item in value.items():
+        if isinstance(item, dict):
+            lines.append(f"{pad}{key}:")
+            lines.extend(_to_text(item, indent + 1))
+        else:
+            lines.append(f"{pad}{str(key):<{width}}  {_scalar_text(item)}")
     return lines
 
 

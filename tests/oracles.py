@@ -31,11 +31,14 @@ Nothing here imports the implementation paths it judges:
   for any n, from the bivariate-normal orthant moment;
 * under one Gaussian component N(m, s^2 I), and so under any
   ``MeasureSpec``, they are 1-D integrals over X_i of a normal CDF, taken
-  by scipy quadrature.
+  by scipy quadrature;
+* the n = 3 grid of masses in quarters, whose entries are exact floats,
+  is enumerated one scenario per orbit under world permutations.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from enum import Enum
 from fractions import Fraction
@@ -746,3 +749,27 @@ def exact_witness_violates(scenario: Scenario, witness) -> bool:
     ]
     inside = [j for j in range(scenario.n) if accepted[j]]
     return sum(pi[j] for j in inside) > 0 and sum(pi[j] * x[j] for j in inside) < 0
+
+
+#: Every probability vector on three worlds in quarters: 15 rows.
+QUARTER_ROWS = [(a / 4, b / 4, (4 - a - b) / 4) for a in range(5) for b in range(5 - a)]
+
+
+def quarter_grid_orbits() -> list[tuple[tuple[int, ...], int]]:
+    """One scenario per orbit of the n = 3 quarter grid under world permutations.
+
+    A scenario is (agent, expert rows) as indices into ``QUARTER_ROWS``.
+    Relabelling worlds by s maps the agent to agent[s] and expert row k to
+    row s[k] with its columns in the order s.  Returns (smallest key of the
+    orbit, orbit size); the sizes add up to the 15**4 scenarios of the grid.
+    """
+    index = {row: k for k, row in enumerate(QUARTER_ROWS)}
+    perms = list(itertools.permutations(range(3)))
+    moved = [[index[tuple(row[j] for j in s)] for row in QUARTER_ROWS] for s in perms]
+    orbits = []
+    for key in itertools.product(range(len(QUARTER_ROWS)), repeat=4):
+        agent, expert = key[0], key[1:]
+        orbit = {(m[agent],) + tuple(m[expert[i]] for i in s) for m, s in zip(moved, perms)}
+        if key == min(orbit):
+            orbits.append((key, len(orbit)))
+    return orbits

@@ -148,6 +148,11 @@ class TestInaccuracyMc:
         estimate = inaccuracy_mc(ProbMass(list(p)), i, GAUSS, 200_000, seed=11)
         assert abs(estimate.value - FROZEN_SCORES[(p, i)]) <= 3 * estimate.std_error
 
+    @pytest.mark.parametrize("i", [-1, 2])
+    def test_rejects_world_index_out_of_range(self, i):
+        with pytest.raises(ValidationError, match=f"world index {i} out of range for n=2"):
+            inaccuracy_mc(ProbMass([0.5, 0.5]), i, GAUSS, 10, seed=0)
+
     def test_confidence_shrinks_the_score(self):
         # A mass more confident of world 1 errs there on a smaller region.
         confident = inaccuracy_mc(ProbMass([0.9, 0.1]), 0, GAUSS, 100_000, seed=5)

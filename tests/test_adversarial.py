@@ -21,7 +21,13 @@ from deference_lab import (
     expected_gap,
     rhs_identity,
 )
-from oracles import assert_negation_symmetric, random_scenario
+from deference_lab.measures import MIN_BASE_WEIGHT
+from oracles import (
+    QUARTER_ROWS,
+    assert_negation_symmetric,
+    quarter_grid_orbits,
+    random_scenario,
+)
 
 
 def _informed_but_flawed() -> Scenario:
@@ -80,12 +86,13 @@ class TestBumpPair:
 
 class TestBuildAdversarialMeasure:
     def test_anti_expert_succeeds_immediately(self, anti_expert):
-        # The plain-Gaussian gap is already positive here, so the very
-        # first candidate weight clears the bar and only widens it.
+        # The plain-Gaussian gap is already positive here, and the bump
+        # pair only widens it.
         box = build_violation_box(anti_expert, Gamble([1.0, -1.0]))
         measure, estimate = build_adversarial_measure(anti_expert, box, 1.0, 100_000, seed=0)
-        assert measure.bumps[0].weight == 0.5
+        assert measure.bumps[0].weight == 1.0 - MIN_BASE_WEIGHT
         assert estimate.value > 5 * estimate.std_error
+        assert estimate.seed == 0
 
     def test_trust_holding_scenario_is_rejected(self, truth_expert, anti_expert):
         box = build_violation_box(anti_expert, Gamble([1.0, -1.0]))
@@ -100,7 +107,8 @@ class TestBuildAdversarialMeasure:
 
     def test_gaussian_negative_scenario_needs_concentration(self):
         # Violated, but the plain Gaussian scores the expert *better*; the
-        # search must walk the weight ladder past 0.5 and still succeed.
+        # bump pair's positive gap must outweigh the base Gaussian's
+        # negative one, which its weight of all but 2^-20 does.
         scenario = _informed_but_flawed()
         plain = expected_gap(scenario, MeasureSpec.gaussian(1.0), 400_000, seed=1)
         assert plain.value < -5 * plain.std_error
@@ -144,13 +152,13 @@ class TestBuildAdversarialMeasure:
         scenario = Scenario.from_weights([0.5, 0.5], [[0.9, 0.1], [0.9, 0.1]])
         box = build_positive_box(scenario, Gamble([-1.0, 5.0]))
         measure, estimate = build_adversarial_measure(scenario, box, 1.0, 20_000, seed=0)
-        assert measure.bumps[0].weight == 0.5
+        assert measure.bumps[0].weight == 1.0 - MIN_BASE_WEIGHT
         assert estimate.value > 5 * estimate.std_error
 
     def test_exhaustion_reports_best_candidate(self):
         # A decoy box deep in trust-satisfied territory contributes nothing,
         # and this scenario's Gaussian gap is negative: no weight can win.
-        # Its base is the scenario's real witness, as the search requires.
+        # Its base is the scenario's real witness, as the build requires.
         scenario = _informed_but_flawed()
         decoy = ViolationBox(
             base=check_global_trust(scenario).witness,
@@ -164,12 +172,13 @@ class TestBuildAdversarialMeasure:
         )
         with pytest.raises(SearchExhaustedError) as excinfo:
             build_adversarial_measure(scenario, decoy, 1.0, samples=10_000, seed=0)
-        assert 0.0 < excinfo.value.best_weight < 1.0
+        assert excinfo.value.best_weight == 1.0 - MIN_BASE_WEIGHT
         assert excinfo.value.best_estimate.samples == 10_000
+        assert excinfo.value.best_estimate.seed == 0
 
     def test_two_case_split_over_random_violations(self):
         # Witnesses on either side of the agent's desirability boundary
-        # feed the matching box construction; the search succeeds for all.
+        # feed the matching box construction; the measure succeeds for all.
         rng = np.random.default_rng(2024)
         seen = {"negative": 0, "positive": 0}
         attempts = 0
@@ -191,3 +200,23 @@ class TestBuildAdversarialMeasure:
             assert measure.base_weight > 0.0
         assert seen["negative"] > 0 and seen["positive"] > 0  # 9 and 1 for this seed
         assert sum(seen.values()) == 10
+
+    def test_every_buildable_quarter_grid_box(self):
+        # The n = 3 grid of masses in quarters, one scenario per orbit under
+        # world permutations: wherever the box step succeeds, the measure
+        # step must too.  Box-step failures are the box's own defect.
+        box_failures = built = 0
+        for key, _ in quarter_grid_orbits():
+            agent, *expert = (QUARTER_ROWS[k] for k in key)
+            scenario = Scenario.from_weights(agent, expert)
+            verdict = check_global_trust(scenario)
+            if verdict.holds:
+                continue
+            try:
+                box = build_violation_box(scenario, verdict.witness)
+            except ValidationError:
+                box_failures += 1
+                continue
+            build_adversarial_measure(scenario, box, 1.0, 2_000, seed=0)
+            built += 1
+        assert built + box_failures == 8_154  # every violating orbit representative

@@ -1,5 +1,6 @@
 """Open violation boxes: margins, bounds, and the uniform-violation contract."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from deference_lab import (
     NotAViolationWitness,
     Orientation,
     Scenario,
+    ValidationError,
     build_positive_box,
     build_violation_box,
     check_global_trust,
@@ -96,6 +98,19 @@ class TestViolationBox:
         assert not box.contains(Gamble([1.5, 0.0]))  # on a zero hyperplane... and a face
         assert not box.contains(Gamble([1.5, -1.5]))  # outside
         assert not box.contains(Gamble([1.0, -0.5]))  # on an open face
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"delta": 0.0}, "box width must be positive and finite, got 0.0"),
+            ({"value_margin": 0.5}, "box width exceeds the margins that justify it"),
+            ({"upper": np.array([2.0, -1.0])}, "box must be nonempty and open in every"),
+        ],
+    )
+    def test_construction_checks(self, anti_expert, change, message):
+        box = build_violation_box(anti_expert, Gamble([1.0, -1.0]))
+        with pytest.raises(ValidationError, match=message):
+            dataclasses.replace(box, **change)
 
     def test_width_capped_inside_negative_prevision_region(self, anti_expert):
         # pi(X) = -0.25, margins are 0.75: the cap must win so every box

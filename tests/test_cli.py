@@ -23,6 +23,7 @@ from deference_lab.cli import (
     scenario_digest,
     scenario_to_document,
 )
+from deference_lab.measures import MIN_BASE_WEIGHT
 from deference_lab.sampling import ScoreEstimate
 
 ANTI = {
@@ -45,6 +46,11 @@ POSITIVE_SIDE = {
     "worlds": ["w1", "w2"],
     "agent": [0.3, 0.7],
     "expert": [[0.1, 0.9], [0.4, 0.6]],
+}
+SCALE_N3 = {
+    "worlds": ["w1", "w2", "w3"],
+    "agent": [0.2, 0.5, 0.3],
+    "expert": [[0.6, 0.3, 0.1], [0.1, 0.7, 0.2], [0.25, 0.25, 0.5]],
 }
 # Byte-exact ``counterexample --samples 20000 --seed 7`` report on POSITIVE_SIDE.
 POSITIVE_SIDE_REPORT = """\
@@ -74,20 +80,53 @@ POSITIVE_SIDE_REPORT = """\
   "measure": {
     "kind": "mixture",
     "sigma": 1.0,
-    "base_weight": 0.5,
+    "base_weight": 9.5367431640625e-07,
     "bumps": [{
       "center": [1.1000000000000001, -0.23333333333333328],
       "scale": 0.033333333333333312,
-      "weight": 0.5
+      "weight": 0.99999904632568359
     }]
   },
   "gap": {
-    "value": 0.19425609838045171,
-    "std_error": 0.0012412040873283458,
+    "value": 0.32981405766793076,
+    "std_error": 8.6179500758649258e-05,
     "samples": 20000,
-    "seed": 1201125462
+    "seed": 7
   }
 }
+"""
+# The same report as ``--format text``, less its closing ``wall_clock_s`` line.
+POSITIVE_SIDE_TEXT = """\
+command   counterexample
+scenario  scenario.json
+digest    sha256:4afd0b53958b16ead075bab52cdc7d687913973ae17428c1cf718b28bc74d41b
+sigma     1.0
+samples   20000
+seed      7
+verdict:
+  holds          false
+  margin         0.19999999999999987
+  witness        [1.0, -0.3333333333333332]
+  witness_event  [w2]
+  witness_value  -0.3333333333333332
+box:
+  orientation   negative_side
+  event         [w2]
+  value_margin  0.3333333333333332
+  event_margin  0.19999999999999987
+  delta         0.19999999999999987
+  lower         [1.0, -0.3333333333333332]
+  upper         [1.2, -0.13333333333333333]
+measure:
+  kind         mixture
+  sigma        1.0
+  base_weight  9.5367431640625e-07
+  bumps        [{center: [1.1000000000000001, -0.23333333333333328], scale: 0.033333333333333312, weight: 0.99999904632568359}]
+gap:
+  value      0.32981405766793076
+  std_error  8.6179500758649258e-05
+  samples    20000
+  seed       7
 """
 # Byte-exact ``score --samples 131195 --seed 7`` report on POSITIVE_SIDE: two
 # full Monte-Carlo chunks and a partial one, gap and identity on one draw.
@@ -328,6 +367,20 @@ class TestScore:
         assert code == EXIT_OK
         assert capsys.readouterr().out == POSITIVE_SIDE_SCORE
 
+    @pytest.mark.parametrize("document", [ANTI, TRUTH, MIRROR_AGENT, POSITIVE_SIDE, SCALE_N3])
+    @pytest.mark.parametrize("sigma, factor", [("2", 2.0), ("0.5", 0.5)])
+    def test_sigma_scales_the_report_exactly(self, capsys, scenario_file, document, sigma, factor):
+        # Both integrands are positively homogeneous of degree one, and a
+        # power-of-two scale multiplies every draw without rounding.
+        path = scenario_file(document)
+        argv = ["score", path, "--samples", "10000", "--seed", "3"]
+        _, unit = run_cli(capsys, *argv)
+        _, scaled = run_cli(capsys, *argv, "--sigma", sigma)
+        assert scaled["sigma"] == factor
+        for key in ("gap", "identity"):
+            assert scaled[key]["value"] == factor * unit[key]["value"]
+            assert scaled[key]["std_error"] == factor * unit[key]["std_error"]
+
     def test_rejects_bad_sigma(self, capsys, scenario_file):
         assert main(["score", scenario_file(ANTI), "--sigma", "0"]) == EXIT_INPUT
         assert main(["score", scenario_file(ANTI), "--samples", "0"]) == EXIT_INPUT
@@ -391,8 +444,8 @@ class TestCounterexample:
         assert box["delta"] > 0.0
         measure = report["measure"]
         assert measure["kind"] == "mixture"
-        assert measure["bumps"][0]["weight"] == 0.5  # succeeds at the first rung
-        assert measure["base_weight"] > 0.0
+        assert measure["bumps"][0]["weight"] == 1.0 - MIN_BASE_WEIGHT
+        assert measure["base_weight"] == MIN_BASE_WEIGHT
         gap = report["gap"]
         assert gap["value"] > 5 * gap["std_error"]
 
@@ -405,6 +458,20 @@ class TestCounterexample:
         out = capsys.readouterr().out
         assert '"orientation": "negative_side"' in out
         assert out == POSITIVE_SIDE_REPORT
+        report = json.loads(out)
+        assert report["measure"]["bumps"][0]["weight"] == 1.0 - MIN_BASE_WEIGHT
+        gap = report["gap"]
+        assert gap["value"] > 5 * gap["std_error"]
+        assert gap["seed"] == report["seed"] == 7
+
+    def test_positive_side_text_bytes(self, capsys, scenario_file, tmp_path, monkeypatch):
+        scenario_file(POSITIVE_SIDE)
+        monkeypatch.chdir(tmp_path)
+        argv = ["counterexample", "scenario.json", "--samples", "20000", "--seed", "7"]
+        assert main(argv + ["--format", "text"]) == EXIT_OK
+        *lines, timing = capsys.readouterr().out.splitlines()
+        assert timing.startswith("wall_clock_s  ")
+        assert "\n".join(lines) + "\n" == POSITIVE_SIDE_TEXT
 
     def test_witness_on_an_accepting_hyperplane_gets_a_box(self, capsys, scenario_file):
         # pi(X) > 0 and P_1(X) = 0.0 for an accepting expert: a box below X

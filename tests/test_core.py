@@ -79,6 +79,22 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             Event(2, frozenset({-1}))
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: WorldSpace.of_size(0), r"world count must be >= 1, got 0"),
+            (lambda: Event(0), r"event needs a space of >= 1 worlds, got n=0"),
+            (
+                lambda: Gamble([[1.0, 2.0]]),
+                r"gamble must be a nonempty 1-D real vector, got shape \(1, 2\)",
+            ),
+        ],
+        ids=["world-count", "event-space", "gamble-shape"],
+    )
+    def test_sizes_and_shapes_are_checked(self, build, message):
+        with pytest.raises(ValidationError, match=message):
+            build()
+
     def test_mass_rejects_negative_weights(self):
         with pytest.raises(ValidationError):
             ProbMass([-0.1, 1.1])

@@ -52,6 +52,13 @@ class TestMeasureSpec:
             MeasureSpec.mixture(1.0, (_pair([1.0], weight=0.6), _pair([2.0], weight=0.4)))
         spec = MeasureSpec.mixture(1.0, (_pair([1.0], weight=1.0 - 2 * MIN_BASE_WEIGHT),))
         assert spec.base_weight >= MIN_BASE_WEIGHT
+        # The floor itself is admissible, with nothing lost to rounding...
+        spec = MeasureSpec.mixture(1.0, (_pair([1.0], weight=1.0 - MIN_BASE_WEIGHT),))
+        assert spec.base_weight == MIN_BASE_WEIGHT
+        # ...and one ulp more bump mass is not.
+        heavier = float(np.nextafter(1.0 - MIN_BASE_WEIGHT, 2.0))
+        with pytest.raises(ValidationError, match="must keep at least"):
+            MeasureSpec.mixture(1.0, (_pair([1.0], weight=heavier),))
 
     def test_dimension_consistency(self):
         with pytest.raises(ValidationError):

@@ -608,7 +608,7 @@ class TestDrawMemo:
         for command in ("score", "identity", "ae-trust", "counterexample"):
             assert main([command, str(path), "--samples", "2000"]) == 0
         capsys.readouterr()
-        assert len(draws) >= 8 + 5  # score 2, identity 1, ae-trust 1, counterexample 1+ rungs
+        assert len(draws) == 8 + 5  # score 2, identity 1, ae-trust 1, counterexample 1
         assert all(isinstance(getattr(draw, "_memo_key", None), tuple) for draw in draws)
 
     def test_cli_score_draws_each_chunk_once(self, chunk_draws, tmp_path, capsys):

@@ -1,7 +1,6 @@
 """Local and global trust decisions, against hand values and oracles."""
 
 import hashlib
-import itertools
 import math
 import os
 import subprocess
@@ -29,6 +28,7 @@ from deference_lab import (
     trust,
 )
 from oracles import (
+    QUARTER_ROWS,
     coarse_trusting_scenario,
     coarse_zero_mass_scenario,
     dependent_rows_scenario,
@@ -42,6 +42,7 @@ from oracles import (
     informed_zero_mass_scenario,
     local_sweep_violation_mask,
     lp_margin_scipy,
+    quarter_grid_orbits,
     random_scenario,
     t0_violation_mask,
     trusting_scenario,
@@ -400,30 +401,6 @@ def _repeated_row_scenario(rng: np.random.Generator, n: int) -> Scenario:
     return Scenario.from_weights(agent, [distinct[i % 2] for i in range(n)])
 
 
-#: Every probability vector on three worlds in quarters: 15 rows.
-QUARTER_ROWS = [(a / 4, b / 4, (4 - a - b) / 4) for a in range(5) for b in range(5 - a)]
-
-
-def _quarter_grid_orbits() -> list[tuple[tuple[int, ...], int]]:
-    """One scenario per orbit of the n = 3 quarter grid under world permutations.
-
-    A scenario is (agent, expert rows) as indices into ``QUARTER_ROWS``.
-    Relabelling worlds by s maps the agent to agent[s] and expert row k to
-    row s[k] with its columns in the order s.  Returns (smallest key of the
-    orbit, orbit size); the sizes add up to the 15**4 scenarios of the grid.
-    """
-    index = {row: k for k, row in enumerate(QUARTER_ROWS)}
-    perms = list(itertools.permutations(range(3)))
-    moved = [[index[tuple(row[j] for j in s)] for row in QUARTER_ROWS] for s in perms]
-    orbits = []
-    for key in itertools.product(range(len(QUARTER_ROWS)), repeat=4):
-        agent, expert = key[0], key[1:]
-        orbit = {(m[agent],) + tuple(m[expert[i]] for i in s) for m, s in zip(moved, perms)}
-        if key == min(orbit):
-            orbits.append((key, len(orbit)))
-    return orbits
-
-
 class TestQuarterGrid:
     """The n = 3 grid of rows in quarters, whose masses are exact floats.
 
@@ -435,7 +412,7 @@ class TestQuarterGrid:
     """
 
     def test_decisions_and_witnesses_match_exact_arithmetic(self):
-        orbits = _quarter_grid_orbits()
+        orbits = quarter_grid_orbits()
         assert sum(size for _, size in orbits) == len(QUARTER_ROWS) ** 4 == 50_625
         holding = 0
         for key, size in orbits:
@@ -622,6 +599,13 @@ class TestAlmostEverywhereTrust:
 
 
 class TestScenarioValidation:
+    @pytest.mark.parametrize("agent", [[1.0], [0.25, 0.25, 0.5]])
+    def test_agent_size_must_match(self, agent):
+        rows = (ProbMass([1.0, 0.0]), ProbMass([0.0, 1.0]))
+        message = f"agent mass has {len(agent)} worlds, space has 2"
+        with pytest.raises(ValidationError, match=message):
+            Scenario(WorldSpace.of_size(2), ProbMass(agent), rows)
+
     def test_row_count_must_match(self):
         with pytest.raises(ValidationError):
             Scenario.from_weights([0.5, 0.5], [[1.0, 0.0]])
