@@ -78,14 +78,16 @@ def expected_gap(
     it is the expert.  So every nonzero term has the bits of
     ``pi_i |x_i| (+-1)``, a world with ``pi_i = 0`` adds a signed zero that
     leaves the running total (from +0.0) unchanged, and adding the worlds in
-    order is the per-world sum bit for bit.
+    order is the per-world sum bit for bit.  The verdicts ``a - e_i`` are
+    int8 differences of the acceptance bytes; their values -1, 0 and +1
+    (never -0) promote to float exactly in the product with ``x_i pi_i``.
     """
     pi = scenario.agent.weights
 
     def values(xs: np.ndarray) -> np.ndarray:
         expert_accepts, agent_value = _acceptance(scenario, xs)
         agent_accepts = (agent_value >= 0.0)[:, None]
-        verdicts = np.subtract(agent_accepts, expert_accepts, dtype=float)
+        verdicts = agent_accepts.view(np.int8) - expert_accepts.view(np.int8)
         total = np.zeros(len(xs))
         for term in (xs * pi * verdicts).T:
             total += term

@@ -381,7 +381,7 @@ def component_pick_sampler(measure, dim: int):
 
     def draw(rng: np.random.Generator, m: int) -> np.ndarray:
         which = np.searchsorted(edges, rng.random(m), side="right")
-        np.minimum(which, len(weights) - 1, out=which)  # guard u == 1.0 rounding
+        np.minimum(which, len(weights) - 1, out=which)  # a last edge may round below 1.0
         z = rng.standard_normal((m, dim))
         z *= scales[which, None]
         z += means[which]
@@ -409,11 +409,11 @@ def assert_negation_symmetric(measure, dim: int) -> None:
     assert np.array_equal((-means[plus]).view(np.int64), means[minus].view(np.int64))
 
 
-def random_measure(rng: np.random.Generator, dim: int):
-    """A random admissible measure: Gaussian base plus 1-2 bump pairs."""
+def random_measure(rng: np.random.Generator, dim: int, pairs: int | None = None):
+    """A random admissible measure: Gaussian base plus ``pairs`` (else 1-2) bump pairs."""
     from deference_lab import BumpPair, Gamble, MeasureSpec
 
-    count = int(rng.integers(1, 3))
+    count = int(rng.integers(1, 3)) if pairs is None else pairs
     budget = float(rng.uniform(0.2, 0.8))
     shares = rng.dirichlet(np.ones(count)) * budget
     bumps = tuple(
@@ -621,6 +621,33 @@ def zero_mass_suite(rng: np.random.Generator) -> list[tuple[Scenario, np.ndarray
             cases[case] = cases.get(case, 0) + count
     assert min(cases.values()) >= 20, cases
     return suite
+
+
+def wide_scenario_rows(rng: np.random.Generator) -> tuple[Scenario, np.ndarray]:
+    """An n = 300 scenario, past a byte's count of experts, and rows for it.
+
+    The agent has zero mass on every seventh world but the last; 256
+    experts equal it and 44 are point masses at worlds other than the
+    last.  Most rows are normals whose point-mass coordinates are >= 0 and
+    whose last coordinate brings pi(X) to about 0, so either all 300
+    experts accept or just the 44 do, and on about one full-acceptance row
+    in ten a re-summed pi(X 1_A) takes the other sign from the agent
+    column.  ``signed_zero_rows`` add +-0.0, and the
+    agent's ``tie_rows`` on its first 20 worlds add exact ties P_i(X) = 0.
+    """
+    n = 300
+    agent = rng.dirichlet(np.ones(n))
+    agent[:-1:7] = 0.0
+    agent /= agent.sum()
+    points = rng.choice(np.arange(n - 1), size=44, replace=False)
+    scenario = Scenario.from_weights(agent, [agent] * 256 + list(np.eye(n)[points]))
+    pi = scenario.agent.weights
+    near_zero = rng.standard_normal((3_000, n))
+    near_zero[:, points] = np.abs(near_zero[:, points])
+    near_zero[:, -1] -= (near_zero @ pi) / pi[-1]
+    ties = np.zeros((190, n))
+    ties[:, :20] = tie_rows(pi[:20])
+    return scenario, np.vstack([near_zero, signed_zero_rows(rng, 1_000, n), ties])
 
 
 def _zero_mass_cases(scenario: Scenario, xs: np.ndarray) -> dict[str, int]:

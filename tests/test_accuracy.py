@@ -42,6 +42,7 @@ from oracles import (
     trusting_scenario,
     wedge_gap,
     wedge_inaccuracy,
+    wide_scenario_rows,
     zero_mass_suite,
 )
 
@@ -242,7 +243,8 @@ class TestExpectedGap:
             got = [v.hex() for v in integrands[-1](xs).tolist()]
             assert got == [v.hex() for v in per_world(scenario, xs).tolist()]
         # Zero-mass worlds add a signed zero to a total that starts at +0.0.
-        for scenario, xs in zero_mass_suite(np.random.default_rng(67)):
+        cases = zero_mass_suite(np.random.default_rng(67))
+        for scenario, xs in [*cases, wide_scenario_rows(np.random.default_rng(73))]:
             expected_gap(scenario, GAUSS, 1, 0)
             got = integrands[-1](xs)
             assert np.array_equal(got.view(np.int64), per_world(scenario, xs).view(np.int64))

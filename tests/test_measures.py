@@ -171,3 +171,61 @@ class TestOneComponentDraw:
             drawn.random(m)
             advanced.bit_generator.advance(m)
             assert drawn.bit_generator.state == advanced.bit_generator.state
+
+
+class _ChosenDraws:
+    """A generator stand-in: chosen uniforms, then fixed normals."""
+
+    def __init__(self, uniforms: np.ndarray):
+        self.uniforms = uniforms
+
+    def random(self, m: int) -> np.ndarray:
+        assert m == self.uniforms.size
+        return self.uniforms.copy()
+
+    def standard_normal(self, shape: tuple[int, int]) -> np.ndarray:
+        return np.sin(np.arange(1.0, shape[0] * shape[1] + 1.0)).reshape(shape)
+
+
+class TestMixturePick:
+    """The counted pick against the oracle's clipped ``searchsorted``."""
+
+    DIM = 3
+
+    def _assert_pick_matches(self, spec: MeasureSpec, rng: np.random.Generator) -> None:
+        edges = np.cumsum(spec.components(self.DIM)[0])
+        uniforms = np.concatenate(
+            [
+                [0.0, np.nextafter(1.0, 0.0)],
+                edges[edges < 1.0],  # random() is in [0, 1): never an edge of 1.0
+                np.nextafter(edges, 0.0),
+                rng.random(64),
+            ]
+        )
+        fast = spec.sampler(self.DIM)(_ChosenDraws(uniforms), uniforms.size)
+        slow = component_pick_sampler(spec, self.DIM)(_ChosenDraws(uniforms), uniforms.size)
+        assert _same_bits(fast, slow)
+
+    @pytest.mark.parametrize("components", [3, 5, 9, 17, 33, 65])
+    def test_on_and_below_every_edge(self, components):
+        rng = np.random.default_rng(components)
+        for _ in range(4):
+            spec = random_measure(rng, self.DIM, pairs=(components - 1) // 2)
+            assert len(spec.components(self.DIM)[0]) == components
+            self._assert_pick_matches(spec, rng)
+
+    def test_zero_weight_bump_gives_duplicate_edges(self):
+        bumps = (_pair([1.0, 2.0, 3.0], weight=0.3), _pair([-1.0, 0.5, 2.0], weight=0.0))
+        spec = MeasureSpec.mixture(0.8, bumps + (_pair([0.0, -2.0, 1.0], weight=0.2),))
+        edges = np.cumsum(spec.components(self.DIM)[0])
+        assert np.unique(edges).size < edges.size
+        self._assert_pick_matches(spec, np.random.default_rng(1))
+
+    def test_last_edge_below_one(self):
+        # Halves of 0.15 after a base of 0.85 sum to the float below 1.0, so
+        # the uniform 1 - 2**-53 sits on the last edge and picks the last
+        # component only through the clip.
+        spec = MeasureSpec.mixture(1.0, (_pair([1.0, -1.0, 0.5], weight=0.15),))
+        edges = np.cumsum(spec.components(self.DIM)[0])
+        assert edges[-1] == np.nextafter(1.0, 0.0)
+        self._assert_pick_matches(spec, np.random.default_rng(2))

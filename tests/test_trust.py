@@ -46,6 +46,7 @@ from oracles import (
     random_scenario,
     t0_violation_mask,
     trusting_scenario,
+    wide_scenario_rows,
     zero_mass_suite,
 )
 
@@ -566,7 +567,8 @@ class TestAlmostEverywhereTrust:
 
     def test_hits_match_the_guarded_form(self, monkeypatch):
         # pi(A) = 0 makes pi(X 1_A) a signed zero, never below zero, so the
-        # dropped guard pi(A) > 0 changed no hit.
+        # dropped guard pi(A) > 0 changed no hit.  The n = 300 case counts
+        # past 255 accepting experts, where a byte count would wrap.
         captured = []
         original = trust.mc_frequency
 
@@ -575,7 +577,8 @@ class TestAlmostEverywhereTrust:
             return original(draw, hits, samples, seed)
 
         monkeypatch.setattr(trust, "mc_frequency", capturing)
-        for scenario, xs in zero_mass_suite(np.random.default_rng(61)):
+        cases = zero_mass_suite(np.random.default_rng(61))
+        for scenario, xs in [*cases, wide_scenario_rows(np.random.default_rng(71))]:
             estimate_ae_trust(scenario, 1.0, 1, seed=0)
             got = captured[-1](xs)
             assert got.dtype == bool
@@ -596,6 +599,13 @@ class TestAlmostEverywhereTrust:
     def test_rejects_non_finite_sigma(self, anti_expert, sigma):
         with pytest.raises(ValidationError, match="positive and finite"):
             estimate_ae_trust(anti_expert, sigma, 10, seed=0)
+
+    def test_acceptance_mask_is_contiguous(self):
+        # Every estimator multiplies by the mask; a strided one is ~3x slower.
+        rng = np.random.default_rng(79)
+        for n in (2, 5, 300):
+            accepted, agent_value = trust._acceptance(random_scenario(rng, n), rng.standard_normal((64, n)))
+            assert accepted.flags.c_contiguous and agent_value.flags.c_contiguous
 
 
 class TestScenarioValidation:
