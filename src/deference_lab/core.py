@@ -38,8 +38,12 @@ __all__ = [
     "conditional_expectation",
 ]
 
-#: Construction tolerance for probability mass normalization.
-MASS_TOL = 1e-12
+#: The one slack tau of every floating-point decision.  A mass must sum to 1
+#: within it, and :func:`deference_lab.trust.check_global_trust` counts a
+#: class residual, an entry of K' or a row sum of K' within it of zero as
+#: zero.  A trust verdict "holds" therefore means that this float scenario
+#: passes within tau, not that its exact rational reading does.
+SLACK = 1e-12
 
 
 class ValidationError(ValueError):
@@ -158,7 +162,7 @@ class Event:
 class ProbMass:
     """A probability mass function over the worlds.
 
-    Weights must be in [0, 1] and sum to 1 within ``MASS_TOL``; they are then
+    Weights must be in [0, 1] and sum to 1 within ``SLACK``; they are then
     renormalized exactly once at construction so every downstream sum works
     from the same, consistent vector.  The induced expectation functional
     (see :func:`expectation`) is coherent by construction.
@@ -171,8 +175,8 @@ class ProbMass:
         if np.any(arr < 0.0) or np.any(arr > 1.0):
             raise ValidationError(f"mass weights must lie in [0, 1], got {arr.tolist()}")
         total = float(_ordered_sum(arr))
-        if abs(total - 1.0) > MASS_TOL:
-            raise ValidationError(f"mass sums to {total!r}, expected 1 within {MASS_TOL}")
+        if abs(total - 1.0) > SLACK:
+            raise ValidationError(f"mass sums to {total!r}, expected 1 within {SLACK}")
         normalized = arr / total
         normalized.flags.writeable = False
         object.__setattr__(self, "weights", normalized)

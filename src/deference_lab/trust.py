@@ -48,8 +48,11 @@ per world.  Three checks live here:
   continuous with Lebesgue measure: a violation set of positive Lebesgue
   measure is hit with positive probability.
 
-Verdicts carry a witness normalized to threshold zero: the witness gamble
-X satisfies ``pi(X | [P(X) >= 0]) < 0`` with the stored event and value.
+Floating point decides within the one slack tau = ``core.SLACK``: "holds"
+means that this float scenario passes within tau, and every class or chain
+residual above tau yields a witness.  Verdicts carry a witness normalized
+to threshold zero: the witness gamble X satisfies
+``pi(X | [P(X) >= 0]) < 0`` with the stored event and value.
 """
 
 from __future__ import annotations
@@ -59,6 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    SLACK,
     Event,
     Gamble,
     ProbMass,
@@ -79,14 +83,6 @@ __all__ = [
     "check_global_trust",
     "estimate_ae_trust",
 ]
-
-# A class whose agent mass leaves a least-squares residual above this lies
-# outside the row space of the distinct expert rows.
-_RESIDUAL_SLACK = 1e-10
-
-# Entries of K' within this of zero count as zero in the sign test; trusting
-# mixtures built in floating point sit about 1e-17 off the boundary.
-_SIGN_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -209,10 +205,7 @@ def check_local_trust(scenario: Scenario, x: Gamble) -> TrustVerdict:
             return TrustVerdict(
                 holds=False, witness=x, witness_event=event, witness_value=cond
             )
-        slack = v - cond
-        outside = [v - pv for pv in values if pv < v]
-        if outside:
-            slack = min(slack, min(outside))
+        slack = min([v - cond, *(v - pv for pv in values if pv < v)])
         witness = x.shifted(slack / 2.0 - v)
         event0 = expert_event(scenario, witness, 0.0)
         value0 = conditional_expectation(scenario.agent, witness, event0)
@@ -229,12 +222,11 @@ def check_global_trust(scenario: Scenario) -> TrustVerdict:
     Groups identical expert rows into classes, drops the classes of zero
     agent mass and decides by the module docstring.  Linearly dependent
     distinct rows fail on the chain prefix with the largest residual; full
-    rank takes the sign test: the largest class residual above
-    ``_RESIDUAL_SLACK`` fails first, then the largest off-diagonal entry of
-    K' above ``_SIGN_SLACK``, then the most negative row sum below
-    ``-_SIGN_SLACK``.  The offence picked yields the closed-form witness,
-    whose violation is re-checked in floating point (``RuntimeError`` if it
-    is lost).
+    rank takes the sign test within the slack tau: the largest class
+    residual above tau fails first, then the largest off-diagonal entry of
+    K' above tau, then the most negative row sum below -tau.  The offence
+    picked yields the closed-form witness, whose violation is re-checked
+    in floating point (``RuntimeError`` if it is lost).
     """
     e = scenario.expert_matrix()
     pi = scenario.agent.weights
@@ -254,18 +246,23 @@ def check_global_trust(scenario: Scenario) -> TrustVerdict:
     else:
         pinv = basis_vt.T @ (basis_u.T / sv[:, None])  # least-norm X for E'X = u is pinv @ u
         kq = pinv.T @ masses  # K'
+        # Projected twice: one pass leaves about 1e-17 of the row space in
+        # a residual of size eps, and the witness moves about 1/eps^2 along
+        # it, so near eps = 1e-9 that leftover would outweigh the +-1
+        # expert previsions and lose the violation.
         residual = masses - basis_vt.T @ (basis_vt @ masses)
+        residual -= basis_vt.T @ (basis_vt @ residual)
         sizes = np.linalg.norm(residual, axis=0)
         off = kq - np.diag(np.diag(kq))
         rows = kq.sum(axis=1)
 
-        if sizes.max() > _RESIDUAL_SLACK:
+        if sizes.max() > SLACK:
             c = int(np.argmax(sizes))
             inside, direction = np.arange(k) == c, -residual[:, c]
-        elif off.max() > _SIGN_SLACK:
+        elif off.max() > SLACK:
             d, c = np.unravel_index(np.argmax(off), off.shape)
             inside, direction = np.arange(k) == c, -pinv[:, d]
-        elif rows.min() < -_SIGN_SLACK:
+        elif rows.min() < -SLACK:
             d = int(np.argmin(rows))
             inside, direction = np.ones(k, dtype=bool), pinv[:, d]
         else:
@@ -305,11 +302,11 @@ def _chain_offence(
     ``u = E' y`` for the ordering vector ``y_j = sin(j + 1)``: the sines of
     distinct integers are linearly independent over the rationals (e^i is
     transcendental), so in exact arithmetic distinct rational rows never
-    tie.  Each cut t between two
-    consecutive distinct values of u, and one below the least, accepts the
-    upper set ``{c : u_c >= t}`` at ``X = y - t``.  The prefix whose agent
-    mass leaves the largest residual off the row space ``basis`` fails
-    along that residual, which moves no positive-mass expert prevision.
+    tie.  Each cut t between two consecutive distinct values of u, and one
+    below the least, accepts the upper set ``{c : u_c >= t}`` at
+    ``X = y - t``.  The prefix whose agent mass leaves the largest residual
+    off the row space ``basis`` fails along that residual, which moves no
+    positive-mass expert prevision.
     """
     y = np.sin(np.arange(1.0, distinct.shape[1] + 1.0))
     u = distinct @ y
@@ -318,9 +315,10 @@ def _chain_offence(
     prefixes = u >= cuts[:, None]  # (cuts, k): an ascending chain of upper sets
     weights = masses @ prefixes.T  # column j is pi o 1_{A_j}
     residual = weights - basis.T @ (basis @ weights)
+    residual -= basis.T @ (basis @ residual)  # twice, as for class residuals
     sizes = np.linalg.norm(residual, axis=0)
     j = int(np.argmax(sizes))
-    if not sizes[j] > _RESIDUAL_SLACK:
+    if not sizes[j] > SLACK:
         raise RuntimeError("dependent expert rows left no chain prefix off their row space")
     return prefixes[j], y - cuts[j], -residual[:, j]
 

@@ -48,6 +48,7 @@ from scipy.integrate import quad
 from scipy.optimize import linprog
 
 from deference_lab import Event, Gamble, ProbMass, Scenario, ValidationError, simplex
+from deference_lab.core import SLACK
 
 #: Radial factor of int_0^inf r^2 exp(-r^2/2) dr / (2 pi) for a standard
 #: 2-D Gaussian in polar coordinates.
@@ -719,16 +720,14 @@ def _solve_exact(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[
     return [row[k:] for row in rows]
 
 
-def exact_quotient_holds(
-    scenario: Scenario, residual_slack: float = 1e-10, sign_slack: float = 1e-12
-) -> bool | None:
+def exact_quotient_holds(scenario: Scenario, slack: float = SLACK) -> bool | None:
     """The class-quotient trust decision recomputed in exact rationals (n <= 6).
 
     Groups identical expert rows into classes, drops the classes of zero
     agent mass, solves the normal equations ``(E' E'^T) K' = E' D`` exactly,
-    where column c of D is the agent mass on class c, and applies the same
-    slacks as the float decision to the exact least-squares residual
-    (Euclidean norm) and to the signs of K'.  Returns None when the
+    where column c of D is the agent mass on class c, and applies the float
+    decision's one slack to the exact least-squares residual (Euclidean
+    norm) and to the signs of K'.  Returns None when the
     remaining distinct rows are exactly linearly dependent.
     """
     assert scenario.n <= 6
@@ -755,11 +754,11 @@ def exact_quotient_holds(
         residual = [
             masses[j][c] - sum(distinct[d][j] * kq[d][c] for d in range(k)) for j in range(n)
         ]
-        if sum(v * v for v in residual) > Fraction(residual_slack) ** 2:
+        if sum(v * v for v in residual) > Fraction(slack) ** 2:
             return False
-    if any(kq[d][c] > sign_slack for d in range(k) for c in range(k) if d != c):
+    if any(kq[d][c] > slack for d in range(k) for c in range(k) if d != c):
         return False
-    return all(sum(kq[d]) >= -sign_slack for d in range(k))
+    return all(sum(kq[d]) >= -slack for d in range(k))
 
 
 def exact_witness_violates(scenario: Scenario, witness) -> bool:

@@ -183,6 +183,18 @@ class TestCheck:
         assert code == EXIT_OK
         assert report["global"]["holds"] is True
 
+    def test_residual_just_above_the_slack_fails_cleanly(self, capsys, scenario_file):
+        # The agent leaves the row space of the two distinct rows by about
+        # 1e-9: well above the slack, far below the +-1 expert previsions.
+        tilted = {
+            "worlds": ["w1", "w2", "w3"],
+            "agent": [0.300000001, 0.199999999, 0.5],
+            "expert": [[0.36, 0.24, 0.4], [0.36, 0.24, 0.4], [0.15, 0.1, 0.75]],
+        }
+        code, report = run_cli(capsys, "check", scenario_file(tilted))
+        assert code == EXIT_OK
+        assert report["global"]["holds"] is False
+
     def test_named_gamble_local_check(self, capsys, scenario_file):
         code, report = run_cli(capsys, "check", scenario_file(ANTI), "--gamble", "bet")
         assert code == EXIT_OK

@@ -103,6 +103,13 @@ class TestConstruction:
         with pytest.raises(ValidationError, match="sums to 0.9"):
             ProbMass([0.5, 0.4])
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_mass_total_knife_edge_at_the_slack(self, sign):
+        # The one slack tau = 1e-12: a total within tau/2 of 1 passes, 2 tau fails.
+        ProbMass([0.5, 0.5 + sign * 0.5e-12])
+        with pytest.raises(ValidationError, match="expected 1 within 1e-12"):
+            ProbMass([0.5, 0.5 + sign * 2e-12])
+
     @pytest.mark.parametrize("i", [-1, 3])
     def test_ideal_mass_checks_its_world(self, i):
         # -1 would silently pick the last world; 3 would be a bare IndexError.

@@ -420,12 +420,48 @@ class TestQuarterGrid:
             agent, *expert = (QUARTER_ROWS[k] for k in key)
             scenario = Scenario.from_weights(agent, expert)
             verdict = check_global_trust(scenario)
-            assert verdict.holds == (exact_quotient_holds(scenario, 0.0, 0.0) is True), key
+            assert verdict.holds == (exact_quotient_holds(scenario, slack=0.0) is True), key
             if verdict.holds:
                 holding += size
             else:
                 assert exact_witness_violates(scenario, verdict.witness), key
         assert (len(orbits), holding) == (8_505, 1_998)
+
+
+class TestSlackKnifeEdges:
+    """Scenarios on both sides of the one slack tau = 1e-12.
+
+    Each sits a controlled distance off the boundary of trust, so "holds"
+    must flip where that distance crosses tau.  A failure must carry a
+    witness that violates trust in exact arithmetic, a holding verdict
+    must agree with the rational decision at tau, and at zero slack every
+    one of them fails: "holds" means holds within tau.
+    """
+
+    REPEATED = [[0.36, 0.24, 0.4], [0.36, 0.24, 0.4], [0.15, 0.1, 0.75]]
+
+    @staticmethod
+    def _assert_side(scenario, holds):
+        verdict = check_global_trust(scenario)
+        assert verdict.holds is holds
+        assert exact_quotient_holds(scenario) is holds
+        assert exact_quotient_holds(scenario, slack=0.0) is False
+        if not holds:
+            assert exact_witness_violates(scenario, verdict.witness)
+
+    @pytest.mark.parametrize("eps, holds", [(1e-9, False), (1e-11, False), (1e-12, False),
+                                            (3e-13, True), (1e-13, True)])
+    def test_class_residual(self, eps, holds):
+        # The first two worlds share a row; tilting the agent by eps moves
+        # that class's mass off the row space by about eps.
+        self._assert_side(Scenario.from_weights([0.3 + eps, 0.2 - eps, 0.5], self.REPEATED), holds)
+
+    @pytest.mark.parametrize("d, holds", [(3e-6, False), (1e-6, True)])
+    def test_off_diagonal_sign(self, d, holds):
+        # The largest off-diagonal entry of K' is about 0.3 d^2: 2.7e-12
+        # and 3.0e-13.
+        rows = [[1.0 - d, d, 0.0], [0.0, 1.0 - d, d], [0.0, 0.0, 1.0]]
+        self._assert_side(Scenario.from_weights([0.3, 0.2, 0.5], rows), holds)
 
 
 class TestGlobalTrustBits:
@@ -448,11 +484,11 @@ class TestGlobalTrustBits:
         ),
         "repeated_row_n6": (
             lambda: _repeated_row_scenario(np.random.default_rng(1), 6),
-            "0x1.f3647c947fdf8p-2",
-            ["-0x1.0000000000000p+0", "-0x1.94dad826f2d88p-4", "0x1.d616053e15240p-1",
-             "-0x1.3a4e61e94b99bp-3", "-0x1.dd7e5ad6aa250p-1", "0x1.a4fb6c1573c59p-2"],
+            "0x1.f3647c947fdfap-2",
+            ["-0x1.0000000000000p+0", "-0x1.94dad826f2d97p-4", "0x1.d616053e15240p-1",
+             "-0x1.3a4e61e94b9a5p-3", "-0x1.dd7e5ad6aa252p-1", "0x1.a4fb6c1573c57p-2"],
             [0, 2, 4],
-            "-0x1.1292aefd3cd79p-1",
+            "-0x1.1292aefd3cd7ap-1",
         ),
         "positive_side_n5": (
             lambda: random_scenario(np.random.default_rng(28), 5),
@@ -464,16 +500,16 @@ class TestGlobalTrustBits:
         ),
         "dependent_rows_n6": (
             lambda: dependent_rows_scenario(np.random.default_rng(3), 6),
-            "0x1.6e1b8b5cd846ap-7",
+            "0x1.6e1b8b5cd8466p-7",
             ["0x1.4b05f06a78455p-2", "-0x1.93787daa5bd81p-1", "0x1.fe451eb429879p-3",
-             "0x1.5b8b67332f5a1p-5", "-0x1.0000000000000p+0", "0x1.e8eaed52f39e5p-5"],
+             "0x1.5b8b67332f5a1p-5", "-0x1.0000000000000p+0", "0x1.e8eaed52f39e8p-5"],
             [1, 4],
             "-0x1.c063d602e97f9p-1",
         ),
     }
 
     #: sha256 of ``_verdict_line`` over ``_digest_suite``, one line per scenario.
-    SUITE_DIGEST = "af877466246fc8146a6e23ef8cea6ce230eaa7e4c165ca0e03bb22363f0265a4"
+    SUITE_DIGEST = "d6817c7784323470a22448237c6cdf0928ba44e967de7f4a66240ada90597c86"
 
     @staticmethod
     def _digest_suite() -> list[Scenario]:
