@@ -156,7 +156,7 @@ def scenario_to_document(scenario: Scenario, gambles: dict[str, Gamble] | None =
 
 
 def scenario_digest(scenario: Scenario) -> str:
-    """Content hash of the normalized scenario (labels included)."""
+    """Content hash of the scenario as loaded (labels included)."""
     canonical = json.dumps(
         {
             "worlds": list(scenario.space.labels),

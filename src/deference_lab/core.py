@@ -13,8 +13,8 @@ Conventions fixed here and relied on everywhere else:
 
 * All reductions over worlds run in a fixed left-to-right order, so verdicts
   and estimates are bit-reproducible across runs.  One kernel,
-  :func:`_ordered_sum`, does that adding for :func:`expectation`,
-  :class:`ProbMass` normalization and :func:`conditional_expectation`, and
+  :func:`_ordered_sum`, does that adding for :func:`expectation`, the
+  :class:`ProbMass` total and :func:`conditional_expectation`, and
   (over the rows of the expert matrix) for the expert previsions of
   :mod:`deference_lab.trust`.
 * ``conditional_expectation`` treats zero-probability conditioning events as
@@ -162,10 +162,10 @@ class Event:
 class ProbMass:
     """A probability mass function over the worlds.
 
-    Weights must be in [0, 1] and sum to 1 within ``SLACK``; they are then
-    renormalized exactly once at construction so every downstream sum works
-    from the same, consistent vector.  The induced expectation functional
-    (see :func:`expectation`) is coherent by construction.
+    Weights must be in [0, 1] and sum to 1 within ``SLACK``.  A total that
+    misses 1 by more than rounding (n ulps) is divided out once, so
+    ``ProbMass(p.weights) == p`` bit for bit.  The induced expectation
+    functional (see :func:`expectation`) is coherent by construction.
     """
 
     weights: np.ndarray
@@ -177,9 +177,9 @@ class ProbMass:
         total = float(_ordered_sum(arr))
         if abs(total - 1.0) > SLACK:
             raise ValidationError(f"mass sums to {total!r}, expected 1 within {SLACK}")
-        normalized = arr / total
-        normalized.flags.writeable = False
-        object.__setattr__(self, "weights", normalized)
+        if abs(total - 1.0) > arr.size * 2.0**-52:
+            arr = _frozen_array(arr / total, "probability mass")
+        object.__setattr__(self, "weights", arr)
 
     @property
     def n(self) -> int:

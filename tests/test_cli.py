@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +26,7 @@ from deference_lab.cli import (
 )
 from deference_lab.measures import MIN_BASE_WEIGHT
 from deference_lab.sampling import ScoreEstimate
+from oracles import random_scenario
 
 ANTI = {
     "worlds": ["w1", "w2"],
@@ -554,6 +556,15 @@ class TestReportContracts:
         assert again.agent == scenario.agent
         assert again.expert == scenario.expert
         assert gambles2 == gambles
+        # Non-dyadic weights: the file decides the very scenario that wrote it.
+        rng = np.random.default_rng(23)
+        for n in range(2, 9):
+            for _ in range(10):
+                scenario = random_scenario(rng, n)
+                path = scenario_file(scenario_to_document(scenario), name="dirichlet.json")
+                again, _ = load_scenario(path)
+                assert np.array_equal(again._stack, scenario._stack), n
+                assert scenario_digest(again) == scenario_digest(scenario), n
 
     def test_digest_depends_on_labels_and_numbers(self, scenario_file):
         a, _ = load_scenario(scenario_file(ANTI))

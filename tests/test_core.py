@@ -120,11 +120,26 @@ class TestConstruction:
         assert ProbMass.ideal(3, 0) == ProbMass([1.0, 0.0, 0.0])
         assert ProbMass.ideal(3, 2) == ProbMass([0.0, 0.0, 1.0])
 
-    def test_mass_renormalized_once(self):
-        # 1/3 three times misses 1.0 by an ulp; construction must absorb it.
-        third = 1.0 / 3.0
-        p = ProbMass([third, third, third])
-        assert math.fsum(p.weights) == pytest.approx(1.0, abs=1e-15)
+    def test_normalized_mass_keeps_its_bits(self):
+        # A total within rounding (n ulps) of 1 is stored as given, so a mass
+        # rebuilt from its own weights is the same mass, bit for bit.
+        # Dividing by the total again would move last bits of some of these.
+        rng = np.random.default_rng(17)
+        would_move = 0
+        for n in (2, 3, 5, 8, 40, 500):
+            for _ in range(20):
+                w = rng.dirichlet(np.ones(n))
+                p = ProbMass(w)
+                assert np.array_equal(p.weights, w)
+                assert ProbMass(p.weights) == p
+                would_move += not np.array_equal(w / np.add.accumulate(w)[-1], w)
+        assert would_move > 0
+
+    def test_tilted_mass_is_divided_once_then_kept(self):
+        tilted = np.array([0.2, 0.3, 0.5]) * (1.0 + 4e-13)
+        p = ProbMass(tilted)
+        assert np.array_equal(p.weights, tilted / np.add.accumulate(tilted)[-1])
+        assert ProbMass(p.weights) == p
 
     def test_values_are_immutable(self):
         g = Gamble([1.0, 2.0])
