@@ -38,11 +38,11 @@ __all__ = [
     "conditional_expectation",
 ]
 
-#: The one slack tau of every floating-point decision.  A mass must sum to 1
-#: within it, and :func:`deference_lab.trust.check_global_trust` counts a
-#: class residual, an entry of K' or a row sum of K' within it of zero as
-#: zero.  A trust verdict "holds" therefore means that this float scenario
-#: passes within tau, not that its exact rational reading does.
+#: The one slack tau.  A mass must sum to 1 within it, and
+#: :func:`deference_lab.trust.check_global_trust` counts a class residual, an
+#: entry of K' or a row sum of K' within it of zero as zero.  A global trust
+#: verdict "holds" therefore means that this float scenario passes within
+#: tau, not that its exact rational reading does.
 SLACK = 1e-12
 
 

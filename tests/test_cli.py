@@ -185,7 +185,7 @@ class TestCheck:
         assert code == EXIT_OK
         assert report["global"]["holds"] is True
 
-    def test_residual_just_above_the_slack_fails_cleanly(self, capsys, scenario_file):
+    def test_small_class_residual_fails_cleanly(self, capsys, scenario_file):
         # The agent leaves the row space of the two distinct rows by about
         # 1e-9: well above the slack, far below the +-1 expert previsions.
         tilted = {

@@ -449,12 +449,15 @@ class TestSlackKnifeEdges:
         if not holds:
             assert exact_witness_violates(scenario, verdict.witness)
 
-    @pytest.mark.parametrize("eps, holds", [(1e-9, False), (1e-11, False), (1e-12, False),
-                                            (3e-13, True), (1e-13, True)])
+    @pytest.mark.parametrize(
+        "eps, holds",
+        [(1e-9, False), (1e-11, False), (1e-12, False), (3e-13, True), (1e-13, True)],
+    )
     def test_class_residual(self, eps, holds):
         # The first two worlds share a row; tilting the agent by eps moves
         # that class's mass off the row space by about eps.
-        self._assert_side(Scenario.from_weights([0.3 + eps, 0.2 - eps, 0.5], self.REPEATED), holds)
+        scenario = Scenario.from_weights([0.3 + eps, 0.2 - eps, 0.5], self.REPEATED)
+        self._assert_side(scenario, holds)
 
     @pytest.mark.parametrize("d, holds", [(3e-6, False), (1e-6, True)])
     def test_off_diagonal_sign(self, d, holds):
