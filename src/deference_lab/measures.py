@@ -130,36 +130,66 @@ class MeasureSpec:
         matters when the last edge rounds below 1.0 and u reaches it.
         Counting costs one pass per edge, and beats the binary search up to
         about 65 components, where the two tie; mixtures here have 3 to 5.
+        The index takes the smallest unsigned type that holds K - 1 (one
+        byte below 257 components), and the m uniforms are dropped before
+        the normals are drawn.
+
+        ``draw(rng, m)`` returns the whole (m, dim) sample.  It is two steps,
+        which the draw also exposes: ``draw.normals(rng, m)`` reads the
+        stream and returns ``(which, z)``, the picked indices (None for one
+        component) and the m x dim unit normals; ``draw.place(which, z,
+        out)`` writes the measure's gambles ``z * scale + mean`` of the
+        picked components into ``out`` and returns it.  Placement is row by
+        row, so placing a slice of rows gives that slice of the whole
+        sample, and ``out`` may be ``z`` itself.  ``draw.picks`` says whether
+        the draw picks a component: when it does not, ``place(None, z,
+        out)`` needs only the normals, which a mixture's stream shares.
 
         The draw carries its content as a key (dim and the exact bytes of
         the components), so :mod:`deference_lab.sampling` can share one run
-        of draws among estimators that ask for the same (seed, N, measure).
+        of draws among estimators that ask for the same (seed, N, measure),
+        and place a mixture run's normals for its Gaussian.
         """
         weights, means, scales = self.components(dim)
 
         if len(weights) == 1:
             sigma = self.sigma
 
-            def draw(rng: np.random.Generator, m: int) -> np.ndarray:
+            def normals(rng: np.random.Generator, m: int) -> tuple[None, np.ndarray]:
                 # m uniforms are m PCG64 words: test_measures.py::TestOneComponentDraw
                 rng.bit_generator.advance(m)
-                z = rng.standard_normal((m, dim))
-                z *= sigma
-                z += 0.0  # the zero mean: turns -0.0 into +0.0, as the pick path does
-                return z
+                return None, rng.standard_normal((m, dim))
+
+            def place(which: None, z: np.ndarray, out: np.ndarray) -> np.ndarray:
+                np.multiply(z, sigma, out=out)
+                out += 0.0  # the zero mean: turns -0.0 into +0.0, as the pick path does
+                return out
 
         else:
             inner_edges = np.cumsum(weights)[:-1]
+            index_type = np.min_scalar_type(len(weights) - 1)
 
-            def draw(rng: np.random.Generator, m: int) -> np.ndarray:
-                u = rng.random(m)
-                which = np.zeros(m, dtype=np.intp)
+            def pick(u: np.ndarray) -> np.ndarray:
+                which = np.zeros(len(u), dtype=index_type)
                 for edge in inner_edges:
                     which += u >= edge
-                z = rng.standard_normal((m, dim))
-                z *= np.take(scales, which)[:, None]
-                z += np.take(means, which, axis=0)
-                return z
+                return which
 
+            def normals(rng: np.random.Generator, m: int) -> tuple[np.ndarray, np.ndarray]:
+                which = pick(rng.random(m))
+                return which, rng.standard_normal((m, dim))
+
+            def place(which: np.ndarray, z: np.ndarray, out: np.ndarray) -> np.ndarray:
+                np.multiply(z, np.take(scales, which)[:, None], out=out)
+                out += np.take(means, which, axis=0)
+                return out
+
+        def draw(rng: np.random.Generator, m: int) -> np.ndarray:
+            which, z = normals(rng, m)
+            return place(which, z, z)
+
+        draw.normals = normals
+        draw.place = place
+        draw.picks = len(weights) > 1
         draw._memo_key = (dim, weights.tobytes(), means.tobytes(), scales.tobytes())
         return draw

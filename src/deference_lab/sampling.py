@@ -49,14 +49,24 @@ row width (``MeasureSpec.sampler`` supplies dim and the exact bytes of its
 component weights, means and scales), and the memo adds seed and samples.
 A matching run reuses those chunk arrays, which are read-only.  On a miss,
 :func:`mc_estimate` drops the entry before it draws and retains its own
-run; :func:`mc_frequency` never fills or evicts the memo.  So
-``estimate_ae_trust`` reads the run its Gaussian shares with the accuracy
-estimators, and leaves a mixture's run in place.  A run whose draws exceed
-``_MEMO_BYTES`` (32 MiB) is never retained, so large runs keep O(chunk)
-memory, and draws without a key bypass the memo.  A hit hands each chunk
-the same array that chunk's own generator would draw, so the per-chunk
-seeds, the reduction order and with them the thread-count contract are
-untouched.
+run; :func:`mc_frequency` never fills or evicts the memo.  The memo has a
+second level.  A keyed draw reads its stream in two steps, the picked
+components and then the unit normals, and places the gambles from them in
+blocks of ``_BLOCK_ROWS`` rows (see ``MeasureSpec.sampler``).  A run that
+picks a component per row (a mixture) is retained with its unit normals
+beside its gambles, and those normals are every measure's at that (dim,
+seed, samples).  So a non-retaining call whose draw picks no component (a
+plain Gaussian) and whose content misses but whose stream hits places the
+kept normals block by block, each block in its own read-only buffer, and
+draws nothing: ``estimate_ae_trust`` reads the run its Gaussian shares with
+the accuracy estimators, or places a mixture run's normals, and leaves the
+run in place.  Placement is elementwise, so a placed block has the bits of
+the same rows of a fresh draw.  A run whose retained arrays (its gambles,
+plus its normals for a mixture) exceed ``_MEMO_BYTES`` (32 MiB) is never
+retained, so large runs keep O(chunk) memory, and draws without a key
+bypass the memo.  A hit hands each chunk the same array that chunk's own
+generator would draw, so the per-chunk seeds, the reduction order and with
+them the thread-count contract are untouched.
 """
 
 from __future__ import annotations
@@ -65,7 +75,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -78,19 +88,22 @@ CHUNK_SIZE = 1 << 16
 
 DrawFn = Callable[[np.random.Generator, int], np.ndarray]
 ValueFn = Callable[[np.ndarray], np.ndarray]
+PlaceFn = Callable[[np.ndarray | None, np.ndarray, np.ndarray], np.ndarray]
 
 #: Rows per call of a value or hit function.  Larger blocks make OpenBLAS
 #: wake its worker threads for the estimators' matrix products.
 _BLOCK_ROWS = 4096
 
-#: Largest run, in bytes of float64 draws, that the memo retains: the
-#: default 100,000 samples up to 40 worlds.
+#: Largest run, in bytes of retained float64 arrays, that the memo keeps:
+#: the default 100,000 samples up to 40 worlds for a plain Gaussian, up to
+#: 20 for a mixture, which keeps its normals too.
 _MEMO_BYTES = 32 << 20
 
-#: The last retained run: ((draw key, seed, samples), read-only chunk arrays).
-#: Only ever replaced whole, so threads need no lock: a reader holds either
-#: a complete run for its key or nothing.
-_memo: tuple[tuple, list[np.ndarray]] | None = None
+#: The last retained run: ((draw key, seed, samples), read-only chunk arrays,
+#: read-only chunk normals for a mixture run or None).  Only ever replaced
+#: whole, so threads need no lock: a reader holds either a complete run for
+#: its key or nothing.
+_memo: tuple[tuple, list[np.ndarray], list[np.ndarray] | None] | None = None
 
 #: The kept worker pool: (workers, executor), or None until a run needs one.
 #: Only ever replaced whole, never shut down.  Two callers that race to build
@@ -160,20 +173,30 @@ def _chunk_sizes(total: int) -> list[int]:
 
 
 def _map_draws(
-    draw: DrawFn, reduce: Callable[[np.ndarray, int], tuple], samples: int, seed: int, retain: bool
+    draw: DrawFn,
+    fn: ValueFn,
+    vet: Callable[[object, int], np.ndarray],
+    reduce: Callable[[np.ndarray], tuple],
+    samples: int,
+    seed: int,
+    retain: bool,
 ) -> list[tuple]:
-    """``reduce(xs, m)`` of every chunk's draw, in chunk order.
+    """``reduce`` of every chunk's ``fn`` results, in chunk order.
 
+    Each chunk's ``vet(fn(block), rows)`` over its consecutive
+    ``_BLOCK_ROWS``-row blocks are concatenated in row order and reduced.
     A keyed run identical to the memo's reuses its arrays instead of
     drawing; with ``retain``, any other keyed run that fits the budget
-    replaces the memo, read-only.
+    replaces the memo, read-only.  Without ``retain``, a draw that picks no
+    component places the memo's kept normals, when their stream is its own,
+    block by block instead of drawing.
     """
     global _memo
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     sizes = _chunk_sizes(samples)
     tag = getattr(draw, "_memo_key", None)
-    reused = kept = None
+    reused = normals = kept = kept_normals = None
     if tag is not None:
         key = (tag, seed, samples)
         entry = _memo
@@ -181,18 +204,40 @@ def _map_draws(
             reused = entry[1]
         elif retain:
             _memo = entry = None  # free the stale run before drawing this one
-            if samples * tag[0] * 8 <= _MEMO_BYTES:
+            copies = 2 if draw.picks else 1  # a mixture run keeps its normals too
+            if samples * tag[0] * 8 * copies <= _MEMO_BYTES:
                 kept = [None] * len(sizes)
+                if draw.picks:
+                    kept_normals = [None] * len(sizes)
+        elif (  # kept normals of this draw's own stream: same dim, seed and samples
+            entry is not None
+            and entry[2] is not None
+            and not draw.picks
+            and entry[0][0][0] == tag[0]
+            and entry[0][1:] == key[1:]
+        ):
+            normals = entry[2]
 
     def work(j: int, m: int) -> tuple:
+        if normals is not None:
+            return reduce(_by_blocks(fn, _placed_blocks(draw.place, normals[j]), m, vet))
         if reused is not None:
             xs = reused[j]
-        else:
+        elif tag is None:
             xs = draw(chunk_rng(seed, j), m)
+        else:
+            which, z = draw.normals(chunk_rng(seed, j), m)
+            xs = z if kept_normals is None else np.empty_like(z)
+            for start in range(0, m, _BLOCK_ROWS):
+                rows = slice(start, start + _BLOCK_ROWS)
+                draw.place(None if which is None else which[rows], z[rows], xs[rows])
             if kept is not None:
                 xs.flags.writeable = False
                 kept[j] = xs
-        return reduce(xs, m)
+            if kept_normals is not None:
+                z.flags.writeable = False
+                kept_normals[j] = z
+        return reduce(_by_blocks(fn, _row_blocks(xs), m, vet))
 
     workers = thread_count()
     jobs = list(enumerate(sizes))
@@ -208,20 +253,39 @@ def _map_draws(
                 future.cancel()
             wait(futures)
     if kept is not None:
-        _memo = (key, kept)
+        _memo = (key, kept, kept_normals)
     return results
 
 
+def _row_blocks(xs: np.ndarray) -> Iterator[np.ndarray]:
+    """Consecutive ``_BLOCK_ROWS``-row blocks of ``xs``."""
+    return (xs[start : start + _BLOCK_ROWS] for start in range(0, len(xs), _BLOCK_ROWS))
+
+
+def _placed_blocks(place: PlaceFn, z: np.ndarray) -> Iterator[np.ndarray]:
+    """Consecutive ``_BLOCK_ROWS``-row blocks of the one-component placement
+    of ``z``, each placed into its own read-only buffer."""
+    for start in range(0, len(z), _BLOCK_ROWS):
+        rows = z[start : start + _BLOCK_ROWS]
+        block = place(None, rows, np.empty_like(rows))
+        block.flags.writeable = False
+        yield block
+
+
 def _by_blocks(
-    fn: ValueFn, xs: np.ndarray, vet: Callable[[object, int], np.ndarray]
+    fn: ValueFn, blocks: Iterable[np.ndarray], rows: int, vet: Callable[[object, int], np.ndarray]
 ) -> np.ndarray:
-    """``vet(fn(block), rows)`` over consecutive ``_BLOCK_ROWS``-row blocks of
-    ``xs``, concatenated in row order."""
-    parts = []
-    for start in range(0, len(xs), _BLOCK_ROWS):
-        block = xs[start : start + _BLOCK_ROWS]
-        parts.append(vet(fn(block), len(block)))
-    return np.concatenate(parts)
+    """``vet(fn(block), len(block))`` over ``blocks`` of ``rows`` rows in all,
+    written in order into one array: no list of parts lives beside it."""
+    chunk = None
+    start = 0
+    for block in blocks:
+        part = vet(fn(block), len(block))
+        if chunk is None:
+            chunk = np.empty(rows, part.dtype)
+        chunk[start : start + len(block)] = part
+        start += len(block)
+    return chunk
 
 
 def mc_estimate(draw: DrawFn, values: ValueFn, samples: int, seed: int) -> ScoreEstimate:
@@ -239,14 +303,13 @@ def mc_estimate(draw: DrawFn, values: ValueFn, samples: int, seed: int) -> Score
             raise ValueError(f"value function returned shape {part.shape}, expected ({rows},)")
         return part
 
-    def moments(xs: np.ndarray, m: int) -> tuple[int, float, float]:
-        chunk = _by_blocks(values, xs, vet)
+    def moments(chunk: np.ndarray) -> tuple[int, float, float]:
         mean = float(np.mean(chunk))
         m2 = float(np.sum((chunk - mean) ** 2))
-        return m, mean, m2
+        return len(chunk), mean, m2
 
     count, mean, m2 = 0, 0.0, 0.0
-    for c_count, c_mean, c_m2 in _map_draws(draw, moments, samples, seed, True):
+    for c_count, c_mean, c_m2 in _map_draws(draw, values, vet, moments, samples, seed, True):
         delta = c_mean - mean
         total = count + c_count
         mean += delta * (c_count / total)
@@ -274,10 +337,10 @@ def mc_frequency(draw: DrawFn, hits: ValueFn, samples: int, seed: int) -> ScoreE
             raise ValueError(f"hit function returned {mask.dtype} shape {mask.shape}")
         return mask
 
-    def count(xs: np.ndarray, m: int) -> tuple[int]:
-        return (int(np.count_nonzero(_by_blocks(hits, xs, vet))),)
+    def count(chunk: np.ndarray) -> tuple[int]:
+        return (int(np.count_nonzero(chunk)),)
 
-    total_hits = sum(h for (h,) in _map_draws(draw, count, samples, seed, False))
+    total_hits = sum(h for (h,) in _map_draws(draw, hits, vet, count, samples, seed, False))
     freq = total_hits / samples
     std_error = math.sqrt(freq * (1.0 - freq) / samples)
     return ScoreEstimate(value=freq, std_error=std_error, samples=samples, seed=seed)

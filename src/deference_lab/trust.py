@@ -346,7 +346,9 @@ def estimate_ae_trust(scenario: Scenario, sigma: float, samples: int, seed: int)
     ``[P(X) >= 0]`` is defined and negative, with binomial standard error.
     Deterministic for a given seed, independent of thread count.  The draw
     is ``MeasureSpec.gaussian(sigma)``'s, so after an accuracy estimator
-    with that measure and the same (seed, N) it reads the retained run.
+    with the same (seed, N) it draws nothing: with that measure it reads
+    the retained run, and with a mixture it places the normals that the
+    retained mixture run kept, which are its own, bit for bit.
     """
     draw = MeasureSpec.gaussian(sigma).sampler(scenario.n)
     pi = scenario.agent.weights

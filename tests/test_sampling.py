@@ -38,7 +38,7 @@ from deference_lab.sampling import (
     mc_frequency,
     thread_count,
 )
-from oracles import random_measure, random_scenario
+from oracles import component_pick_sampler, random_measure, random_scenario
 
 
 def _norms(xs: np.ndarray) -> np.ndarray:
@@ -227,6 +227,10 @@ def _pin_setup() -> tuple[Scenario, dict[str, MeasureSpec]]:
 
 def _bits(estimate: ScoreEstimate) -> tuple[str, str]:
     return estimate.value.hex(), estimate.std_error.hex()
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def _pinned_bundle(scenario: Scenario, name: str, mu: MeasureSpec) -> dict:
@@ -565,12 +569,12 @@ class TestDrawMemo:
         _four_estimators(scenario, measures["gaussian"])
         assert sorted(chunk_draws) == list(range(self.CHUNKS))
 
-    def test_mixture_bundle_draws_each_stream_once(self, chunk_draws):
-        # ae-trust draws its Gaussian between identity and inaccuracy without
-        # pushing the mixture run out of the memo.
+    def test_mixture_bundle_draws_each_chunk_once(self, chunk_draws):
+        # ae-trust places the mixture run's kept normals for its Gaussian,
+        # between identity and inaccuracy, without pushing that run out.
         scenario, measures = _pin_setup()
         _four_estimators(scenario, measures["mixture"])
-        assert sorted(chunk_draws) == sorted(list(range(self.CHUNKS)) * 2)
+        assert sorted(chunk_draws) == list(range(self.CHUNKS))
 
     def test_frequency_reads_the_memo_but_never_fills_it(self, chunk_draws):
         scenario, measures = _pin_setup()
@@ -580,7 +584,7 @@ class TestDrawMemo:
         held = sampling._memo
         estimate_ae_trust(scenario, 1.5, PIN_SAMPLES, PIN_SEED)
         assert sampling._memo is held
-        assert len(chunk_draws) == 3 * self.CHUNKS
+        assert len(chunk_draws) == 2 * self.CHUNKS
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_ae_trust_bits_cold_and_after_the_gap(self, threads, monkeypatch):
@@ -590,6 +594,55 @@ class TestDrawMemo:
         expected_gap(scenario, measures["gaussian"], PIN_SAMPLES, PIN_SEED)
         warm = estimate_ae_trust(scenario, 1.5, PIN_SAMPLES, PIN_SEED)
         assert _bits(cold) == _bits(warm) == PINS[("ae",)]
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_ae_trust_bits_cold_and_after_a_mixture_gap(self, threads, monkeypatch, chunk_draws):
+        # The mixture run keeps its unit normals, and ae-trust places them
+        # for its Gaussian instead of drawing: the cold call's bits, no chunk.
+        monkeypatch.setenv("DEFLAB_THREADS", threads)
+        scenario, measures = _pin_setup()
+        for samples in BLOCK_EDGE_SAMPLES:
+            sampling._memo = None
+            cold = estimate_ae_trust(scenario, 1.5, samples, PIN_SEED)
+            expected_gap(scenario, measures["mixture"], samples, PIN_SEED)
+            held, drawn = sampling._memo, len(chunk_draws)
+            assert held is not None and held[2] is not None
+            warm = estimate_ae_trust(scenario, 1.5, samples, PIN_SEED)
+            assert _bits(warm) == _bits(cold)
+            assert len(chunk_draws) == drawn and sampling._memo is held
+
+    @pytest.mark.parametrize("change", ["seed", "samples", "dim"])
+    def test_ae_trust_draws_when_the_mixture_stream_differs(self, change, chunk_draws):
+        scenario, measures = _pin_setup()
+        seed, samples = PIN_SEED, 3_000
+        expected_gap(scenario, measures["mixture"], samples, seed)
+        if change == "seed":
+            seed += 1
+        elif change == "samples":
+            samples += 1
+        else:
+            scenario = random_scenario(np.random.default_rng(1), scenario.n - 1)
+        warm = estimate_ae_trust(scenario, 1.5, samples, seed)
+        assert len(chunk_draws) == 2
+        sampling._memo = None
+        assert warm == estimate_ae_trust(scenario, 1.5, samples, seed)
+
+    def test_retained_mixture_run_matches_the_whole_chunk_oracle(self):
+        # A retained mixture run is placed block by block into its own array;
+        # each chunk must equal a whole-chunk pick, scale and shift, and its
+        # kept normals the chunk's normals after the m pick uniforms.
+        rng = np.random.default_rng(22)
+        for dim in (1, 3, 8):
+            spec = random_measure(rng, dim)
+            for samples in BLOCK_EDGE_SAMPLES:
+                mc_estimate(spec.sampler(dim), _norms, samples, PIN_SEED)
+                _, chunks, normals = sampling._memo
+                oracle = component_pick_sampler(spec, dim)
+                for j, m in enumerate(sampling._chunk_sizes(samples)):
+                    assert _same_bits(chunks[j], oracle(chunk_rng(PIN_SEED, j), m))
+                    stream = chunk_rng(PIN_SEED, j)
+                    stream.random(m)
+                    assert _same_bits(normals[j], stream.standard_normal((m, dim)))
 
     def test_every_estimator_draw_is_keyed(self, monkeypatch, tmp_path, capsys):
         draws = []
@@ -647,6 +700,26 @@ class TestDrawMemo:
         with pytest.raises(ValueError, match="read-only"):
             mc_estimate(draw, scribble, 1_000, seed=3)
 
+        # The re-placed path: the Gaussian's blocks placed from a mixture
+        # run's kept normals are read-only too, and so are those normals.
+        def positive(xs: np.ndarray) -> np.ndarray:
+            return xs[:, 0] > 0.0
+
+        def scribble_hits(xs: np.ndarray) -> np.ndarray:
+            xs[:, 0] = 0.0
+            return xs[:, 1] > 0.0
+
+        samples = CHUNK_SIZE + 4097
+        cold = mc_frequency(draw, positive, samples, seed=3)
+        mixture = MeasureSpec.mixture(1.0, (BumpPair(Gamble([2.0, -1.0]), 0.5, 0.4),))
+        mc_estimate(mixture.sampler(2), first_column, samples, seed=3)
+        held = sampling._memo
+        assert all(not z.flags.writeable for z in held[2])
+        with pytest.raises(ValueError, match="read-only"):
+            mc_frequency(draw, scribble_hits, samples, seed=3)
+        assert mc_frequency(draw, positive, samples, seed=3) == cold
+        assert sampling._memo is held
+
     def test_run_over_the_budget_is_not_retained(self, chunk_draws, monkeypatch):
         monkeypatch.setattr(sampling, "_MEMO_BYTES", 4 * 8 * 100)
         draw = MeasureSpec.gaussian(1.0).sampler(4)
@@ -656,6 +729,21 @@ class TestDrawMemo:
         for _ in range(2):
             mc_estimate(draw, lambda xs: xs[:, 0], 101, seed=1)
         assert len(chunk_draws) == 3 and sampling._memo is None
+
+    def test_mixture_run_counts_its_normals_against_the_budget(self, chunk_draws, monkeypatch):
+        # Placed draws alone fit, but with the kept normals the run is over
+        # the budget: neither is retained.  At twice the draws both are.
+        mixture = MeasureSpec.mixture(1.0, (BumpPair(Gamble([1.0, 0.0, -1.0, 2.0]), 0.5, 0.3),))
+        draw = mixture.sampler(4)
+        monkeypatch.setattr(sampling, "_MEMO_BYTES", 2 * 4 * 8 * 100 - 1)
+        mc_estimate(draw, lambda xs: xs[:, 0], 100, seed=1)
+        assert sampling._memo is None
+        monkeypatch.setattr(sampling, "_MEMO_BYTES", 2 * 4 * 8 * 100)
+        for _ in range(2):
+            mc_estimate(draw, lambda xs: xs[:, 0], 100, seed=1)
+        _, chunks, normals = sampling._memo
+        assert len(chunk_draws) == 2
+        assert chunks[0].shape == normals[0].shape == (100, 4)
 
     def test_budget_holds_the_default_cli_run_up_to_forty_worlds(self):
         assert 100_000 * 40 * 8 <= sampling._MEMO_BYTES
