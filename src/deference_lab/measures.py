@@ -176,7 +176,7 @@ class MeasureSpec:
                 return which
 
             def normals(rng: np.random.Generator, m: int) -> tuple[np.ndarray, np.ndarray]:
-                which = pick(rng.random(m))
+                which = pick(rng.random(m))  # the uniforms die before the normals exist
                 return which, rng.standard_normal((m, dim))
 
             def place(which: np.ndarray, z: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -189,7 +189,8 @@ def _map_draws(
     drawing; with ``retain``, any other keyed run that fits the budget
     replaces the memo, read-only.  Without ``retain``, a draw that picks no
     component places the memo's kept normals, when their stream is its own,
-    block by block instead of drawing.
+    block by block instead of drawing.  A keyed draw must also carry the
+    ``normals``, ``place`` and ``picks`` of ``MeasureSpec.sampler``'s draws.
     """
     global _memo
     if samples < 1:
