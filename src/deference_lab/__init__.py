@@ -27,8 +27,6 @@ from .trust import (
     expert_event,
 )
 from .boxes import (
-    DegenerateBoxError,
-    NotAViolationWitness,
     Orientation,
     ViolationBox,
     build_positive_box,
@@ -42,11 +40,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BumpPair",
-    "DegenerateBoxError",
     "Event",
     "Gamble",
     "MeasureSpec",
-    "NotAViolationWitness",
     "Orientation",
     "ProbMass",
     "Scenario",

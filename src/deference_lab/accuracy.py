@@ -21,10 +21,8 @@ agent's prevision.  The identity between the two is pointwise algebra:
 their integrands are equal on every gamble, up to the order in which each
 adds its products.  Both estimators share one sample stream per (seed, N,
 measure), so the gap and identity that ``score`` reports differ only by
-rounding, not by sampling error.  They and :func:`inaccuracy_mc` share
-the draw itself, too: called one after another with one (seed, N,
-measure), only the first draws, and the others reuse its chunks through
-the memo in :mod:`deference_lab.sampling`.
+rounding, not by sampling error.  :mod:`deference_lab.sampling` says when
+its memo spares a draw.
 """
 
 from __future__ import annotations

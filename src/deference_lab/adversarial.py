@@ -61,7 +61,7 @@ def build_adversarial_measure(
     degenerate box, not of a refuted theorem.  The box's negative-side
     base (``-box.base`` on the positive side) must witness a violation of
     this scenario: an O(n^2) check before any sampling, raising
-    :class:`NotAViolationWitness` otherwise.
+    :class:`ValidationError` otherwise.
     """
     base = box.base if box.orientation is Orientation.NEGATIVE_SIDE else -box.base
     _require_negative_witness(scenario, base)

@@ -44,21 +44,7 @@ from .core import (
 )
 from .trust import Scenario, _expert_previsions, expert_event
 
-__all__ = [
-    "Orientation",
-    "ViolationBox",
-    "NotAViolationWitness",
-    "DegenerateBoxError",
-    "build_violation_box",
-    "build_positive_box",
-]
-
-class NotAViolationWitness(ValidationError):
-    """The gamble does not witness the violation the construction needs."""
-
-
-class DegenerateBoxError(RuntimeError):
-    """The witness leaves no positive box width."""
+__all__ = ["Orientation", "ViolationBox", "build_violation_box", "build_positive_box"]
 
 
 class Orientation(Enum):
@@ -148,7 +134,7 @@ def _require_negative_witness(scenario: Scenario, x: Gamble) -> tuple[Event, flo
     event = expert_event(scenario, x, 0.0)
     value = conditional_expectation(scenario.agent, x, event)
     if value is None or not value < 0.0:
-        raise NotAViolationWitness(
+        raise ValidationError(
             "not a trust violation witness: conditional value given [P(X) >= 0] "
             f"is {'undefined' if value is None else value}"
         )
@@ -209,28 +195,25 @@ def build_positive_box(scenario: Scenario, x: Gamble) -> ViolationBox:
     * nonnegative prevision: ``pi(Y) > pi(X) - delta >= 0``;
     * off the hyperplanes: no P_i(Y) is zero, by the first line.
 
-    A zero width leaves no box: raises :class:`DegenerateBoxError` when
-    ``pi(X) = 0`` or when some accepting expert has ``P_i(X) = 0``.
+    Raises :class:`ValidationError` when X is no positive-side witness, and
+    when a zero width leaves no box: ``pi(X) = 0``, or some accepting expert
+    has ``P_i(X) = 0``.
     """
     unconditional = expectation(scenario.agent, x)
     if unconditional < 0.0:
-        raise NotAViolationWitness(
-            f"positive-side witness needs pi(X) >= 0, got {unconditional}"
-        )
+        raise ValidationError(f"positive-side witness needs pi(X) >= 0, got {unconditional}")
     rejection = expert_event(scenario, x, 0.0).complement()
     value = conditional_expectation(scenario.agent, x, rejection)
     if value is None:
-        raise NotAViolationWitness(
+        raise ValidationError(
             "positive-side witness needs a rejection event of positive probability"
         )
     if not value > 0.0:
-        raise NotAViolationWitness(
-            f"positive-side witness needs pi(X | [P(X) < 0]) > 0, got {value}"
-        )
+        raise ValidationError(f"positive-side witness needs pi(X | [P(X) < 0]) > 0, got {value}")
     if unconditional == 0.0:
-        raise DegenerateBoxError("degenerate box: pi(X) = 0 leaves no width below X")
+        raise ValidationError("degenerate box: pi(X) = 0 leaves no width below X")
     if expert_event(scenario, -x, 0.0) != rejection:
-        raise DegenerateBoxError(
+        raise ValidationError(
             "degenerate box: X lies on the zero hyperplane of an accepting expert"
         )
     # Rounding is sign-symmetric, so -value is exactly pi(-X | B).

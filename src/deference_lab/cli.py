@@ -33,6 +33,7 @@ JSON document.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import json
@@ -47,7 +48,6 @@ from .adversarial import SearchExhaustedError, build_adversarial_measure
 from .boxes import ViolationBox, build_violation_box
 from .core import Event, Gamble, ProbMass, ValidationError, WorldSpace
 from .measures import MeasureSpec
-from .sampling import ScoreEstimate
 from .trust import (
     Scenario,
     TrustVerdict,
@@ -175,15 +175,10 @@ def scenario_digest(scenario: Scenario) -> str:
 
 
 def _format_float(x: float) -> str:
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    text = format(x, ".17g")
-    if not any(ch in text for ch in ".eE"):
-        text += ".0"
-    return text
+    # 17 digits round-trip every float; ".17g" spells nan and +-inf itself,
+    # and an integral value gets ".0" so that it reads back as a float.
+    text = format(float(x), ".17g")
+    return text + ".0" if text.lstrip("-").isdigit() else text
 
 
 def _to_json(value, indent: int = 0) -> str:
@@ -266,15 +261,6 @@ def _verdict_fragment(scenario: Scenario, verdict: TrustVerdict) -> dict:
     }
 
 
-def _estimate_fragment(estimate: ScoreEstimate) -> dict:
-    return {
-        "value": estimate.value,
-        "std_error": estimate.std_error,
-        "samples": estimate.samples,
-        "seed": estimate.seed,
-    }
-
-
 def _box_fragment(scenario: Scenario, box: ViolationBox) -> dict:
     return {
         "orientation": box.orientation.value,
@@ -350,24 +336,19 @@ def _cmd_check(args: argparse.Namespace) -> tuple[int, dict]:
     return EXIT_OK, report
 
 
-def _cmd_score(args: argparse.Namespace) -> tuple[int, dict]:
+def _cmd_estimates(args: argparse.Namespace) -> tuple[int, dict]:
+    """``score`` and ``identity``: one report entry per (key, estimator)."""
+    # Built per call, so a name patched on this module is the one called.
+    estimators = {
+        "score": (("gap", expected_gap), ("identity", rhs_identity)),
+        "identity": (("identity", rhs_identity),),
+    }[args.command]
     scenario, _ = load_scenario(args.scenario)
     measure = MeasureSpec.gaussian(args.sigma)
-    report = _base_report("score", args, scenario)
-    report["gap"] = _estimate_fragment(expected_gap(scenario, measure, args.samples, args.seed))
-    report["identity"] = _estimate_fragment(
-        rhs_identity(scenario, measure, args.samples, args.seed)
-    )
-    return EXIT_OK, report
-
-
-def _cmd_identity(args: argparse.Namespace) -> tuple[int, dict]:
-    scenario, _ = load_scenario(args.scenario)
-    measure = MeasureSpec.gaussian(args.sigma)
-    report = _base_report("identity", args, scenario)
-    report["identity"] = _estimate_fragment(
-        rhs_identity(scenario, measure, args.samples, args.seed)
-    )
+    report = _base_report(args.command, args, scenario)
+    for key, estimator in estimators:
+        estimate = estimator(scenario, measure, args.samples, args.seed)
+        report[key] = dataclasses.asdict(estimate)
     return EXIT_OK, report
 
 
@@ -376,9 +357,8 @@ def _cmd_ae_trust(args: argparse.Namespace) -> tuple[int, dict]:
     # every scale: ae-trust takes no --sigma and always draws at 1.0.
     scenario, _ = load_scenario(args.scenario)
     report = _base_report("ae-trust", args, scenario)
-    report["violation_frequency"] = _estimate_fragment(
-        estimate_ae_trust(scenario, 1.0, args.samples, args.seed)
-    )
+    estimate = estimate_ae_trust(scenario, 1.0, args.samples, args.seed)
+    report["violation_frequency"] = dataclasses.asdict(estimate)
     return EXIT_OK, report
 
 
@@ -402,10 +382,10 @@ def _cmd_counterexample(args: argparse.Namespace) -> tuple[int, dict]:
     except SearchExhaustedError as exc:
         report["error"] = str(exc)
         report["best_weight"] = exc.best_weight
-        report["gap"] = _estimate_fragment(exc.best_estimate)
+        report["gap"] = dataclasses.asdict(exc.best_estimate)
         return EXIT_EXHAUSTED, report
     report["measure"] = _measure_fragment(measure)
-    report["gap"] = _estimate_fragment(estimate)
+    report["gap"] = dataclasses.asdict(estimate)
     return EXIT_OK, report
 
 
@@ -437,8 +417,8 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.set_defaults(handler=handler)
 
     add("check", _cmd_check, gamble=True)
-    add("score", _cmd_score, sigma=True, sampled=True)
-    add("identity", _cmd_identity, sigma=True, sampled=True)
+    add("score", _cmd_estimates, sigma=True, sampled=True)
+    add("identity", _cmd_estimates, sigma=True, sampled=True)
     add("ae-trust", _cmd_ae_trust, sampled=True)
     add("counterexample", _cmd_counterexample, sigma=True, sampled=True)
     return parser

@@ -146,9 +146,7 @@ class MeasureSpec:
         out)`` needs only the normals, which a mixture's stream shares.
 
         The draw carries its content as a key (dim and the exact bytes of
-        the components), so :mod:`deference_lab.sampling` can share one run
-        of draws among estimators that ask for the same (seed, N, measure),
-        and place a mixture run's normals for its Gaussian.
+        the components) for the memo of :mod:`deference_lab.sampling`.
         """
         weights, means, scales = self.components(dim)
 

@@ -246,12 +246,7 @@ def check_global_trust(scenario: Scenario) -> TrustVerdict:
     else:
         pinv = basis_vt.T @ (basis_u.T / sv[:, None])  # least-norm X for E'X = u is pinv @ u
         kq = pinv.T @ masses  # K'
-        # Projected twice: one pass leaves about 1e-17 of the row space in
-        # a residual of size eps, and the witness moves about 1/eps^2 along
-        # it, so near eps = 1e-9 that leftover would outweigh the +-1
-        # expert previsions and lose the violation.
-        residual = masses - basis_vt.T @ (basis_vt @ masses)
-        residual -= basis_vt.T @ (basis_vt @ residual)
+        residual = _off_row_space(basis_vt, masses)
         sizes = np.linalg.norm(residual, axis=0)
         off = kq - np.diag(np.diag(kq))
         rows = kq.sum(axis=1)
@@ -313,14 +308,24 @@ def _chain_offence(
     levels = np.unique(u)[::-1]
     cuts = np.append((levels[:-1] + levels[1:]) / 2.0, levels[-1] - 1.0)
     prefixes = u >= cuts[:, None]  # (cuts, k): an ascending chain of upper sets
-    weights = masses @ prefixes.T  # column j is pi o 1_{A_j}
-    residual = weights - basis.T @ (basis @ weights)
-    residual -= basis.T @ (basis @ residual)  # twice, as for class residuals
+    residual = _off_row_space(basis, masses @ prefixes.T)  # column j: pi o 1_{A_j}'s
     sizes = np.linalg.norm(residual, axis=0)
     j = int(np.argmax(sizes))
     if not sizes[j] > SLACK:
         raise RuntimeError("dependent expert rows left no chain prefix off their row space")
     return prefixes[j], y - cuts[j], -residual[:, j]
+
+
+def _off_row_space(basis: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """Each column less its projection on the row space of ``basis``.
+
+    ``basis`` has orthonormal rows.  It projects twice: one pass leaves
+    about 1e-17 of the row space in a residual of size eps, and a witness
+    moves about 1/eps^2 along it, so near eps = 1e-9 that leftover would
+    outweigh the +-1 expert previsions and lose the violation.
+    """
+    residual = columns - basis.T @ (basis @ columns)
+    return residual - basis.T @ (basis @ residual)
 
 
 def _acceptance(scenario: Scenario, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -345,10 +350,8 @@ def estimate_ae_trust(scenario: Scenario, sigma: float, samples: int, seed: int)
     scale ``sigma`` and counts those whose conditional prevision given
     ``[P(X) >= 0]`` is defined and negative, with binomial standard error.
     Deterministic for a given seed, independent of thread count.  The draw
-    is ``MeasureSpec.gaussian(sigma)``'s, so after an accuracy estimator
-    with the same (seed, N) it draws nothing: with that measure it reads
-    the retained run, and with a mixture it places the normals that the
-    retained mixture run kept, which are its own, bit for bit.
+    is ``MeasureSpec.gaussian(sigma)``'s; :mod:`deference_lab.sampling`
+    says when its memo spares it.
     """
     draw = MeasureSpec.gaussian(sigma).sampler(scenario.n)
     pi = scenario.agent.weights

@@ -7,7 +7,6 @@ from deference_lab import (
     Event,
     Gamble,
     MeasureSpec,
-    NotAViolationWitness,
     Orientation,
     Scenario,
     SearchExhaustedError,
@@ -141,9 +140,9 @@ class TestBuildAdversarialMeasure:
             raise AssertionError("sampled before checking the box's witness")
 
         monkeypatch.setattr("deference_lab.adversarial.expected_gap", no_sampling)
-        with pytest.raises(NotAViolationWitness):
+        with pytest.raises(ValidationError, match="not a trust violation witness"):
             build_adversarial_measure(scenario, box, 1.0, 1_000, seed=0)
-        with pytest.raises(NotAViolationWitness):
+        with pytest.raises(ValidationError, match="not a trust violation witness"):
             build_adversarial_measure(scenario, box.mirrored(), 1.0, 1_000, seed=0)
 
     def test_positive_side_box_is_checked_through_its_mirror(self):

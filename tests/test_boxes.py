@@ -7,9 +7,7 @@ import numpy as np
 import pytest
 
 from deference_lab import (
-    DegenerateBoxError,
     Gamble,
-    NotAViolationWitness,
     Orientation,
     Scenario,
     ValidationError,
@@ -59,7 +57,7 @@ class TestMargins:
         assert build_violation_box(scenario, x).event_margin == math.inf
 
     def test_margins_reject_non_witnesses(self, truth_expert):
-        with pytest.raises(NotAViolationWitness, match="not a trust violation witness"):
+        with pytest.raises(ValidationError, match="not a trust violation witness"):
             build_violation_box(truth_expert, Gamble([1.0, 1.0]))
 
 
@@ -82,7 +80,7 @@ class TestViolationBox:
         assert box.upper.tolist() == [1.0, 0.0]
 
     def test_rejects_trusted_gamble(self, truth_expert):
-        with pytest.raises(NotAViolationWitness):
+        with pytest.raises(ValidationError, match="not a trust violation witness"):
             build_violation_box(truth_expert, Gamble([1.0, 1.0]))
 
     def test_interior_points_all_fail_local_trust(self, anti_expert):
@@ -207,21 +205,25 @@ class TestPositiveBox:
         assert np.all(points @ anti_expert.agent.weights >= 0.0)
 
     def test_rejects_negative_prevision(self, anti_expert):
-        with pytest.raises(NotAViolationWitness):
+        with pytest.raises(ValidationError, match=r"positive-side witness needs pi\(X\) >= 0"):
             build_positive_box(anti_expert, Gamble([-1.0, 0.5]))
 
     def test_rejects_empty_rejection_event(self, truth_expert):
-        with pytest.raises(NotAViolationWitness):
+        with pytest.raises(
+            ValidationError, match="positive-side witness needs a rejection event of positive"
+        ):
             build_positive_box(truth_expert, Gamble([1.0, 1.0]))
 
     def test_rejects_nonpositive_conditional(self, truth_expert):
         # S*: rejection event of (2, -1) is {w2} with conditional -1 < 0.
-        with pytest.raises(NotAViolationWitness):
+        with pytest.raises(
+            ValidationError, match=r"positive-side witness needs pi\(X \| \[P\(X\) < 0\]\) > 0"
+        ):
             build_positive_box(truth_expert, Gamble([2.0, -1.0]))
 
     def test_zero_prevision_witness_degenerates(self, anti_expert):
         # pi(X) = 0 leaves no slack for the nonnegative-side requirement.
-        with pytest.raises(DegenerateBoxError):
+        with pytest.raises(ValidationError, match=r"degenerate box: pi\(X\) = 0 leaves no width"):
             build_positive_box(anti_expert, Gamble([-1.0, 1.0]))
 
     def test_on_hyperplane_witness_degenerates(self):
@@ -231,7 +233,7 @@ class TestPositiveBox:
             [1 / 3, 1 / 3, 1 / 3],
             [[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]],
         )
-        with pytest.raises(DegenerateBoxError, match="hyperplane"):
+        with pytest.raises(ValidationError, match="degenerate box: X lies on the zero hyperplane"):
             build_positive_box(scenario, Gamble([-1.0, 0.0, 2.0]))
 
     def test_zero_lower_bound_is_positive_zero(self):

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -153,6 +154,122 @@ POSITIVE_SIDE_SCORE = """\
     "seed": 7
   }
 }
+"""
+
+# ``identity`` and ``ae-trust`` with the same arguments: byte-exact too.
+POSITIVE_SIDE_IDENTITY = """\
+{
+  "command": "identity",
+  "scenario": "scenario.json",
+  "digest": "sha256:4afd0b53958b16ead075bab52cdc7d687913973ae17428c1cf718b28bc74d41b",
+  "sigma": 1.0,
+  "samples": 131195,
+  "seed": 7,
+  "identity": {
+    "value": 0.057681628503024954,
+    "std_error": 0.00043686893614958692,
+    "samples": 131195,
+    "seed": 7
+  }
+}
+"""
+POSITIVE_SIDE_AE_TRUST = """\
+{
+  "command": "ae-trust",
+  "scenario": "scenario.json",
+  "digest": "sha256:4afd0b53958b16ead075bab52cdc7d687913973ae17428c1cf718b28bc74d41b",
+  "samples": 131195,
+  "seed": 7,
+  "violation_frequency": {
+    "value": 0.15046305118335301,
+    "std_error": 0.00098706880419140424,
+    "samples": 131195,
+    "seed": 7
+  }
+}
+"""
+# Every world accepts the witness, so no excluded world bounds the lift:
+# the box's event margin is infinite and prints as the string "inf".
+EVERY_WORLD_ACCEPTS = {
+    "worlds": ["w1", "w2", "w3"],
+    "agent": [0.98, 0.01, 0.01],
+    "expert": [[0.0, 0.5, 0.5], [0.0, 0.5, 0.5], [0.0, 0.5, 0.5]],
+}
+# Byte-exact ``counterexample --samples 20000 --seed 7`` report on EVERY_WORLD_ACCEPTS.
+EVERY_WORLD_ACCEPTS_REPORT = """\
+{
+  "command": "counterexample",
+  "scenario": "scenario.json",
+  "digest": "sha256:9ae556ca8790f951e33c9ab62f54c1d15176f3581870dd5a7507572a823a27bd",
+  "sigma": 1.0,
+  "samples": 20000,
+  "seed": 7,
+  "verdict": {
+    "holds": false,
+    "margin": 0.96078431372549011,
+    "witness": [-1.0, 0.96078431372548989, 0.96078431372548989],
+    "witness_event": ["w1", "w2", "w3"],
+    "witness_value": -0.96078431372549011
+  },
+  "box": {
+    "orientation": "negative_side",
+    "event": ["w1", "w2", "w3"],
+    "value_margin": 0.96078431372549011,
+    "event_margin": "inf",
+    "delta": 0.96078431372549011,
+    "lower": [-1.0, 0.96078431372548989, 0.96078431372548989],
+    "upper": [-0.039215686274509887, 1.92156862745098, 1.92156862745098]
+  },
+  "measure": {
+    "kind": "mixture",
+    "sigma": 1.0,
+    "base_weight": 9.5367431640625e-07,
+    "bumps": [{
+      "center": [-0.51960784313725494, 1.4411764705882351, 1.4411764705882351],
+      "scale": 0.16013071895424835,
+      "weight": 0.99999904632568359
+    }]
+  },
+  "gap": {
+    "value": 0.47926874616608584,
+    "std_error": 0.0011062524395994795,
+    "samples": 20000,
+    "seed": 7
+  }
+}
+"""
+# The same report as ``--format text``, less its closing ``wall_clock_s`` line.
+EVERY_WORLD_ACCEPTS_TEXT = """\
+command   counterexample
+scenario  scenario.json
+digest    sha256:9ae556ca8790f951e33c9ab62f54c1d15176f3581870dd5a7507572a823a27bd
+sigma     1.0
+samples   20000
+seed      7
+verdict:
+  holds          false
+  margin         0.96078431372549011
+  witness        [-1.0, 0.96078431372548989, 0.96078431372548989]
+  witness_event  [w1, w2, w3]
+  witness_value  -0.96078431372549011
+box:
+  orientation   negative_side
+  event         [w1, w2, w3]
+  value_margin  0.96078431372549011
+  event_margin  inf
+  delta         0.96078431372549011
+  lower         [-1.0, 0.96078431372548989, 0.96078431372548989]
+  upper         [-0.039215686274509887, 1.92156862745098, 1.92156862745098]
+measure:
+  kind         mixture
+  sigma        1.0
+  base_weight  9.5367431640625e-07
+  bumps        [{center: [-0.51960784313725494, 1.4411764705882351, 1.4411764705882351], scale: 0.16013071895424835, weight: 0.99999904632568359}]
+gap:
+  value      0.47926874616608584
+  std_error  0.0011062524395994795
+  samples    20000
+  seed       7
 """
 
 
@@ -381,6 +498,21 @@ class TestScore:
         assert code == EXIT_OK
         assert capsys.readouterr().out == POSITIVE_SIDE_SCORE
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize(
+        "command, golden",
+        [("identity", POSITIVE_SIDE_IDENTITY), ("ae-trust", POSITIVE_SIDE_AE_TRUST)],
+    )
+    def test_sampled_report_bytes(
+        self, command, golden, threads, capsys, scenario_file, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("DEFLAB_THREADS", threads)
+        scenario_file(POSITIVE_SIDE)
+        monkeypatch.chdir(tmp_path)
+        code = main([command, "scenario.json", "--samples", "131195", "--seed", "7"])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out == golden
+
     @pytest.mark.parametrize("document", [ANTI, TRUTH, MIRROR_AGENT, POSITIVE_SIDE, SCALE_N3])
     @pytest.mark.parametrize("sigma, factor", [("2", 2.0), ("0.5", 0.5)])
     def test_sigma_scales_the_report_exactly(self, capsys, scenario_file, document, sigma, factor):
@@ -487,6 +619,23 @@ class TestCounterexample:
         assert timing.startswith("wall_clock_s  ")
         assert "\n".join(lines) + "\n" == POSITIVE_SIDE_TEXT
 
+    @pytest.mark.parametrize(
+        "fmt, golden", [("json", EVERY_WORLD_ACCEPTS_REPORT), ("text", EVERY_WORLD_ACCEPTS_TEXT)]
+    )
+    def test_infinite_event_margin_bytes(
+        self, fmt, golden, capsys, scenario_file, tmp_path, monkeypatch
+    ):
+        scenario_file(EVERY_WORLD_ACCEPTS)
+        monkeypatch.chdir(tmp_path)
+        argv = ["counterexample", "scenario.json", "--samples", "20000", "--seed", "7"]
+        assert main(argv + ["--format", fmt]) == EXIT_OK
+        out = capsys.readouterr().out
+        if fmt == "text":
+            *lines, timing = out.splitlines()
+            assert timing.startswith("wall_clock_s  ")
+            out = "\n".join(lines) + "\n"
+        assert out == golden
+
     def test_witness_on_an_accepting_hyperplane_gets_a_box(self, capsys, scenario_file):
         # pi(X) > 0 and P_1(X) = 0.0 for an accepting expert: a box below X
         # would have no width, the box above it has.
@@ -587,6 +736,25 @@ class TestReportContracts:
         captured = capsys.readouterr()
         assert "wall_clock_s" not in captured.out
         assert "wall_clock_s" in captured.err
+
+    @pytest.mark.parametrize(
+        "value, text",
+        [
+            (math.nan, "nan"),
+            (-math.nan, "nan"),
+            (math.inf, "inf"),
+            (-math.inf, "-inf"),
+            (0.0, "0.0"),
+            (-0.0, "-0.0"),
+            (1.0, "1.0"),
+            (1e16, "10000000000000000.0"),
+            (1e22, "1e+22"),
+            (5e-324, "4.9406564584124654e-324"),
+        ],
+    )
+    def test_format_float(self, value, text):
+        assert cli._format_float(value) == text
+        assert cli._format_float(np.float64(value)) == text
 
     def test_seventeen_digit_floats_round_trip(self, capsys, scenario_file, monkeypatch):
         code, report = run_cli(
