@@ -1,6 +1,7 @@
 """Open violation boxes: margins, bounds, and the uniform-violation contract."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -187,6 +188,40 @@ class TestBoxInvariants:
     def test_anti_expert_box_event_constancy(self, anti_expert):
         box = build_violation_box(anti_expert, Gamble([1.0, -1.0]))
         _negative_side_properties(anti_expert, box)
+
+
+class TestBoxBits:
+    """Every bound a box reports, pinned bit for bit.
+
+    One SHA-256 over ``lower``, ``upper``, ``midpoint()`` and ``delta`` of
+    the negative boxes on the global witnesses of 40 violating random
+    scenarios per n = 2..6, and of the positive boxes on 40 global
+    witnesses with pi(X) > 0.  Raw bytes, so the sign of a zero counts.
+    """
+
+    DIGEST = "73935cd42e00f24a7afe65f3f233516a0fc93fbf26965b147bf06095dbc6f441"
+
+    @staticmethod
+    def _feed(digest, box):
+        for bounds in (box.lower, box.upper, box.midpoint().values):
+            digest.update(np.ascontiguousarray(bounds, dtype=float).tobytes())
+        digest.update(float(box.delta).hex().encode())
+
+    def test_box_digest(self):
+        digest = hashlib.sha256()
+        for n in range(2, 7):
+            rng = np.random.default_rng(100 + n)
+            built = 0
+            while built < 40:
+                scenario = random_scenario(rng, n)
+                verdict = check_global_trust(scenario)
+                if verdict.holds:
+                    continue
+                self._feed(digest, build_violation_box(scenario, verdict.witness))
+                built += 1
+        for scenario, witness in _positive_global_witnesses(seed=13, count=40):
+            self._feed(digest, build_positive_box(scenario, witness))
+        assert digest.hexdigest() == self.DIGEST
 
 
 class TestPositiveBox:
