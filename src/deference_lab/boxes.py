@@ -23,8 +23,10 @@ measure.  The positive-side case (gambles just *below* a witness whose
 conditional given ``[P(X) < 0]`` is strictly positive) is the same
 construction seen through negation: off the expert hyperplanes, X is a
 positive-side witness exactly when -X is a negative-side one with the same
-event, so :func:`build_positive_box` builds the negative-side box of -X
-(the event and value it has already derived) and the proof carries over.
+event, so :func:`build_positive_box` mirrors the box of -X and the proof
+carries over.  A box stores its base, width and side, and derives its
+bounds from them, so every box is built by :func:`build_violation_box`
+and its bounds cannot stray from the base that function certified.
 """
 
 from __future__ import annotations
@@ -35,13 +37,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import (
-    Event,
-    Gamble,
-    ValidationError,
-    conditional_expectation,
-    expectation,
-)
+from .core import Event, Gamble, ValidationError, conditional_expectation, expectation
 from .trust import Scenario, _expert_previsions, expert_event
 
 __all__ = ["Orientation", "ViolationBox", "build_violation_box", "build_positive_box"]
@@ -58,12 +54,13 @@ class Orientation(Enum):
 class ViolationBox:
     """An open box of gambles violating trust uniformly.
 
-    ``lower``/``upper`` are componentwise *open* bounds.  No expert's zero
-    hyperplane ``P_i(Y) = 0`` meets a built box, so none is carved out: a
-    negative-side box holds the Y = X + D with every D_j in (0, delta), so
-    0 < P_i(D) < delta for every mass function, and the margins keep the
-    accepting experts above zero and the others below.  A positive-side box
-    is such a box negated.
+    For base X it is (X, X + delta) on the negative side and (X - delta, X)
+    on the positive side; ``lower`` and ``upper`` are these *open* bounds.
+    No expert's zero hyperplane ``P_i(Y) = 0`` meets a built box, so none
+    is carved out: a negative-side box holds the Y = X + D with every D_j
+    in (0, delta), so 0 < P_i(D) < delta for every mass function, and the
+    margins keep the accepting experts above zero and the others below.  A
+    positive-side box is such a box negated.
     """
 
     base: Gamble
@@ -71,8 +68,6 @@ class ViolationBox:
     value_margin: float
     event_margin: float
     delta: float
-    lower: np.ndarray
-    upper: np.ndarray
     orientation: Orientation
 
     def __post_init__(self) -> None:
@@ -82,16 +77,22 @@ class ViolationBox:
             raise ValidationError("box width exceeds the margins that justify it")
         if not np.all(self.upper - self.lower > 0.0):
             raise ValidationError("box must be nonempty and open in every coordinate")
-        lower = self.lower.copy()
-        upper = self.upper.copy()
-        lower.flags.writeable = False
-        upper.flags.writeable = False
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
 
     @property
     def n(self) -> int:
         return self.base.n
+
+    @property
+    def lower(self) -> np.ndarray:
+        if self.orientation is Orientation.NEGATIVE_SIDE:
+            return self.base.values
+        return self.base.values - self.delta
+
+    @property
+    def upper(self) -> np.ndarray:
+        if self.orientation is Orientation.NEGATIVE_SIDE:
+            return self.base.values + self.delta
+        return self.base.values
 
     def midpoint(self) -> Gamble:
         return Gamble((self.lower + self.upper) / 2.0)
@@ -118,16 +119,7 @@ class ViolationBox:
             if self.orientation is Orientation.NEGATIVE_SIDE
             else Orientation.NEGATIVE_SIDE
         )
-        return ViolationBox(
-            base=-self.base,
-            event=self.event,
-            value_margin=self.value_margin,
-            event_margin=self.event_margin,
-            delta=self.delta,
-            lower=-self.upper,
-            upper=-self.lower,
-            orientation=flipped,
-        )
+        return replace(self, base=-self.base, orientation=flipped)
 
 
 def _require_negative_witness(scenario: Scenario, x: Gamble) -> tuple[Event, float]:
@@ -152,11 +144,6 @@ def build_violation_box(scenario: Scenario, x: Gamble) -> ViolationBox:
     mirror, which the adversarial measure construction relies on.
     """
     event, value = _require_negative_witness(scenario, x)
-    return _negative_box(scenario, x, event, value)
-
-
-def _negative_box(scenario: Scenario, x: Gamble, event: Event, value: float) -> ViolationBox:
-    """``build_violation_box`` for a witness whose event and value are known."""
     lam = -value
     outside = np.delete(_expert_previsions(scenario, x), event.sorted_members())
     xi = float(np.min(-outside)) if outside.size else math.inf
@@ -170,8 +157,6 @@ def _negative_box(scenario: Scenario, x: Gamble, event: Event, value: float) -> 
         value_margin=lam,
         event_margin=xi,
         delta=delta,
-        lower=x.values.copy(),
-        upper=x.values + delta,
         orientation=Orientation.NEGATIVE_SIDE,
     )
 
@@ -216,7 +201,4 @@ def build_positive_box(scenario: Scenario, x: Gamble) -> ViolationBox:
         raise ValidationError(
             "degenerate box: X lies on the zero hyperplane of an accepting expert"
         )
-    # Rounding is sign-symmetric, so -value is exactly pi(-X | B).
-    mirror = _negative_box(scenario, -x, rejection, -value)
-    # Negating the mirror's upper bound would give -0.0 where x_j == delta.
-    return replace(mirror.mirrored(), lower=x.values - mirror.delta)
+    return build_violation_box(scenario, -x).mirrored()

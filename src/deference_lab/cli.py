@@ -40,6 +40,7 @@ import json
 import math
 import sys
 import time
+from argparse import Namespace
 
 import numpy as np
 
@@ -185,8 +186,6 @@ def _to_json(value, indent: int = 0) -> str:
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(value, dict):
-        if not value:
-            return "{}"
         items = ",\n".join(
             f"{inner}{json.dumps(str(k))}: {_to_json(v, indent + 1)}" for k, v in value.items()
         )
@@ -311,17 +310,7 @@ def _positive_float(raw: str) -> float:
     return value
 
 
-def _base_report(command: str, args: argparse.Namespace, scenario: Scenario) -> dict:
-    report = {"command": command, "scenario": args.scenario, "digest": scenario_digest(scenario)}
-    for key in ("gamble", "sigma", "samples", "seed"):
-        if hasattr(args, key) and getattr(args, key) is not None:
-            report[key] = getattr(args, key)
-    return report
-
-
-def _cmd_check(args: argparse.Namespace) -> tuple[int, dict]:
-    scenario, gambles = load_scenario(args.scenario)
-    report = _base_report("check", args, scenario)
+def _cmd_check(args: Namespace, scenario: Scenario, gambles: dict, report: dict) -> int:
     report["global"] = _verdict_fragment(scenario, check_global_trust(scenario))
     if args.gamble is not None:
         if args.gamble not in gambles:
@@ -333,42 +322,36 @@ def _cmd_check(args: argparse.Namespace) -> tuple[int, dict]:
         fragment = _verdict_fragment(scenario, verdict)
         fragment["gamble"] = args.gamble
         report["local"] = fragment
-    return EXIT_OK, report
+    return EXIT_OK
 
 
-def _cmd_estimates(args: argparse.Namespace) -> tuple[int, dict]:
+def _cmd_estimates(args: Namespace, scenario: Scenario, gambles: dict, report: dict) -> int:
     """``score`` and ``identity``: one report entry per (key, estimator)."""
     # Built per call, so a name patched on this module is the one called.
     estimators = {
         "score": (("gap", expected_gap), ("identity", rhs_identity)),
         "identity": (("identity", rhs_identity),),
     }[args.command]
-    scenario, _ = load_scenario(args.scenario)
     measure = MeasureSpec.gaussian(args.sigma)
-    report = _base_report(args.command, args, scenario)
     for key, estimator in estimators:
         estimate = estimator(scenario, measure, args.samples, args.seed)
         report[key] = dataclasses.asdict(estimate)
-    return EXIT_OK, report
+    return EXIT_OK
 
 
-def _cmd_ae_trust(args: argparse.Namespace) -> tuple[int, dict]:
+def _cmd_ae_trust(args: Namespace, scenario: Scenario, gambles: dict, report: dict) -> int:
     # The violation set is a cone, so its Gaussian measure is the same at
     # every scale: ae-trust takes no --sigma and always draws at 1.0.
-    scenario, _ = load_scenario(args.scenario)
-    report = _base_report("ae-trust", args, scenario)
     estimate = estimate_ae_trust(scenario, 1.0, args.samples, args.seed)
     report["violation_frequency"] = dataclasses.asdict(estimate)
-    return EXIT_OK, report
+    return EXIT_OK
 
 
-def _cmd_counterexample(args: argparse.Namespace) -> tuple[int, dict]:
-    scenario, _ = load_scenario(args.scenario)
-    report = _base_report("counterexample", args, scenario)
+def _cmd_counterexample(args: Namespace, scenario: Scenario, gambles: dict, report: dict) -> int:
     verdict = check_global_trust(scenario)
     report["verdict"] = _verdict_fragment(scenario, verdict)
     if verdict.holds:
-        return EXIT_TRUST_HOLDS, report
+        return EXIT_TRUST_HOLDS
 
     # The witness has pi(X 1_A) < 0 whatever the sign of pi(X), so the box
     # above it violates uniformly; a box below X can have no width.
@@ -383,10 +366,10 @@ def _cmd_counterexample(args: argparse.Namespace) -> tuple[int, dict]:
         report["error"] = str(exc)
         report["best_weight"] = exc.best_weight
         report["gap"] = dataclasses.asdict(exc.best_estimate)
-        return EXIT_EXHAUSTED, report
+        return EXIT_EXHAUSTED
     report["measure"] = _measure_fragment(measure)
     report["gap"] = dataclasses.asdict(estimate)
-    return EXIT_OK, report
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +416,14 @@ def main(argv: list[str] | None = None) -> int:
 
     started = time.perf_counter()
     try:
-        code, report = args.handler(args)
+        scenario, gambles = load_scenario(args.scenario)
+        report = {"command": args.command, "scenario": args.scenario}
+        report["digest"] = scenario_digest(scenario)
+        for key in ("gamble", "sigma", "samples", "seed"):
+            if getattr(args, key, None) is not None:
+                report[key] = getattr(args, key)
+        # Each handler adds its own section to this header and returns its exit code.
+        code = args.handler(args, scenario, gambles, report)
     except ValidationError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT

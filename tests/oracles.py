@@ -122,7 +122,11 @@ def component_inaccuracy(p_weights, world: int, mean, scale: float) -> float:
     and the score is one integral over t: -t P(accept | t) for t < 0 plus
     t P(reject | t) for t >= 0, against the density of X_i.  It is taken
     by scipy's ``quad`` on [m_i - 12 scale, m_i + 12 scale], split at the
-    kink t = 0.  The point mass at world i never errs.
+    kink t = 0 and at t* = -shift / p_i, where the erfc steps over a width
+    of about spread / p_i: a narrow step between nodes reads as "extremely
+    bad integrand behavior".  A feature within one scale of an end, where the
+    density is below e^-60, is left uncut.  The point mass at world i never
+    errs.
     """
     p = np.asarray(p_weights, dtype=float)
     m = np.asarray(mean, dtype=float)
@@ -141,7 +145,8 @@ def component_inaccuracy(p_weights, world: int, mean, scale: float) -> float:
         return t * 0.5 * math.erfc(z) * density
 
     lo, hi = m_i - 12.0 * scale, m_i + 12.0 * scale
-    edges = [lo, 0.0, hi] if lo < 0.0 < hi else [lo, hi]
+    cuts = {0.0, -shift / p_i} if p_i != 0.0 else {0.0}
+    edges = [lo, *sorted(c for c in cuts if lo + scale < c < hi - scale), hi]
     return sum(
         quad(loss, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
         for a, b in zip(edges, edges[1:])

@@ -103,7 +103,8 @@ class TestViolationBox:
         [
             ({"delta": 0.0}, "box width must be positive and finite, got 0.0"),
             ({"value_margin": 0.5}, "box width exceeds the margins that justify it"),
-            ({"upper": np.array([2.0, -1.0])}, "box must be nonempty and open in every"),
+            # 1e17 + delta rounds back to 1e17: no width in that coordinate.
+            ({"base": Gamble([1e17, -1.0])}, "box must be nonempty and open in every"),
         ],
     )
     def test_construction_checks(self, anti_expert, change, message):
@@ -316,6 +317,13 @@ class TestMirroredBox:
     def test_double_mirror_is_identity(self, anti_expert):
         box = build_violation_box(anti_expert, Gamble([1.0, -1.0]))
         back = box.mirrored().mirrored()
+        assert back == box
         assert back.lower.tolist() == box.lower.tolist()
         assert back.upper.tolist() == box.upper.tolist()
         assert back.orientation is box.orientation
+
+    def test_boxes_from_one_witness_compare_equal(self, anti_expert):
+        box = build_violation_box(anti_expert, Gamble([0.25, -0.75]))
+        assert box == build_violation_box(anti_expert, Gamble([0.25, -0.75]))
+        assert box != build_violation_box(anti_expert, Gamble([1.0, -1.0]))
+        assert box != box.mirrored()

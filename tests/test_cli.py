@@ -367,6 +367,25 @@ class TestCheck:
         assert code == EXIT_INPUT
         assert f"{field} has a number beyond float range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (
+                dict(TRUTH, worlds=["w1", "w1"]),
+                "worlds: world labels must be unique, got ('w1', 'w1')",
+            ),
+            (
+                dict(TRUTH, gambles={"bet": [math.nan, 1.0]}),
+                "gamble 'bet': gamble has non-finite entries: [nan, 1.0]",
+            ),
+        ],
+    )
+    def test_field_errors_name_the_field(self, capsys, scenario_file, bad, message):
+        assert main(["check", scenario_file(bad)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_undecodable_file(self, capsys, tmp_path):
         path = tmp_path / "latin1.json"
         path.write_bytes(b'{"worlds": ["\xff"]}')
