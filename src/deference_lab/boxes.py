@@ -24,9 +24,9 @@ conditional given ``[P(X) < 0]`` is strictly positive) is the same
 construction seen through negation: off the expert hyperplanes, X is a
 positive-side witness exactly when -X is a negative-side one with the same
 event, so :func:`build_positive_box` mirrors the box of -X and the proof
-carries over.  A box stores its base, width and side, and derives its
-bounds from them, so every box is built by :func:`build_violation_box`
-and its bounds cannot stray from the base that function certified.
+carries over.  Both sides are built by :func:`build_violation_box`, and a
+box stores only its base, width and side: its bounds derive from them, so
+they cannot stray from the base that function certified.
 """
 
 from __future__ import annotations
