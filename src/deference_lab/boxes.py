@@ -38,7 +38,7 @@ from enum import Enum
 import numpy as np
 
 from .core import Event, Gamble, ValidationError, conditional_expectation, expectation
-from .trust import Scenario, _expert_previsions, expert_event
+from .trust import Scenario, _event_of, _expert_previsions, expert_event
 
 __all__ = ["Orientation", "ViolationBox", "build_violation_box", "build_positive_box"]
 
@@ -122,15 +122,17 @@ class ViolationBox:
         return replace(self, base=-self.base, orientation=flipped)
 
 
-def _require_negative_witness(scenario: Scenario, x: Gamble) -> tuple[Event, float]:
-    event = expert_event(scenario, x, 0.0)
+def _require_negative_witness(scenario: Scenario, x: Gamble) -> tuple[Event, float, np.ndarray]:
+    """Witness X's event A = [P(X) >= 0], pi(X | A) < 0, and the P_i(X) that A is read from."""
+    previsions = _expert_previsions(scenario, x)
+    event = _event_of(previsions >= 0.0)
     value = conditional_expectation(scenario.agent, x, event)
     if value is None or not value < 0.0:
         raise ValidationError(
             "not a trust violation witness: conditional value given [P(X) >= 0] "
             f"is {'undefined' if value is None else value}"
         )
-    return event, value
+    return event, value, previsions
 
 
 def build_violation_box(scenario: Scenario, x: Gamble) -> ViolationBox:
@@ -143,9 +145,9 @@ def build_violation_box(scenario: Scenario, x: Gamble) -> ViolationBox:
     the gap identity's integrand is strictly positive on the box and its
     mirror, which the adversarial measure construction relies on.
     """
-    event, value = _require_negative_witness(scenario, x)
+    event, value, previsions = _require_negative_witness(scenario, x)
     lam = -value
-    outside = np.delete(_expert_previsions(scenario, x), event.sorted_members())
+    outside = np.delete(previsions, event.sorted_members())
     xi = float(np.min(-outside)) if outside.size else math.inf
     delta = min(lam, xi)
     unconditional = expectation(scenario.agent, x)

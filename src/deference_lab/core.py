@@ -24,6 +24,7 @@ Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -127,11 +128,18 @@ class Event:
     members: frozenset[int] = field(default_factory=frozenset)
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValidationError(f"event needs a space of >= 1 worlds, got n={self.n}")
-        members = frozenset(int(i) for i in self.members)
-        if any(i < 0 or i >= self.n for i in members):
-            raise ValidationError(f"event members {sorted(members)} out of range for n={self.n}")
+        try:  # integers of any kind pass, a float or anything else raises
+            n = operator.index(self.n)
+            members = frozenset(operator.index(i) for i in self.members)
+        except TypeError:
+            raise ValidationError(
+                f"event needs integer n and members, got n={self.n!r}, members={self.members!r}"
+            ) from None
+        if n < 1:
+            raise ValidationError(f"event needs a space of >= 1 worlds, got n={n}")
+        if any(i < 0 or i >= n for i in members):
+            raise ValidationError(f"event members {sorted(members)} out of range for n={n}")
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "members", members)
 
     @classmethod

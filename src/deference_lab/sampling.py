@@ -31,15 +31,17 @@ must not call the estimators themselves: with every worker waiting on
 chunks queued behind it, the pool would deadlock.
 
 Value and hit functions must work row by row: the function's value for a
-row may depend on that row alone.  Each chunk is evaluated in consecutive
-blocks of ``_BLOCK_ROWS`` (4,096) rows, and the block results are
-concatenated in row order before the chunk is reduced, so the chunk-level
-mean, scatter and hit count see the very array a single whole-chunk call
-would give; no bit moves.  A block keeps each call's temporaries in cache,
-and keeps its matrix products small enough that OpenBLAS runs them on the
-calling thread: with ``DEFLAB_THREADS=1`` the estimators use about one
-core.  Long-axis reductions stay inside numpy's deterministic pairwise
-summation over the whole chunk.
+row may depend on that row alone.  A chunk is placed and evaluated block by
+block in one pass: for each block of ``_BLOCK_ROWS`` (4,096) rows, the
+driver places the block's gambles (when the chunk has normals to place),
+hands the block to the function read-only, and writes the results into the
+chunk's array in row order.  So the chunk-level mean, scatter and hit count
+see the very array a single whole-chunk call would give; no bit moves.  A
+block keeps each call's temporaries in cache, and keeps its matrix products
+small enough that OpenBLAS runs them on the calling thread: with
+``DEFLAB_THREADS=1`` the estimators use about one core.  Long-axis
+reductions stay inside numpy's deterministic pairwise summation over the
+whole chunk.
 
 Drawing a chunk costs more than evaluating most value functions on it, and
 the estimators ask for the same run of draws one after another.  So the
@@ -51,22 +53,22 @@ A matching run reuses those chunk arrays, which are read-only.  On a miss,
 :func:`mc_estimate` drops the entry before it draws and retains its own
 run; :func:`mc_frequency` never fills or evicts the memo.  The memo has a
 second level.  A keyed draw reads its stream in two steps, the picked
-components and then the unit normals, and places the gambles from them in
-blocks of ``_BLOCK_ROWS`` rows (see ``MeasureSpec.sampler``).  A run that
-picks a component per row (a mixture) is retained with its unit normals
-beside its gambles, and those normals are every measure's at that (dim,
-seed, samples).  So a non-retaining call whose draw picks no component (a
-plain Gaussian) and whose content misses but whose stream hits places the
-kept normals block by block, each block in its own read-only buffer, and
-draws nothing: ``estimate_ae_trust`` reads the run its Gaussian shares with
-the accuracy estimators, or places a mixture run's normals, and leaves the
-run in place.  Placement is elementwise, so a placed block has the bits of
-the same rows of a fresh draw.  A run whose retained arrays (its gambles,
-plus its normals for a mixture) exceed ``_MEMO_BYTES`` (32 MiB) is never
-retained, so large runs keep O(chunk) memory, and draws without a key
-bypass the memo.  A hit hands each chunk the same array that chunk's own
-generator would draw, so the per-chunk seeds, the reduction order and with
-them the thread-count contract are untouched.
+components and then the unit normals (see ``MeasureSpec.sampler``), and
+the pass above places the gambles from them.  A run that picks a component
+per row (a mixture) is retained with its unit normals beside its gambles,
+and those normals are every measure's at that (dim, seed, samples).  So a
+non-retaining call whose draw picks no component (a plain Gaussian) and
+whose content misses but whose stream hits places the kept normals, each
+block in its own buffer, and draws nothing: ``estimate_ae_trust`` reads the
+run its Gaussian shares with the accuracy estimators, or places a mixture
+run's normals, and leaves the run in place.  Placement is elementwise, so
+a placed block has the bits of the same rows of a fresh draw.  A run whose
+retained arrays (its gambles, plus its normals for a mixture) exceed
+``_MEMO_BYTES`` (32 MiB) is never retained, so large runs keep O(chunk)
+memory, and draws without a key bypass the memo.  A hit hands each chunk
+the same array that chunk's own generator would draw, so the per-chunk
+seeds, the reduction order and with them the thread-count contract are
+untouched.
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -88,7 +90,6 @@ CHUNK_SIZE = 1 << 16
 
 DrawFn = Callable[[np.random.Generator, int], np.ndarray]
 ValueFn = Callable[[np.ndarray], np.ndarray]
-PlaceFn = Callable[[np.ndarray | None, np.ndarray, np.ndarray], np.ndarray]
 
 #: Rows per call of a value or hit function.  Larger blocks make OpenBLAS
 #: wake its worker threads for the estimators' matrix products.
@@ -183,14 +184,17 @@ def _map_draws(
 ) -> list[tuple]:
     """``reduce`` of every chunk's ``fn`` results, in chunk order.
 
-    Each chunk's ``vet(fn(block), rows)`` over its consecutive
-    ``_BLOCK_ROWS``-row blocks are concatenated in row order and reduced.
-    A keyed run identical to the memo's reuses its arrays instead of
-    drawing; with ``retain``, any other keyed run that fits the budget
-    replaces the memo, read-only.  Without ``retain``, a draw that picks no
-    component places the memo's kept normals, when their stream is its own,
-    block by block instead of drawing.  A keyed draw must also carry the
-    ``normals``, ``place`` and ``picks`` of ``MeasureSpec.sampler``'s draws.
+    A chunk is placed and evaluated block by block in one pass: each
+    ``_BLOCK_ROWS``-row block is placed when the chunk has normals (a fresh
+    keyed draw or kept normals), handed to ``fn`` read-only, and
+    ``vet(fn(block), rows)`` is written in row order into the chunk's
+    array, which is then reduced.  A keyed run identical to the memo's
+    reuses its arrays instead of drawing; with ``retain``, any other keyed
+    run that fits the budget replaces the memo, read-only.  Without
+    ``retain``, a draw that picks no component places the memo's kept
+    normals, when their stream is its own, instead of drawing.  A keyed
+    draw must also carry the ``normals``, ``place`` and ``picks`` of
+    ``MeasureSpec.sampler``'s draws.
     """
     global _memo
     if samples < 1:
@@ -220,25 +224,36 @@ def _map_draws(
             normals = entry[2]
 
     def work(j: int, m: int) -> tuple:
-        if normals is not None:
-            return reduce(_by_blocks(fn, _placed_blocks(draw.place, normals[j]), m, vet))
-        if reused is not None:
+        which = z = None
+        if normals is not None:  # place the kept normals, each block in its own buffer
+            z, xs = normals[j], None
+        elif reused is not None:
             xs = reused[j]
         elif tag is None:
             xs = draw(chunk_rng(seed, j), m)
         else:
             which, z = draw.normals(chunk_rng(seed, j), m)
             xs = z if kept_normals is None else np.empty_like(z)
-            for start in range(0, m, _BLOCK_ROWS):
-                rows = slice(start, start + _BLOCK_ROWS)
-                draw.place(None if which is None else which[rows], z[rows], xs[rows])
-            if kept is not None:
-                xs.flags.writeable = False
-                kept[j] = xs
-            if kept_normals is not None:
-                z.flags.writeable = False
-                kept_normals[j] = z
-        return reduce(_by_blocks(fn, _row_blocks(xs), m, vet))
+        chunk = None
+        for start in range(0, m, _BLOCK_ROWS):
+            rows = slice(start, start + _BLOCK_ROWS)
+            if z is None:
+                block = xs[rows]
+            else:
+                out = np.empty_like(z[rows]) if xs is None else xs[rows]
+                block = draw.place(None if which is None else which[rows], z[rows], out)
+            block.flags.writeable = False
+            part = vet(fn(block), len(block))
+            if chunk is None:
+                chunk = np.empty(m, part.dtype)
+            chunk[rows] = part
+        if kept is not None:
+            xs.flags.writeable = False
+            kept[j] = xs
+        if kept_normals is not None:
+            z.flags.writeable = False
+            kept_normals[j] = z
+        return reduce(chunk)
 
     workers = thread_count()
     jobs = list(enumerate(sizes))
@@ -258,44 +273,15 @@ def _map_draws(
     return results
 
 
-def _row_blocks(xs: np.ndarray) -> Iterator[np.ndarray]:
-    """Consecutive ``_BLOCK_ROWS``-row blocks of ``xs``."""
-    return (xs[start : start + _BLOCK_ROWS] for start in range(0, len(xs), _BLOCK_ROWS))
-
-
-def _placed_blocks(place: PlaceFn, z: np.ndarray) -> Iterator[np.ndarray]:
-    """Consecutive ``_BLOCK_ROWS``-row blocks of the one-component placement
-    of ``z``, each placed into its own read-only buffer."""
-    for start in range(0, len(z), _BLOCK_ROWS):
-        rows = z[start : start + _BLOCK_ROWS]
-        block = place(None, rows, np.empty_like(rows))
-        block.flags.writeable = False
-        yield block
-
-
-def _by_blocks(
-    fn: ValueFn, blocks: Iterable[np.ndarray], rows: int, vet: Callable[[object, int], np.ndarray]
-) -> np.ndarray:
-    """``vet(fn(block), len(block))`` over ``blocks`` of ``rows`` rows in all,
-    written in order into one array: no list of parts lives beside it."""
-    chunk = None
-    start = 0
-    for block in blocks:
-        part = vet(fn(block), len(block))
-        if chunk is None:
-            chunk = np.empty(rows, part.dtype)
-        chunk[start : start + len(block)] = part
-        start += len(block)
-    return chunk
-
-
 def mc_estimate(draw: DrawFn, values: ValueFn, samples: int, seed: int) -> ScoreEstimate:
     """Estimate E[values(X)] for X ~ draw, with sample standard error.
 
     ``draw(rng, m)`` must return an (m, dim) array.  ``values`` is called on
     row blocks of it and must return one float per row, row by row.
     Per-chunk means and scatter are merged with the usual pairwise
-    mean/M2 combination, sequentially in chunk order.
+    mean/M2 combination, sequentially in chunk order.  A mean or scatter
+    that overflows reads inf; a nan mean or standard error raises
+    :class:`ValidationError`.
     """
 
     def vet(result: object, rows: int) -> np.ndarray:
@@ -305,22 +291,24 @@ def mc_estimate(draw: DrawFn, values: ValueFn, samples: int, seed: int) -> Score
         return part
 
     def moments(chunk: np.ndarray) -> tuple[int, float, float]:
-        mean = float(np.mean(chunk))
-        m2 = float(np.sum((chunk - mean) ** 2))
+        # A mean or scatter that overflows reads inf; a nan one raises below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = float(np.mean(chunk))
+            m2 = float(np.sum((chunk - mean) ** 2))
         return len(chunk), mean, m2
 
-    count, mean, m2 = 0, 0.0, 0.0
-    for c_count, c_mean, c_m2 in _map_draws(draw, values, vet, moments, samples, seed, True):
+    chunks = iter(_map_draws(draw, values, vet, moments, samples, seed, True))
+    count, mean, m2 = next(chunks)
+    for c_count, c_mean, c_m2 in chunks:
         delta = c_mean - mean
         total = count + c_count
         mean += delta * (c_count / total)
         m2 += c_m2 + delta * delta * (count * c_count / total)
         count = total
 
-    if count > 1 and m2 > 0.0:
-        std_error = math.sqrt(m2 / (count - 1) / count)
-    else:
-        std_error = 0.0
+    std_error = math.sqrt(m2 / (count - 1) / count) if count > 1 else 0.0
+    if math.isnan(mean) or math.isnan(std_error):
+        raise ValidationError(f"Monte-Carlo estimate is nan (mean {mean}, scatter {m2})")
     return ScoreEstimate(value=mean + 0.0, std_error=std_error, samples=count, seed=seed)
 
 

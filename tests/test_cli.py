@@ -550,6 +550,24 @@ class TestScore:
         assert main(["score", scenario_file(ANTI), "--sigma", "0"]) == EXIT_INPUT
         assert main(["score", scenario_file(ANTI), "--samples", "0"]) == EXIT_INPUT
 
+    def test_overflowing_scatter_prints_inf(self, capsys, scenario_file):
+        # Every draw and gap is finite at this scale; only their squares overflow.
+        code, report = run_cli(capsys, "score", scenario_file(ANTI), "--sigma", "1e300")
+        assert code == EXIT_OK
+        for key in ("gap", "identity"):
+            assert 0.0 < report[key]["value"] < math.inf
+            assert report[key]["std_error"] == "inf"
+
+    def test_nan_estimate_exits_2_with_one_line(self, capsys, scenario_file):
+        # The draws leave float range, and the integrands then meet inf - inf.
+        with pytest.warns(RuntimeWarning):
+            code = main(["score", scenario_file(ANTI), "--sigma", "1e308"])
+        assert code == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: Monte-Carlo estimate is nan")
+        assert captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("command", ["score", "identity", "counterexample"])
     @pytest.mark.parametrize("sigma", ["inf", "-inf", "nan"])
     def test_rejects_non_finite_sigma(self, capsys, scenario_file, command, sigma):

@@ -80,6 +80,18 @@ class TestConstruction:
             Event(2, frozenset({-1}))
 
     @pytest.mark.parametrize(
+        "n, members", [(3, {0.7}), (2.5, {0}), (3.0, set()), (3, {np.float64(1.0)}), ("3", set())]
+    )
+    def test_event_takes_only_integers(self, n, members):
+        with pytest.raises(ValidationError, match="event needs integer n and members"):
+            Event(n, frozenset(members))
+
+    def test_event_takes_numpy_integers_as_ints(self):
+        event = Event(np.int64(3), frozenset({np.int64(2), np.uint8(0)}))
+        assert event == Event(3, frozenset({0, 2}))
+        assert type(event.n) is int and all(type(i) is int for i in event.members)
+
+    @pytest.mark.parametrize(
         "build, message",
         [
             (lambda: WorldSpace.of_size(0), r"world count must be >= 1, got 0"),

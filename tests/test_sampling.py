@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import multiprocessing
 import os
 import subprocess
@@ -94,6 +95,22 @@ class TestMcEstimate:
         est = mc_estimate(draw, lambda xs: np.zeros(len(xs)), 10_000, seed=0)
         assert est.value == 0.0
         assert est.std_error == 0.0
+
+    def test_scatter_of_an_overflowing_first_mean_is_computed(self):
+        # The first chunk's mean squared overflows, but its scatter does not.
+        draw = _gaussian(2, 1.0)
+        unit = mc_estimate(draw, lambda xs: xs[:, 0], 2_000, seed=0)
+        est = mc_estimate(draw, lambda xs: 1e150 * xs[:, 0] + 2e154, 2_000, seed=0)
+        assert est.std_error == pytest.approx(1e150 * unit.std_error, rel=1e-12)
+
+    def test_overflowing_scatter_reads_inf(self):
+        est = mc_estimate(_gaussian(2, 1.0), lambda xs: 1e300 * xs[:, 0], CHUNK_SIZE + 5, seed=0)
+        assert math.isfinite(est.value) and est.std_error == math.inf
+
+    def test_nan_estimate_raises(self):
+        # Every value is finite, but their sum leaves float range both ways.
+        with pytest.raises(ValidationError, match="Monte-Carlo estimate is nan"):
+            mc_estimate(_gaussian(2, 1.0), lambda xs: np.copysign(1e308, xs[:, 0]), 2_000, seed=0)
 
     def test_rejects_bad_sample_count(self):
         with pytest.raises(ValueError):
@@ -719,6 +736,38 @@ class TestDrawMemo:
             mc_frequency(draw, scribble_hits, samples, seed=3)
         assert mc_frequency(draw, positive, samples, seed=3) == cold
         assert sampling._memo is held
+
+    def test_every_block_a_function_receives_is_read_only(self, chunk_draws, monkeypatch):
+        samples = CHUNK_SIZE + 4097
+        blocks = -(-CHUNK_SIZE // _BLOCK_ROWS) + 2
+        gaussian = MeasureSpec.gaussian(1.0).sampler(2)
+        mixture = MeasureSpec.mixture(1.0, (BumpPair(Gamble([2.0, -1.0]), 0.5, 0.4),)).sampler(2)
+        unkeyed = lambda rng, m: rng.standard_normal((m, 2))
+        seen: list[bool] = []
+
+        def values(xs: np.ndarray) -> np.ndarray:
+            seen.append(xs.flags.writeable)
+            return xs[:, 0]
+
+        def hits(xs: np.ndarray) -> np.ndarray:
+            return values(xs) > 0.0
+
+        def source(run, draws: int) -> None:
+            seen.clear()
+            before = len(chunk_draws)
+            run()
+            assert len(chunk_draws) - before == draws
+            assert len(seen) == blocks and not any(seen)
+
+        source(lambda: mc_estimate(gaussian, values, samples, 3), 2)  # fresh, retained
+        source(lambda: mc_estimate(gaussian, values, samples, 3), 0)  # memo hit
+        source(lambda: mc_frequency(mixture, hits, samples, 3), 2)  # cold frequency
+        source(lambda: mc_estimate(mixture, values, samples, 3), 2)  # fresh, keeps normals
+        source(lambda: mc_frequency(gaussian, hits, samples, 3), 0)  # placed kept normals
+        source(lambda: mc_estimate(unkeyed, values, samples, 3), 2)  # unkeyed
+        monkeypatch.setattr(sampling, "_MEMO_BYTES", 0)
+        source(lambda: mc_estimate(gaussian, values, samples, 4), 2)  # fresh, over budget
+        assert sampling._memo is None
 
     def test_run_over_the_budget_is_not_retained(self, chunk_draws, monkeypatch):
         monkeypatch.setattr(sampling, "_MEMO_BYTES", 4 * 8 * 100)
