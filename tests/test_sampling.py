@@ -739,7 +739,7 @@ class TestDrawMemo:
 
     def test_every_block_a_function_receives_is_read_only(self, chunk_draws, monkeypatch):
         samples = CHUNK_SIZE + 4097
-        blocks = -(-CHUNK_SIZE // _BLOCK_ROWS) + 2
+        blocks = CHUNK_SIZE // _BLOCK_ROWS + 2  # a full chunk, then 4,097 rows in two blocks
         gaussian = MeasureSpec.gaussian(1.0).sampler(2)
         mixture = MeasureSpec.mixture(1.0, (BumpPair(Gamble([2.0, -1.0]), 0.5, 0.4),)).sampler(2)
         unkeyed = lambda rng, m: rng.standard_normal((m, 2))
