@@ -32,16 +32,15 @@ chunks queued behind it, the pool would deadlock.
 
 Value and hit functions must work row by row: the function's value for a
 row may depend on that row alone.  A chunk is placed and evaluated block by
-block in one pass: for each block of ``_BLOCK_ROWS`` (4,096) rows, the
-driver places the block's gambles (when the chunk has normals to place),
-hands the block to the function read-only, and writes the results into the
-chunk's array in row order.  So the chunk-level mean, scatter and hit count
-see the very array a single whole-chunk call would give; no bit moves.  A
-block keeps each call's temporaries in cache, and keeps its matrix products
-small enough that OpenBLAS runs them on the calling thread: with
-``DEFLAB_THREADS=1`` the estimators use about one core.  Long-axis
-reductions stay inside numpy's deterministic pairwise summation over the
-whole chunk.
+block in one pass: each block of ``_BLOCK_ROWS`` (4,096) rows has its
+gambles placed (when the chunk has normals to place), goes to the function
+read-only, and has its results written into the chunk's array in row
+order.  So the chunk-level mean, scatter and hit count see the very array
+a single whole-chunk call would give; no bit moves.  A block keeps each
+call's temporaries in cache, and keeps its matrix products small enough
+that OpenBLAS runs them on the calling thread: with ``DEFLAB_THREADS=1``
+the estimators use about one core.  Long-axis reductions stay inside
+numpy's deterministic pairwise summation over the whole chunk.
 
 Drawing a chunk costs more than evaluating most value functions on it, and
 the estimators ask for the same run of draws one after another.  So the
