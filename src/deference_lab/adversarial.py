@@ -18,11 +18,11 @@ estimate.
 
 from __future__ import annotations
 
-from .boxes import Orientation, ViolationBox, _require_negative_witness
+from .boxes import Orientation, ViolationBox
 from .accuracy import expected_gap
 from .measures import MIN_BASE_WEIGHT, BumpPair, MeasureSpec
 from .sampling import ScoreEstimate
-from .trust import Scenario
+from .trust import Scenario, _require_negative_witness
 
 __all__ = ["SearchExhaustedError", "build_adversarial_measure"]
 
@@ -60,8 +60,8 @@ def build_adversarial_measure(
     weight and estimate if it does not -- a sign of too few samples or a
     degenerate box, not of a refuted theorem.  The box's negative-side
     base (``-box.base`` on the positive side) must witness a violation of
-    this scenario: an O(n^2) check before any sampling, raising
-    :class:`ValidationError` otherwise.
+    this scenario: the O(n^2) witness check of :mod:`deference_lab.trust`
+    runs before any sampling and raises :class:`ValidationError` otherwise.
     """
     base = box.base if box.orientation is Orientation.NEGATIVE_SIDE else -box.base
     _require_negative_witness(scenario, base)

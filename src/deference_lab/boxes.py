@@ -7,7 +7,8 @@ event, while staying clear of the n hyperplanes ``{Y : P_i(Y) = 0}`` on
 which expert previsions vanish.
 
 Two margins control the box for a witness with event A = [P(X) >= 0] and
-``pi(X | A) < 0``; both are :class:`ViolationBox` fields:
+``pi(X | A) < 0``, as ``trust._require_negative_witness`` (the one witness
+check) reads them; both margins are :class:`ViolationBox` fields:
 
 * ``value_margin`` (lambda) -- how much X can be lifted uniformly before
   the conditional value reaches zero; equals ``-pi(X | A)`` since a
@@ -38,7 +39,7 @@ from enum import Enum
 import numpy as np
 
 from .core import Event, Gamble, ValidationError, conditional_expectation, expectation
-from .trust import Scenario, _event_of, _expert_previsions, expert_event
+from .trust import Scenario, _require_negative_witness, expert_event
 
 __all__ = ["Orientation", "ViolationBox", "build_violation_box", "build_positive_box"]
 
@@ -120,19 +121,6 @@ class ViolationBox:
             else Orientation.NEGATIVE_SIDE
         )
         return replace(self, base=-self.base, orientation=flipped)
-
-
-def _require_negative_witness(scenario: Scenario, x: Gamble) -> tuple[Event, float, np.ndarray]:
-    """Witness X's event A = [P(X) >= 0], pi(X | A) < 0, and the P_i(X) that A is read from."""
-    previsions = _expert_previsions(scenario, x)
-    event = _event_of(previsions >= 0.0)
-    value = conditional_expectation(scenario.agent, x, event)
-    if value is None or not value < 0.0:
-        raise ValidationError(
-            "not a trust violation witness: conditional value given [P(X) >= 0] "
-            f"is {'undefined' if value is None else value}"
-        )
-    return event, value, previsions
 
 
 def build_violation_box(scenario: Scenario, x: Gamble) -> ViolationBox:

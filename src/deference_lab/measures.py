@@ -24,7 +24,7 @@ sampler draws from.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +38,11 @@ __all__ = ["BumpPair", "MeasureSpec"]
 #: strictly positive everywhere no matter how much mass the bumps take.
 MIN_BASE_WEIGHT = 2.0**-20
 
+#: Numpy's ziggurat normals have |z| < r + 53 ln 2 / r < 13.71 (r = 3.654 starts
+#: the tail, whose uniforms stay 2**-53 from 1), so z * scale + center is finite
+#: whenever 16 * scale + max |center| is: rounding is monotone.
+_Z_BOUND = 16.0
+
 
 @dataclass(frozen=True)
 class BumpPair:
@@ -48,8 +53,11 @@ class BumpPair:
     weight: float
 
     def __post_init__(self) -> None:
-        if not (self.scale > 0.0 and math.isfinite(self.scale)):
-            raise ValidationError(f"bump scale must be positive and finite, got {self.scale}")
+        reach = float(self.scale) * _Z_BOUND + float(np.abs(self.center.values).max())
+        if not (self.scale > 0.0 and reach <= sys.float_info.max):
+            raise ValidationError(
+                f"bump scale must be positive and finite, and so must its draws, got {self.scale}"
+            )
         if not 0.0 <= self.weight < 1.0:
             raise ValidationError(f"bump weight must lie in [0, 1), got {self.weight}")
 
@@ -65,8 +73,10 @@ class MeasureSpec:
     bumps: tuple[BumpPair, ...] = ()
 
     def __post_init__(self) -> None:
-        if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
-            raise ValidationError(f"sigma must be positive and finite, got {self.sigma}")
+        if not (self.sigma > 0.0 and float(self.sigma) * _Z_BOUND <= sys.float_info.max):
+            raise ValidationError(
+                f"sigma must be positive and finite, and so must its draws, got {self.sigma}"
+            )
         bumps = tuple(self.bumps)
         if bumps:
             dims = {b.center.n for b in bumps}

@@ -52,7 +52,9 @@ Floating point decides within the one slack tau = ``core.SLACK``: "holds"
 means that this float scenario passes within tau, and every class or chain
 residual above tau yields a witness.  Verdicts carry a witness normalized
 to threshold zero: the witness gamble X satisfies
-``pi(X | [P(X) >= 0]) < 0`` with the stored event and value.
+``pi(X | [P(X) >= 0]) < 0`` with the stored event and value, as read by the
+one witness check, ``_require_negative_witness``, which raises
+:class:`ValidationError` for a witness that lost its violation in floats.
 """
 
 from __future__ import annotations
@@ -180,6 +182,19 @@ def _event_of(mask: np.ndarray) -> Event:
     return Event(mask.size, frozenset(np.flatnonzero(mask).tolist()))
 
 
+def _require_negative_witness(scenario: Scenario, x: Gamble) -> tuple[Event, float, np.ndarray]:
+    """X's event A = [P(X) >= 0], pi(X | A) < 0 and the P_i(X): the one check of a witness."""
+    previsions = _expert_previsions(scenario, x)
+    event = _event_of(previsions >= 0.0)
+    value = conditional_expectation(scenario.agent, x, event)
+    if value is None or not value < 0.0:
+        raise ValidationError(
+            "not a trust violation witness: conditional value given [P(X) >= 0] "
+            f"is {'undefined' if value is None else value} on event {event.sorted_members()}"
+        )
+    return event, value, previsions
+
+
 def check_local_trust(scenario: Scenario, x: Gamble) -> TrustVerdict:
     """Decide trust on one gamble across every real threshold.
 
@@ -190,9 +205,10 @@ def check_local_trust(scenario: Scenario, x: Gamble) -> TrustVerdict:
     reported witness is shifted to threshold zero.  A plain shift by v
     would leave the threshold-achieving expert rows within rounding noise
     of zero, so nonzero thresholds shift by v minus half the available
-    slack instead, landing strictly inside the violating cone; thresholds
-    whose conditional is undefined are skipped, as are detections too thin
-    to survive that interior shift (sub-ulp artifacts of the division).
+    slack instead, landing strictly inside the violating cone.  Thresholds
+    whose conditional is undefined are skipped, and so is every candidate,
+    shifted or not, in which the one witness check finds no violation with
+    the same event (a sub-ulp artifact of the division).
     """
     previsions = _expert_previsions(scenario, x)
     values = previsions.tolist()
@@ -201,18 +217,14 @@ def check_local_trust(scenario: Scenario, x: Gamble) -> TrustVerdict:
         cond = conditional_expectation(scenario.agent, x, event)
         if cond is None or cond >= v:
             continue
-        if v == 0.0:
-            return TrustVerdict(
-                holds=False, witness=x, witness_event=event, witness_value=cond
-            )
         slack = min([v - cond, *(v - pv for pv in values if pv < v)])
-        witness = x.shifted(slack / 2.0 - v)
-        event0 = expert_event(scenario, witness, 0.0)
-        value0 = conditional_expectation(scenario.agent, witness, event0)
-        if event0 == event and value0 is not None and value0 < 0.0:
-            return TrustVerdict(
-                holds=False, witness=witness, witness_event=event0, witness_value=value0
-            )
+        witness = x.shifted(slack / 2.0 - v) if v else x
+        try:
+            event0, value0, _ = _require_negative_witness(scenario, witness)
+        except ValidationError:
+            continue
+        if event0 == event:
+            return TrustVerdict(False, witness, event0, value0)
     return TrustVerdict(holds=True)
 
 
@@ -225,8 +237,9 @@ def check_global_trust(scenario: Scenario) -> TrustVerdict:
     rank takes the sign test within the slack tau: the largest class
     residual above tau fails first, then the largest off-diagonal entry of
     K' above tau, then the most negative row sum below -tau.  The offence
-    picked yields the closed-form witness, whose violation is re-checked
-    in floating point (``RuntimeError`` if it is lost).
+    picked yields the closed-form witness, which the one witness check
+    re-reads: a lost violation raises its :class:`ValidationError`, as do
+    dependent rows that leave no chain prefix above tau.
     """
     e = scenario.expert_matrix()
     pi = scenario.agent.weights
@@ -269,24 +282,12 @@ def check_global_trust(scenario: Scenario) -> TrustVerdict:
     weight = masses[:, inside].sum(axis=1)
     x = x + max(0.0, weight @ x + 1.0) / -(weight @ direction) * direction
     witness = Gamble(x / np.abs(x).max())
-    previsions = _expert_previsions(scenario, witness)
+    event, value, previsions = _require_negative_witness(scenario, witness)
     accepted = previsions >= 0.0
-    event = _event_of(accepted)
-    value = conditional_expectation(scenario.agent, witness, event)
-    if value is None or not value < 0.0:
-        raise RuntimeError(
-            f"closed-form witness lost its violation for event {event.sorted_members()}"
-        )
     # The event's cone-LP objective at the (feasible) witness.
     partial = float(_ordered_sum(pi * (witness.values * accepted)))
     outside = previsions[~accepted].tolist()
-    return TrustVerdict(
-        holds=False,
-        witness=witness,
-        witness_event=event,
-        witness_value=value,
-        margin=-max([partial, *outside]),
-    )
+    return TrustVerdict(False, witness, event, value, margin=-max([partial, *outside]))
 
 
 def _chain_offence(
@@ -312,7 +313,7 @@ def _chain_offence(
     sizes = np.linalg.norm(residual, axis=0)
     j = int(np.argmax(sizes))
     if not sizes[j] > SLACK:
-        raise RuntimeError("dependent expert rows left no chain prefix off their row space")
+        raise ValidationError("dependent expert rows left no chain prefix off their row space")
     return prefixes[j], y - cuts[j], -residual[:, j]
 
 

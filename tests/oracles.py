@@ -38,6 +38,7 @@ Nothing here imports the implementation paths it judges:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from enum import Enum
@@ -786,6 +787,7 @@ def exact_witness_violates(scenario: Scenario, witness) -> bool:
 QUARTER_ROWS = [(a / 4, b / 4, (4 - a - b) / 4) for a in range(5) for b in range(5 - a)]
 
 
+@functools.cache
 def quarter_grid_orbits() -> list[tuple[tuple[int, ...], int]]:
     """One scenario per orbit of the n = 3 quarter grid under world permutations.
 
@@ -793,6 +795,7 @@ def quarter_grid_orbits() -> list[tuple[tuple[int, ...], int]]:
     Relabelling worlds by s maps the agent to agent[s] and expert row k to
     row s[k] with its columns in the order s.  Returns (smallest key of the
     orbit, orbit size); the sizes add up to the 15**4 scenarios of the grid.
+    Cached: one list per process, which callers must not mutate.
     """
     index = {row: k for k, row in enumerate(QUARTER_ROWS)}
     perms = list(itertools.permutations(range(3)))

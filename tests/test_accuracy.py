@@ -19,6 +19,7 @@ from deference_lab import (
     sampling,
 )
 from oracles import (
+    QUARTER_ROWS,
     ErrorKind,
     coarse_trusting_scenario,
     coarse_zero_mass_scenario,
@@ -33,6 +34,7 @@ from oracles import (
     is_almost_desirable,
     measure_gap,
     measure_inaccuracy,
+    quarter_grid_orbits,
     quarter_rows,
     random_measure,
     random_scenario,
@@ -415,6 +417,23 @@ class TestExactGaussian:
             scenario = families[k % 4](rng, 3 + k % 7)
             assert check_global_trust(scenario).holds
             assert exact_gap(scenario) <= 0.0, k
+
+    def test_exact_gap_on_the_quarter_grid(self):
+        # The "if" half on every orbit representative of the n = 3 quarter
+        # grid.  Where trust fails, the plain Gaussian's gap is positive on
+        # 7,175 of 8,154 representatives; the rest need the bump measure.
+        orbits = quarter_grid_orbits()
+        holding = positive = 0
+        for key, _ in orbits:
+            agent, *expert = (QUARTER_ROWS[k] for k in key)
+            scenario = Scenario.from_weights(agent, expert)
+            gap = exact_gap(scenario)
+            if check_global_trust(scenario).holds:
+                holding += 1
+                assert gap <= 0.0, key
+            else:
+                positive += gap > 0.0
+        assert (len(orbits), holding, positive) == (8_505, 351, 7_175)
 
 
 class TestExactMixture:

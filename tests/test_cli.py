@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import deference_lab
-from deference_lab import SearchExhaustedError, ValidationError, cli
+from deference_lab import Gamble, SearchExhaustedError, ValidationError, cli
 from deference_lab.cli import (
     EXIT_EXHAUSTED,
     EXIT_INPUT,
@@ -27,7 +28,7 @@ from deference_lab.cli import (
 )
 from deference_lab.measures import MIN_BASE_WEIGHT
 from deference_lab.sampling import ScoreEstimate
-from oracles import random_scenario
+from oracles import exact_witness_violates, random_scenario
 
 ANTI = {
     "worlds": ["w1", "w2"],
@@ -195,6 +196,18 @@ EVERY_WORLD_ACCEPTS = {
     "agent": [0.98, 0.01, 0.01],
     "expert": [[0.0, 0.5, 0.5], [0.0, 0.5, 0.5], [0.0, 0.5, 0.5]],
 }
+# Three exactly distinct expert rows whose smallest singular value over the
+# largest (1.4e-17) sits below the rank cut, so the global check takes the
+# dependent-rows chain, and the last world has no agent mass.
+NEAR_IDENTICAL = {
+    "worlds": ["w1", "w2", "w3"],
+    "agent": [0.44504759185120857, 0.5549524081487914, 0.0],
+    "expert": [
+        [0.21756877088571572, 0.5245181403994925, 0.25791308871479185],
+        [0.21756877088565268, 0.5245181403993406, 0.25791308871471713],
+        [0.21756877088576587, 0.5245181403996134, 0.2579130887148513],
+    ],
+}
 # Byte-exact ``counterexample --samples 20000 --seed 7`` report on EVERY_WORLD_ACCEPTS.
 EVERY_WORLD_ACCEPTS_REPORT = """\
 {
@@ -289,6 +302,20 @@ def run_cli(capsys, *argv) -> tuple[int, dict | None]:
     return code, (json.loads(out) if out else None)
 
 
+def assert_verified_or_one_error(capsys, path: str, argv: list[str], section: str) -> None:
+    """Exit 0 with a witness that violates trust exactly, or exit 2 with one line."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    if code == EXIT_INPUT:
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+    else:
+        assert code == EXIT_OK
+        witness = Gamble(json.loads(captured.out)[section]["witness"])
+        assert exact_witness_violates(load_scenario(path)[0], witness)
+
+
 class TestCheck:
     def test_anti_expert_reports_violation(self, capsys, scenario_file):
         code, report = run_cli(capsys, "check", scenario_file(ANTI))
@@ -313,6 +340,10 @@ class TestCheck:
         code, report = run_cli(capsys, "check", scenario_file(tilted))
         assert code == EXIT_OK
         assert report["global"]["holds"] is False
+
+    def test_near_identical_rows_end_without_a_traceback(self, capsys, scenario_file):
+        path = scenario_file(NEAR_IDENTICAL)
+        assert_verified_or_one_error(capsys, path, ["check", path], "global")
 
     def test_named_gamble_local_check(self, capsys, scenario_file):
         code, report = run_cli(capsys, "check", scenario_file(ANTI), "--gamble", "bet")
@@ -558,15 +589,27 @@ class TestScore:
             assert 0.0 < report[key]["value"] < math.inf
             assert report[key]["std_error"] == "inf"
 
-    def test_nan_estimate_exits_2_with_one_line(self, capsys, scenario_file):
-        # The draws leave float range, and the integrands then meet inf - inf.
-        with pytest.warns(RuntimeWarning):
-            code = main(["score", scenario_file(ANTI), "--sigma", "1e308"])
+    @staticmethod
+    def _score_without_warnings(capsys, path: str, sigma: str) -> str:
+        """``score --sigma`` with warnings as errors: asserts exit 2, returns stderr."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["score", path, "--sigma", sigma])
         assert code == EXIT_INPUT
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: Monte-Carlo estimate is nan")
         assert captured.err.count("\n") == 1
+        return captured.err
+
+    def test_nan_estimate_exits_2_with_one_line(self, capsys, scenario_file):
+        # Every draw is finite at this scale, but the integrands meet inf - inf.
+        err = self._score_without_warnings(capsys, scenario_file(ANTI), "1e307")
+        assert err.startswith("error: Monte-Carlo estimate is nan")
+
+    def test_overflowing_draws_exit_2_with_one_line(self, capsys, scenario_file):
+        # 16 sigma overflows, so a draw could leave float range: rejected first.
+        err = self._score_without_warnings(capsys, scenario_file(ANTI), "1e308")
+        assert err.startswith("error: sigma must be positive and finite, and so must its draws")
 
     @pytest.mark.parametrize("command", ["score", "identity", "counterexample"])
     @pytest.mark.parametrize("sigma", ["inf", "-inf", "nan"])
@@ -631,6 +674,11 @@ class TestCounterexample:
         assert measure["base_weight"] == MIN_BASE_WEIGHT
         gap = report["gap"]
         assert gap["value"] > 5 * gap["std_error"]
+
+    def test_near_identical_rows_end_without_a_traceback(self, capsys, scenario_file):
+        path = scenario_file(NEAR_IDENTICAL)
+        argv = ["counterexample", path, "--samples", "20000"]
+        assert_verified_or_one_error(capsys, path, argv, "verdict")
 
     def test_positive_side_pipeline_bytes(self, capsys, scenario_file, tmp_path, monkeypatch):
         # pi(witness) > 0 here, and the box is still fattened upward.

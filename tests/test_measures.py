@@ -1,5 +1,8 @@
 """Measure specs: structural admissibility, pinned exactly, and the chunk draw."""
 
+import math
+import sys
+
 import numpy as np
 import pytest
 
@@ -38,6 +41,16 @@ class TestMeasureSpec:
     def test_bump_scale_positive_and_finite(self, scale):
         with pytest.raises(ValidationError, match="bump scale must be positive and finite"):
             _pair([1.0], scale=scale)
+
+    def test_scales_stop_where_draws_could_overflow(self):
+        # |z| < 16, so 16 scale + max |center| must stay finite.
+        top = sys.float_info.max / 16.0
+        MeasureSpec.gaussian(top)
+        with pytest.raises(ValidationError, match="and so must its draws"):
+            MeasureSpec.gaussian(np.nextafter(top, math.inf))
+        _pair([1e300, -1.0], scale=top / 2.0)
+        with pytest.raises(ValidationError, match="and so must its draws"):
+            _pair([-1e308, 1.0], scale=top / 2.0)
 
     def test_bump_weight_range(self):
         with pytest.raises(ValidationError):

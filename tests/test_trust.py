@@ -132,6 +132,47 @@ class TestLocalTrust:
             assert np.array_equal(oracle, ours)
 
 
+class TestLocalTrustBits:
+    """``check_local_trust`` results as ``float.hex``, over a seeded suite.
+
+    The suite holds holding verdicts and failures from both of the sweep's
+    outcomes: a gamble that violates at threshold zero, returned as it is,
+    and one first caught at a nonzero threshold, returned shifted.
+    """
+
+    #: sha256 of ``_verdict_line`` over ``_digest_suite``, one line per gamble.
+    SUITE_DIGEST = "63418b3c8fa865027ea8ee86b35c5ff73f6d6ab7c6181a2eee6adf44cac8d36e"
+
+    @staticmethod
+    def _digest_suite() -> list[tuple[Scenario, Gamble]]:
+        """25 Gaussian gambles on each of ten seeded scenarios per family and n = 2..7."""
+        suite = []
+        for n in range(2, 8):
+            for k, make in enumerate((random_scenario, trusting_scenario)):
+                for copy in range(10):
+                    rng = np.random.default_rng([200, n, k, copy])
+                    scenario = make(rng, n)
+                    suite += [(scenario, Gamble(rng.standard_normal(n))) for _ in range(25)]
+        return suite
+
+    @staticmethod
+    def _verdict_line(verdict) -> str:
+        if verdict.holds:
+            return "True"
+        witness = ",".join(float(v).hex() for v in verdict.witness.values)
+        members = verdict.witness_event.sorted_members()
+        return f"False {witness} {members} {verdict.witness_value.hex()}"
+
+    def test_seeded_suite_digest(self):
+        suite = self._digest_suite()
+        verdicts = [check_local_trust(scenario, x) for scenario, x in suite]
+        lines = "\n".join(self._verdict_line(v) for v in verdicts)
+        assert hashlib.sha256(lines.encode()).hexdigest() == self.SUITE_DIGEST
+        failing = [(x, v) for (_, x), v in zip(suite, verdicts) if not v.holds]
+        unshifted = sum(v.witness == x for x, v in failing)
+        assert (len(suite), len(failing), unshifted) == (3_000, 1_153, 161)
+
+
 class TestGlobalTrust:
     def test_anti_expert_margin_and_event(self, anti_expert):
         verdict = check_global_trust(anti_expert)
@@ -286,6 +327,29 @@ class TestGlobalTrust:
             agent /= agent.sum()
             verdict = check_global_trust(_mixture_scenario(agent, float(rng.uniform(0.0, 1.0))))
             assert verdict.holds and verdict.margin == 0.0
+
+    def test_near_identical_rows_end_in_a_verdict_or_validation_error(self):
+        # Each expert row is one Dirichlet row times 1 + u, |u| <= 4e-13,
+        # and the agent gives the last world no mass.  Some closed-form
+        # witnesses violate only in floats or not at all; those must raise
+        # ValidationError, never any other exception.
+        rng = np.random.default_rng(12345)
+        for _ in range(1_000):
+            n = int(rng.integers(3, 9))
+            row = rng.dirichlet(np.ones(n))
+            agent = rng.dirichlet(np.ones(n))
+            agent[-1] = 0.0
+            expert = [row * (1.0 + rng.uniform(-4e-13, 4e-13)) for _ in range(n)]
+            try:
+                check_global_trust(Scenario.from_weights(agent / agent.sum(), expert))
+            except ValidationError:
+                pass
+
+    def test_chain_without_a_residual_raises_validation_error(self):
+        # A basis of the whole space leaves every prefix on it: no offence.
+        distinct = np.array([[0.5, 0.5], [0.25, 0.75]])
+        with pytest.raises(ValidationError, match="no chain prefix"):
+            trust._chain_offence(distinct, np.eye(2), np.eye(2))
 
     def test_witness_validity_on_random_suite(self):
         for scenario in _suite(40, seed=4242):
