@@ -24,10 +24,11 @@ measure.  The positive-side case (gambles just *below* a witness whose
 conditional given ``[P(X) < 0]`` is strictly positive) is the same
 construction seen through negation: off the expert hyperplanes, X is a
 positive-side witness exactly when -X is a negative-side one with the same
-event, so :func:`build_positive_box` mirrors the box of -X and the proof
-carries over.  Both sides are built by :func:`build_violation_box`, and a
-box stores only its base, width and side: its bounds derive from them, so
-they cannot stray from the base that function certified.
+event, so :func:`build_positive_box` checks only what negation cannot see
+(``pi(X) > 0`` and no ``P_i(X) = 0``), hands -X to the one witness check
+through :func:`build_violation_box`, and mirrors that box.  A box stores
+only its base, width and side: its bounds derive from them, so they cannot
+stray from the base that function certified.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import Event, Gamble, ValidationError, conditional_expectation, expectation
+from .core import Event, Gamble, ValidationError, expectation
 from .trust import Scenario, _require_negative_witness, expert_event
 
 __all__ = ["Orientation", "ViolationBox", "build_violation_box", "build_positive_box"]
@@ -154,40 +155,19 @@ def build_violation_box(scenario: Scenario, x: Gamble) -> ViolationBox:
 def build_positive_box(scenario: Scenario, x: Gamble) -> ViolationBox:
     """The open box (X - delta, X) of gambles violating trust from above.
 
-    Preconditions: ``pi(X) >= 0``, the rejection event B = [P(X) < 0] has
-    positive probability, and ``pi(X | B) > 0``.  The width is
-
-        delta = min(pi(X | B), min over accepting i of P_i(X), pi(X)),
-
-    which is exactly the width of ``build_violation_box(scenario, -X)``:
-    off the hyperplanes -X has acceptance event B and conditional
-    ``-pi(X | B)``.  Every Y in the box is X - D with each D_j in (0, delta),
-    so ``0 < Q(D) < delta`` for every mass function Q, and
-
-    * event constancy: P_i(Y) < P_i(X) < 0 on B, and
-      P_i(Y) > P_i(X) - delta >= 0 off B;
-    * positive conditional: ``pi(Y 1_B) > pi(B) (pi(X | B) - delta) >= 0``;
-    * nonnegative prevision: ``pi(Y) > pi(X) - delta >= 0``;
-    * off the hyperplanes: no P_i(Y) is zero, by the first line.
-
-    Raises :class:`ValidationError` when X is no positive-side witness, and
-    when a zero width leaves no box: ``pi(X) = 0``, or some accepting expert
-    has ``P_i(X) = 0``.
+    X must have ``pi(X) > 0`` and no ``P_i(X) = 0``, and its rejection
+    event B = [P(X) < 0] positive probability and ``pi(X | B) > 0``.
+    Negation is exact in floats, so off the hyperplanes -X has acceptance
+    event B and conditional ``-pi(X | B)``: the last two conditions are the
+    one witness check on -X, which raises :class:`ValidationError` when they
+    fail.  The box is the mirror of ``build_violation_box(scenario, -X)``,
+    of width ``min(pi(X | B), min over accepting i of P_i(X), pi(X))``, and
+    every property of that box holds here negated.
     """
     unconditional = expectation(scenario.agent, x)
-    if unconditional < 0.0:
-        raise ValidationError(f"positive-side witness needs pi(X) >= 0, got {unconditional}")
-    rejection = expert_event(scenario, x, 0.0).complement()
-    value = conditional_expectation(scenario.agent, x, rejection)
-    if value is None:
-        raise ValidationError(
-            "positive-side witness needs a rejection event of positive probability"
-        )
-    if not value > 0.0:
-        raise ValidationError(f"positive-side witness needs pi(X | [P(X) < 0]) > 0, got {value}")
-    if unconditional == 0.0:
-        raise ValidationError("degenerate box: pi(X) = 0 leaves no width below X")
-    if expert_event(scenario, -x, 0.0) != rejection:
+    if not unconditional > 0.0:
+        raise ValidationError(f"positive-side witness needs pi(X) > 0, got {unconditional}")
+    if expert_event(scenario, -x, 0.0) != expert_event(scenario, x, 0.0).complement():
         raise ValidationError(
             "degenerate box: X lies on the zero hyperplane of an accepting expert"
         )

@@ -55,6 +55,9 @@ to threshold zero: the witness gamble X satisfies
 ``pi(X | [P(X) >= 0]) < 0`` with the stored event and value, as read by the
 one witness check, ``_require_negative_witness``, which raises
 :class:`ValidationError` for a witness that lost its violation in floats.
+Its outcome is final: both checks stop at their first offence and return
+the event and value it reads or let its error through, and the boxes reach
+it too, the positive side through the mirror -X.
 """
 
 from __future__ import annotations
@@ -199,32 +202,28 @@ def check_local_trust(scenario: Scenario, x: Gamble) -> TrustVerdict:
     """Decide trust on one gamble across every real threshold.
 
     Sweeps the attained expert values (with zero added, so a gamble that
-    already violates at threshold zero is reported unshifted); the first
-    threshold v, in increasing order, whose event has positive agent
-    probability but conditional value below v yields a violation, and the
-    reported witness is shifted to threshold zero.  A plain shift by v
-    would leave the threshold-achieving expert rows within rounding noise
-    of zero, so nonzero thresholds shift by v minus half the available
-    slack instead, landing strictly inside the violating cone.  Thresholds
-    whose conditional is undefined are skipped, and so is every candidate,
-    shifted or not, in which the one witness check finds no violation with
-    the same event (a sub-ulp artifact of the division).
+    already violates at threshold zero is reported unshifted); thresholds
+    whose conditional is undefined pass.  The first threshold v, in
+    increasing order, whose event has positive agent probability but
+    conditional value below v decides: the gamble fails, and the witness
+    is shifted to threshold zero.  A plain shift by v would leave the
+    threshold-achieving expert rows within rounding noise of zero, so
+    nonzero thresholds shift by v minus half the available slack instead,
+    landing strictly inside the violating cone.  The one witness check
+    reads the verdict's event and value from that witness; when the
+    shifted witness does not violate in floats, the first violation
+    cannot be verified and its :class:`ValidationError` propagates.
     """
     previsions = _expert_previsions(scenario, x)
     values = previsions.tolist()
     for v in sorted(set(values) | {0.0}):
-        event = _event_of(previsions >= v)
-        cond = conditional_expectation(scenario.agent, x, event)
+        cond = conditional_expectation(scenario.agent, x, _event_of(previsions >= v))
         if cond is None or cond >= v:
             continue
         slack = min([v - cond, *(v - pv for pv in values if pv < v)])
         witness = x.shifted(slack / 2.0 - v) if v else x
-        try:
-            event0, value0, _ = _require_negative_witness(scenario, witness)
-        except ValidationError:
-            continue
-        if event0 == event:
-            return TrustVerdict(False, witness, event0, value0)
+        event, value, _ = _require_negative_witness(scenario, witness)
+        return TrustVerdict(False, witness, event, value)
     return TrustVerdict(holds=True)
 
 

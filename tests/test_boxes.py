@@ -241,25 +241,27 @@ class TestPositiveBox:
         assert np.all(points @ anti_expert.agent.weights >= 0.0)
 
     def test_rejects_negative_prevision(self, anti_expert):
-        with pytest.raises(ValidationError, match=r"positive-side witness needs pi\(X\) >= 0"):
+        with pytest.raises(ValidationError, match=r"positive-side witness needs pi\(X\) > 0"):
             build_positive_box(anti_expert, Gamble([-1.0, 0.5]))
 
     def test_rejects_empty_rejection_event(self, truth_expert):
         with pytest.raises(
-            ValidationError, match="positive-side witness needs a rejection event of positive"
+            ValidationError, match=r"not a trust violation witness: .* is undefined on event \[\]"
         ):
             build_positive_box(truth_expert, Gamble([1.0, 1.0]))
 
     def test_rejects_nonpositive_conditional(self, truth_expert):
         # S*: rejection event of (2, -1) is {w2} with conditional -1 < 0.
         with pytest.raises(
-            ValidationError, match=r"positive-side witness needs pi\(X \| \[P\(X\) < 0\]\) > 0"
+            ValidationError, match=r"not a trust violation witness: .* is 1\.0 on event \[1\]"
         ):
             build_positive_box(truth_expert, Gamble([2.0, -1.0]))
 
     def test_zero_prevision_witness_degenerates(self, anti_expert):
         # pi(X) = 0 leaves no slack for the nonnegative-side requirement.
-        with pytest.raises(ValidationError, match=r"degenerate box: pi\(X\) = 0 leaves no width"):
+        with pytest.raises(
+            ValidationError, match=r"positive-side witness needs pi\(X\) > 0, got 0\.0"
+        ):
             build_positive_box(anti_expert, Gamble([-1.0, 1.0]))
 
     def test_on_hyperplane_witness_degenerates(self):

@@ -208,6 +208,36 @@ NEAR_IDENTICAL = {
         [0.21756877088576587, 0.5245181403996134, 0.2579130887148513],
     ],
 }
+# Six nearly identical expert rows (one Dirichlet row times 1 + u per row,
+# |u| <= 1e-13).  In exact arithmetic "bet" violates trust at threshold
+# v = -2.8227450124939333 on {w1..w4}, with conditional -3.40 there.
+KNIFE_EDGE = {
+    "worlds": ["w1", "w2", "w3", "w4", "w5", "w6"],
+    "agent": [
+        0.024857907799358547, 0.054666442347554446, 0.4566855511949094,
+        0.162345072767601, 0.00552949813097449, 0.2959155277596023,
+    ],
+    "expert": [
+        [0.08599626430702581, 0.5164228712329794, 0.14741254386724384,
+         0.1708511201452636, 0.07592684202639226, 0.003390358421095069],
+        [0.08599626430702582, 0.5164228712329794, 0.14741254386724387,
+         0.1708511201452636, 0.07592684202639227, 0.0033903584210950694],
+        [0.08599626430702581, 0.5164228712329794, 0.14741254386724384,
+         0.1708511201452636, 0.07592684202639226, 0.003390358421095069],
+        [0.08599626430702582, 0.5164228712329795, 0.14741254386724384,
+         0.1708511201452636, 0.07592684202639227, 0.0033903584210950694],
+        [0.08599626430702582, 0.5164228712329795, 0.1474125438672439,
+         0.17085112014526363, 0.07592684202639229, 0.0033903584210950694],
+        [0.08599626430702584, 0.5164228712329795, 0.14741254386724387,
+         0.17085112014526366, 0.07592684202639229, 0.00339035842109507],
+    ],
+    "gambles": {
+        "bet": [
+            0.7755258925335157, -3.776525384529862, -4.553046250369472,
+            -0.6811170792980475, -2.013144867598627, 0.3669873453316451,
+        ],
+    },
+}
 # Byte-exact ``counterexample --samples 20000 --seed 7`` report on EVERY_WORLD_ACCEPTS.
 EVERY_WORLD_ACCEPTS_REPORT = """\
 {
@@ -344,6 +374,12 @@ class TestCheck:
     def test_near_identical_rows_end_without_a_traceback(self, capsys, scenario_file):
         path = scenario_file(NEAR_IDENTICAL)
         assert_verified_or_one_error(capsys, path, ["check", path], "global")
+
+    def test_knife_edge_local_violation_is_never_reported_as_holding(
+        self, capsys, scenario_file
+    ):
+        path = scenario_file(KNIFE_EDGE)
+        assert_verified_or_one_error(capsys, path, ["check", path, "--gamble", "bet"], "local")
 
     def test_named_gamble_local_check(self, capsys, scenario_file):
         code, report = run_cli(capsys, "check", scenario_file(ANTI), "--gamble", "bet")

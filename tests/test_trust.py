@@ -85,6 +85,16 @@ class TestExpertEvent:
         assert 0 in event
 
 
+def _knife_edge_case(rng: np.random.Generator) -> tuple[Scenario, Gamble]:
+    """Nearly identical expert rows, a Dirichlet agent and a gamble of scale 1e-3..1e6."""
+    n = int(rng.integers(2, 7))
+    agent = rng.dirichlet(np.ones(n))
+    row = rng.dirichlet(np.ones(n))
+    rows = [row * (1.0 + rng.uniform(-1e-13, 1e-13)) for _ in range(n)]
+    scenario = Scenario.from_weights(agent, [r / r.sum() for r in rows])
+    return scenario, Gamble(10.0 ** rng.uniform(-3.0, 6.0) * rng.normal(size=n))
+
+
 class TestLocalTrust:
     def test_truth_expert_holds(self, truth_expert):
         assert check_local_trust(truth_expert, Gamble([2.0, -1.0])).holds
@@ -120,6 +130,27 @@ class TestLocalTrust:
         plain = check_local_trust(scenario, x).holds
         scaled = check_local_trust(scenario, x.scaled(c)).holds
         assert plain == scaled
+
+    def test_sweep_follows_its_own_float_decision(self):
+        # Nearly identical expert rows (one Dirichlet row times 1 + u per
+        # row, |u| <= 1e-13) put several thresholds within ulps of each
+        # other.  Whenever some swept threshold v violates in floats, the
+        # first one decides: a failing verdict, or ValidationError when its
+        # shifted witness does not verify.  Never "holds".
+        rng = np.random.default_rng(7)
+        for _ in range(2_000):
+            scenario, x = _knife_edge_case(rng)
+            thresholds = sorted({expectation(row, x) for row in scenario.expert} | {0.0})
+            violates = False
+            for v in thresholds:
+                cond = conditional_expectation(scenario.agent, x, expert_event(scenario, x, v))
+                violates = violates or (cond is not None and cond < v)
+            try:
+                holds = check_local_trust(scenario, x).holds
+            except ValidationError:
+                assert violates
+                continue
+            assert holds == (not violates)
 
     def test_matches_sweep_oracle_on_samples(self):
         rng = np.random.default_rng(42)
@@ -734,3 +765,10 @@ class TestScenarioValidation:
             TrustVerdict(holds=True, witness=Gamble([1.0]))
         with pytest.raises(ValidationError):
             TrustVerdict(holds=False)
+
+    @pytest.mark.parametrize("value", [0.0, -0.0, 0.5, math.nan, None])
+    def test_failing_verdict_needs_a_negative_value(self, value):
+        from deference_lab import TrustVerdict
+
+        with pytest.raises(ValidationError, match="strictly negative conditional value"):
+            TrustVerdict(False, Gamble([1.0, -1.0]), Event(2, {1}), value)
