@@ -8,10 +8,8 @@ chunk boundary and the reduction order is fixed, results are bit-identical
 for a given (seed, N) no matter how many worker threads run the chunks.
 
 Within a chunk, ``MeasureSpec.sampler`` lays the stream out as m uniforms
-for the component pick, then m*dim standard normals.  A one-component
-measure (a plain Gaussian) skips the m uniforms with the bit generator's
-``advance`` instead of drawing them; on the chunks' PCG64 generators that
-lands on the same normals, so not a bit moves.
+for the component pick, then m*dim standard normals, which a plain
+Gaussian reaches with ``advance``: every measure draws the same normals.
 
 Thread count is taken from the ``DEFLAB_THREADS`` environment variable
 (default 1); anything but a positive integer raises ``ValidationError``.
@@ -22,13 +20,15 @@ module starts no thread), and rebuilt when ``DEFLAB_THREADS`` changes.
 The replaced pool is not shut down, because a concurrent caller may still
 hold it; its idle threads exit once it is garbage-collected.  A forked
 child inherits the pool but none of its threads, so an at-fork hook drops
-it there and the child builds its own.  When a chunk raises, the chunks
-not yet begun are dropped and the call returns once the running ones have
-finished, so no chunk outlives its call.  The pool decides only which
-thread runs a chunk, never its seed or its place in the reduction, so no
-bit moves.  Value and hit functions run on the pool's threads, so they
-must not call the estimators themselves: with every worker waiting on
-chunks queued behind it, the pool would deadlock.
+it there and the child builds its own.  The first chunk to raise, or an
+interrupted wait, sets a stop flag that every chunk reads before it draws
+and before each block: the running chunks end at their next block, and a
+chunk begun later draws nothing.  The call waits for every chunk, so none
+outlives it, and raises the first failure in chunk order.  The pool decides
+only which thread runs a chunk, never its seed or its place in the
+reduction, so no bit moves.  Value and hit functions run on the pool's
+threads, so they must not call the estimators themselves: with every worker
+waiting on chunks queued behind it, the pool would deadlock.
 
 Value and hit functions must work row by row: the function's value for a
 row may depend on that row alone.  A chunk is placed and evaluated block by
@@ -43,37 +43,33 @@ the estimators use about one core.  Long-axis reductions stay inside
 numpy's deterministic pairwise summation over the whole chunk.
 
 Drawing a chunk costs more than evaluating most value functions on it, and
-the estimators ask for the same run of draws one after another.  So the
-drivers share a one-entry memo of the last run.  Its key is the content of
-the draw: a draw may carry a ``_memo_key`` tuple whose first entry is its
-row width (``MeasureSpec.sampler`` supplies dim and the exact bytes of its
-component weights, means and scales), and the memo adds seed and samples.
-A matching run reuses those chunk arrays, which are read-only.  On a miss,
-:func:`mc_estimate` drops the entry before it draws and retains its own
-run; :func:`mc_frequency` never fills or evicts the memo.  The memo has a
-second level.  A keyed draw reads its stream in two steps, the picked
-components and then the unit normals (see ``MeasureSpec.sampler``), and
-the pass above places the gambles from them.  A run that picks a component
-per row (a mixture) is retained with its unit normals beside its gambles,
-and those normals are every measure's at that (dim, seed, samples).  So a
-non-retaining call whose draw picks no component (a plain Gaussian) and
-whose content misses but whose stream hits places the kept normals, each
-block in its own buffer, and draws nothing: ``estimate_ae_trust`` reads the
-run its Gaussian shares with the accuracy estimators, or places a mixture
-run's normals, and leaves the run in place.  Placement is elementwise, so
-a placed block has the bits of the same rows of a fresh draw.  A run whose
-retained arrays (its gambles, plus its normals for a mixture) exceed
-``_MEMO_BYTES`` (32 MiB) is never retained, so large runs keep O(chunk)
-memory, and draws without a key bypass the memo.  A hit hands each chunk
-the same array that chunk's own generator would draw, so the per-chunk
-seeds, the reduction order and with them the thread-count contract are
-untouched.
+the estimators ask for the same run of draws one after another.  So they
+share a one-entry memo of the last run, keyed by the draw's content: a draw
+may carry a ``_memo_key`` tuple whose first entry is its row width
+(``MeasureSpec.sampler`` supplies dim and the exact bytes of its component
+weights, means and scales), and the memo adds seed and samples.  A run that
+picks a component per row (a mixture) is retained with its unit normals
+beside its gambles.  Every keyed run, whichever estimator asks, looks the
+memo up in one order:
+
+1. The same key: reuse the memo's chunk arrays, which are read-only.
+2. A draw that picks no component (a plain Gaussian), with the dim, seed
+   and samples of the memo's kept normals: place those normals, each block
+   in its own buffer, draw nothing, and leave the memo as it is.
+3. Otherwise: drop the memo, draw, and retain the run if its arrays (its
+   gambles, plus its normals for a mixture) fit ``_MEMO_BYTES`` (32 MiB).
+
+So a mixture's score bundle draws each chunk once.  Placement is
+elementwise, so a placed block has a fresh draw's bits, and a hit hands a
+chunk the array its own generator would draw: no bit moves at any thread
+count.  Large runs keep O(chunk) memory, and unkeyed draws skip the memo.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable
@@ -179,21 +175,18 @@ def _map_draws(
     reduce: Callable[[np.ndarray], tuple],
     samples: int,
     seed: int,
-    retain: bool,
 ) -> list[tuple]:
     """``reduce`` of every chunk's ``fn`` results, in chunk order.
 
-    A chunk is placed and evaluated block by block in one pass: each
-    ``_BLOCK_ROWS``-row block is placed when the chunk has normals (a fresh
-    keyed draw or kept normals), handed to ``fn`` read-only, and
-    ``vet(fn(block), rows)`` is written in row order into the chunk's
-    array, which is then reduced.  A keyed run identical to the memo's
-    reuses its arrays instead of drawing; with ``retain``, any other keyed
-    run that fits the budget replaces the memo, read-only.  Without
-    ``retain``, a draw that picks no component places the memo's kept
-    normals, when their stream is its own, instead of drawing.  A keyed
-    draw must also carry the ``normals``, ``place`` and ``picks`` of
-    ``MeasureSpec.sampler``'s draws.
+    Each ``_BLOCK_ROWS``-row block of a chunk is placed (when the chunk has
+    normals), handed to ``fn`` read-only, and ``vet(fn(block), rows)`` is
+    written in row order into the chunk's array.  A keyed run reuses the
+    memo's run of its key; else, if it picks no component, places the memo's
+    kept normals of its dim, seed and samples; else drops the memo, draws,
+    and retains its run if it fits.  A chunk that raises sets a stop flag,
+    read before each draw and each block; the call waits for every chunk and
+    raises the first failure in chunk order.  Keyed draws also carry
+    ``MeasureSpec.sampler``'s ``normals``, ``place`` and ``picks``.
     """
     global _memo
     if samples < 1:
@@ -206,13 +199,6 @@ def _map_draws(
         entry = _memo
         if entry is not None and entry[0] == key:
             reused = entry[1]
-        elif retain:
-            _memo = entry = None  # free the stale run before drawing this one
-            copies = 2 if draw.picks else 1  # a mixture run keeps its normals too
-            if samples * tag[0] * 8 * copies <= _MEMO_BYTES:
-                kept = [None] * len(sizes)
-                if draw.picks:
-                    kept_normals = [None] * len(sizes)
         elif (  # kept normals of this draw's own stream: same dim, seed and samples
             entry is not None
             and entry[2] is not None
@@ -221,52 +207,66 @@ def _map_draws(
             and entry[0][1:] == key[1:]
         ):
             normals = entry[2]
-
-    def work(j: int, m: int) -> tuple:
-        which = z = None
-        if normals is not None:  # place the kept normals, each block in its own buffer
-            z, xs = normals[j], None
-        elif reused is not None:
-            xs = reused[j]
-        elif tag is None:
-            xs = draw(chunk_rng(seed, j), m)
         else:
-            which, z = draw.normals(chunk_rng(seed, j), m)
-            xs = z if kept_normals is None else np.empty_like(z)
-        chunk = None
-        for start in range(0, m, _BLOCK_ROWS):
-            rows = slice(start, start + _BLOCK_ROWS)
-            if z is None:
-                block = xs[rows]
+            _memo = entry = None  # free the stale run before drawing this one
+            copies = 2 if draw.picks else 1  # a mixture run keeps its normals too
+            if samples * tag[0] * 8 * copies <= _MEMO_BYTES:
+                kept = [None] * len(sizes)
+                if draw.picks:
+                    kept_normals = [None] * len(sizes)
+    stop = threading.Event()
+
+    def work(j: int, m: int) -> tuple | None:
+        if stop.is_set():
+            return None
+        try:
+            which = z = None
+            if normals is not None:  # place the kept normals, each block in its own buffer
+                z, xs = normals[j], None
+            elif reused is not None:
+                xs = reused[j]
+            elif tag is None:
+                xs = draw(chunk_rng(seed, j), m)
             else:
-                out = np.empty_like(z[rows]) if xs is None else xs[rows]
-                block = draw.place(None if which is None else which[rows], z[rows], out)
-            block.flags.writeable = False
-            part = vet(fn(block), len(block))
-            if chunk is None:
-                chunk = np.empty(m, part.dtype)
-            chunk[rows] = part
-        if kept is not None:
-            xs.flags.writeable = False
-            kept[j] = xs
-        if kept_normals is not None:
-            z.flags.writeable = False
-            kept_normals[j] = z
-        return reduce(chunk)
+                which, z = draw.normals(chunk_rng(seed, j), m)
+                xs = z if kept_normals is None else np.empty_like(z)
+            chunk = None
+            for start in range(0, m, _BLOCK_ROWS):
+                if stop.is_set():
+                    return None
+                rows = slice(start, start + _BLOCK_ROWS)
+                if z is None:
+                    block = xs[rows]
+                else:
+                    out = np.empty_like(z[rows]) if xs is None else xs[rows]
+                    block = draw.place(None if which is None else which[rows], z[rows], out)
+                block.flags.writeable = False
+                part = vet(fn(block), len(block))
+                if chunk is None:
+                    chunk = np.empty(m, part.dtype)
+                chunk[rows] = part
+            if kept is not None:
+                xs.flags.writeable = False
+                kept[j] = xs
+            if kept_normals is not None:
+                z.flags.writeable = False
+                kept_normals[j] = z
+            return reduce(chunk)
+        except BaseException:  # stop the other chunks before this one unwinds
+            stop.set()
+            raise
 
     workers = thread_count()
     jobs = list(enumerate(sizes))
     if workers == 1 or len(jobs) == 1:
         results = [work(j, m) for j, m in jobs]
     else:
-        pool = _executor(workers)
-        futures = [pool.submit(work, j, m) for j, m in jobs]
+        futures = [_executor(workers).submit(work, j, m) for j, m in jobs]
         try:
-            results = [future.result() for future in futures]
-        finally:  # on an error, drop the chunks not begun and await the rest
-            for future in futures:
-                future.cancel()
             wait(futures)
+        finally:  # an interrupted wait stops the chunks too
+            stop.set()
+        results = [future.result() for future in futures]
     if kept is not None:
         _memo = (key, kept, kept_normals)
     return results
@@ -279,8 +279,8 @@ def mc_estimate(draw: DrawFn, values: ValueFn, samples: int, seed: int) -> Score
     row blocks of it and must return one float per row, row by row.
     Per-chunk means and scatter are merged with the usual pairwise
     mean/M2 combination, sequentially in chunk order.  A mean or scatter
-    that overflows reads inf; a nan mean or standard error raises
-    :class:`ValidationError`.
+    that overflows, and one sample's standard error, read inf; a nan mean
+    or standard error raises :class:`ValidationError`.
     """
 
     def vet(result: object, rows: int) -> np.ndarray:
@@ -296,7 +296,7 @@ def mc_estimate(draw: DrawFn, values: ValueFn, samples: int, seed: int) -> Score
             m2 = float(np.sum((chunk - mean) ** 2))
         return len(chunk), mean, m2
 
-    chunks = iter(_map_draws(draw, values, vet, moments, samples, seed, True))
+    chunks = iter(_map_draws(draw, values, vet, moments, samples, seed))
     count, mean, m2 = next(chunks)
     for c_count, c_mean, c_m2 in chunks:
         delta = c_mean - mean
@@ -305,7 +305,7 @@ def mc_estimate(draw: DrawFn, values: ValueFn, samples: int, seed: int) -> Score
         m2 += c_m2 + delta * delta * (count * c_count / total)
         count = total
 
-    std_error = math.sqrt(m2 / (count - 1) / count) if count > 1 else 0.0
+    std_error = math.sqrt(m2 / (count - 1) / count) if count > 1 else math.inf
     if math.isnan(mean) or math.isnan(std_error):
         raise ValidationError(f"Monte-Carlo estimate is nan (mean {mean}, scatter {m2})")
     return ScoreEstimate(value=mean + 0.0, std_error=std_error, samples=count, seed=seed)
@@ -328,7 +328,7 @@ def mc_frequency(draw: DrawFn, hits: ValueFn, samples: int, seed: int) -> ScoreE
     def count(chunk: np.ndarray) -> tuple[int]:
         return (int(np.count_nonzero(chunk)),)
 
-    total_hits = sum(h for (h,) in _map_draws(draw, hits, vet, count, samples, seed, False))
+    total_hits = sum(h for (h,) in _map_draws(draw, hits, vet, count, samples, seed))
     freq = total_hits / samples
     std_error = math.sqrt(freq * (1.0 - freq) / samples)
     return ScoreEstimate(value=freq, std_error=std_error, samples=samples, seed=seed)

@@ -800,6 +800,19 @@ class TestCounterexample:
         assert report["verdict"]["holds"] is True
         assert "box" not in report
 
+    def test_one_sample_has_no_standard_error(self, capsys, scenario_file):
+        # One draw cannot clear five standard errors: its scatter is unknown.
+        path = scenario_file(ANTI)
+        code, report = run_cli(capsys, "counterexample", path, "--samples", "1", "--seed", "0")
+        assert code == EXIT_EXHAUSTED
+        assert report["gap"]["std_error"] == "inf" and math.isfinite(report["gap"]["value"])
+        code, report = run_cli(capsys, "score", path, "--samples", "1")
+        assert code == EXIT_OK
+        assert report["gap"]["std_error"] == report["identity"]["std_error"] == "inf"
+        code, report = run_cli(capsys, "score", path, "--samples", "2")
+        assert code == EXIT_OK
+        assert 0.0 <= report["gap"]["std_error"] < math.inf
+
     def test_search_exhaustion_exits_4(self, capsys, scenario_file, monkeypatch):
         best = ScoreEstimate(value=-0.01, std_error=0.002, samples=100, seed=0)
 

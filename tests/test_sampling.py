@@ -428,11 +428,14 @@ class TestWorkerPool:
                 process.join()
 
     def test_a_failing_chunk_stops_the_run_and_leaves_no_chunk_running(self, monkeypatch):
-        # Six chunks on two workers: the chunks not yet begun when the first
-        # block fails are dropped, and none runs on after the call returns.
+        # Six chunks on two workers, and the first block fails: besides it,
+        # only the other worker's block in flight, and one it may begin
+        # before the stop flag is set, are evaluated.  The chunks begun
+        # after the failure draw nothing, and none runs after the call.
         monkeypatch.setenv("DEFLAB_THREADS", "2")
         lock = threading.Lock()
         calls: list[int] = []
+        drawn: list[int] = []
 
         def values(xs: np.ndarray) -> np.ndarray:
             with lock:
@@ -443,13 +446,78 @@ class TestWorkerPool:
             time.sleep(0.001)
             return xs[:, 0]
 
-        unkeyed = lambda rng, m: rng.standard_normal((m, 2))
+        def unkeyed(rng: np.random.Generator, m: int) -> np.ndarray:
+            drawn.append(m)
+            return rng.standard_normal((m, 2))
+
         with pytest.raises(RuntimeError, match="first block fails"):
             mc_estimate(unkeyed, values, 6 * CHUNK_SIZE, seed=0)
         seen = len(calls)
         time.sleep(0.2)
         assert len(calls) == seen
-        assert seen < 1 + 5 * (CHUNK_SIZE // _BLOCK_ROWS)
+        assert seen <= 3
+        assert len(drawn) <= 2
+
+    def test_an_interrupted_call_stops_its_chunks(self, monkeypatch):
+        # The caller's wait is interrupted while each worker holds one block:
+        # those blocks end, and no other block runs in the pool after the call.
+        monkeypatch.setenv("DEFLAB_THREADS", "2")
+        returned = threading.Event()
+        calls: list[int] = []
+
+        def values(xs: np.ndarray) -> np.ndarray:
+            calls.append(len(xs))
+            returned.wait(timeout=0.2)
+            return xs[:, 0]
+
+        def interrupted(futures) -> None:
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(sampling, "wait", interrupted)
+        unkeyed = lambda rng, m: rng.standard_normal((m, 2))
+        with pytest.raises(KeyboardInterrupt):
+            mc_estimate(unkeyed, values, 6 * CHUNK_SIZE, seed=0)
+        returned.set()
+        time.sleep(0.2)
+        seen = len(calls)
+        time.sleep(0.2)
+        assert len(calls) == seen <= 2
+
+    def test_a_failing_chunk_stops_the_chunk_before_it(self, monkeypatch):
+        # Chunk 1's first block fails while chunk 0 is mid-run: chunk 0 ends
+        # at its next block instead of running to its end, the first failure
+        # in chunk order is raised, and the chunks begun later draw nothing.
+        monkeypatch.setenv("DEFLAB_THREADS", "2")
+        monkeypatch.setattr(sampling, "chunk_rng", lambda seed, j: j)
+        mid_run = threading.Event()
+        drawn: list[int] = []
+        blocks: list[int] = []
+        at_failure: list[int] = []
+
+        def draw(j: int, m: int) -> np.ndarray:
+            drawn.append(j)
+            return np.full((m, 2), float(j))
+
+        def values(xs: np.ndarray) -> np.ndarray:
+            j = int(xs[0, 0])
+            blocks.append(j)
+            if j == 1:
+                mid_run.wait(timeout=10.0)
+                at_failure.append(blocks.count(0))
+                raise RuntimeError("chunk 1 fails")
+            if blocks.count(0) == 2:
+                mid_run.set()
+            time.sleep(0.001)
+            return xs[:, 0]
+
+        with pytest.raises(RuntimeError, match="chunk 1 fails"):
+            mc_estimate(draw, values, 6 * CHUNK_SIZE, seed=0)
+        seen = len(blocks)
+        time.sleep(0.2)
+        assert len(blocks) == seen
+        assert sorted(drawn) == [0, 1]
+        assert len(at_failure) == 1 and at_failure[0] >= 2  # chunk 0 was mid-run
+        assert blocks.count(0) <= at_failure[0] + 1 < CHUNK_SIZE // _BLOCK_ROWS
 
 
 # ---------------------------------------------------------------------------
@@ -477,8 +545,8 @@ def _whole_chunk_estimate(draw, values, samples: int, seed: int) -> ScoreEstimat
         mean += delta * (c_count / total)
         m2 += c_m2 + delta * delta * (count * c_count / total)
         count = total
-    std_error = np.sqrt(m2 / (count - 1) / count) if count > 1 and m2 > 0.0 else 0.0
-    return ScoreEstimate(mean + 0.0, float(std_error), count, seed)
+    std_error = math.sqrt(m2 / (count - 1) / count) if count > 1 else math.inf
+    return ScoreEstimate(mean + 0.0, std_error, count, seed)
 
 
 def _whole_chunk_frequency(draw, hits, samples: int, seed: int) -> ScoreEstimate:
@@ -593,15 +661,40 @@ class TestDrawMemo:
         _four_estimators(scenario, measures["mixture"])
         assert sorted(chunk_draws) == list(range(self.CHUNKS))
 
-    def test_frequency_reads_the_memo_but_never_fills_it(self, chunk_draws):
+    def test_frequency_fills_the_memo_and_leaves_a_placed_run(self, chunk_draws):
+        # The memo rule is the same for every estimator: a cold ae-trust
+        # retains its run, and one that places a mixture's kept normals
+        # leaves that run in place.
         scenario, measures = _pin_setup()
         estimate_ae_trust(scenario, 1.5, PIN_SAMPLES, PIN_SEED)
-        assert sampling._memo is None
+        gaussian = sampling._memo
+        assert gaussian is not None and gaussian[2] is None
+        estimate_ae_trust(scenario, 1.5, PIN_SAMPLES, PIN_SEED)
+        assert sampling._memo is gaussian
+        assert len(chunk_draws) == self.CHUNKS
         expected_gap(scenario, measures["mixture"], PIN_SAMPLES, PIN_SEED)
         held = sampling._memo
+        assert held is not gaussian and held[2] is not None
         estimate_ae_trust(scenario, 1.5, PIN_SAMPLES, PIN_SEED)
         assert sampling._memo is held
         assert len(chunk_draws) == 2 * self.CHUNKS
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_gaussian_estimate_places_a_mixture_runs_normals(
+        self, threads, monkeypatch, chunk_draws
+    ):
+        # mc_estimate follows the same rule as mc_frequency: a plain Gaussian
+        # at the mixture run's (dim, seed, samples) draws no chunk.
+        monkeypatch.setenv("DEFLAB_THREADS", threads)
+        scenario, measures = _pin_setup()
+        gaussian = measures["gaussian"]
+        expected_gap(scenario, measures["mixture"], PIN_SAMPLES, PIN_SEED)
+        held, drawn = sampling._memo, len(chunk_draws)
+        warm = expected_gap(scenario, gaussian, PIN_SAMPLES, PIN_SEED)
+        assert len(chunk_draws) == drawn and sampling._memo is held
+        assert _bits(warm) == PINS[("gaussian", "gap")]
+        sampling._memo = None
+        assert warm == expected_gap(scenario, gaussian, PIN_SAMPLES, PIN_SEED)
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_ae_trust_bits_cold_and_after_the_gap(self, threads, monkeypatch):
@@ -761,8 +854,8 @@ class TestDrawMemo:
 
         source(lambda: mc_estimate(gaussian, values, samples, 3), 2)  # fresh, retained
         source(lambda: mc_estimate(gaussian, values, samples, 3), 0)  # memo hit
-        source(lambda: mc_frequency(mixture, hits, samples, 3), 2)  # cold frequency
-        source(lambda: mc_estimate(mixture, values, samples, 3), 2)  # fresh, keeps normals
+        source(lambda: mc_frequency(mixture, hits, samples, 3), 2)  # fresh, keeps normals
+        source(lambda: mc_estimate(mixture, values, samples, 3), 0)  # memo hit
         source(lambda: mc_frequency(gaussian, hits, samples, 3), 0)  # placed kept normals
         source(lambda: mc_estimate(unkeyed, values, samples, 3), 2)  # unkeyed
         monkeypatch.setattr(sampling, "_MEMO_BYTES", 0)
