@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import ProbMass, ValidationError
+from .core import ProbMass, _world_index
 from .measures import MeasureSpec
 from .sampling import ScoreEstimate, mc_estimate
 from .trust import Scenario, _acceptance
@@ -47,8 +47,7 @@ def inaccuracy_mc(
     error regions are empty, so the estimate is exactly zero with zero
     standard error.
     """
-    if i < 0 or i >= p.n:
-        raise ValidationError(f"world index {i} out of range for n={p.n}")
+    i = _world_index(i, p.n)
     weights = p.weights
 
     def values(xs: np.ndarray) -> np.ndarray:

@@ -18,10 +18,10 @@ check) reads them; both margins are :class:`ViolationBox` fields:
   outside A (infinite when A is everything), since worlds already
   accepting only become more accepting under a lift.
 
-With ``delta`` below both, every Y strictly between X and X + delta keeps
-the event and stays violating; the box is open, hence of positive Lebesgue
-measure.  The positive-side case (gambles just *below* a witness whose
-conditional given ``[P(X) < 0]`` is strictly positive) is the same
+With ``delta = min(lambda, xi)``, every Y strictly between X and X + delta
+keeps the event and stays violating; the box is open, hence of positive
+Lebesgue measure.  The positive-side case (gambles just *below* a witness
+whose conditional given ``[P(X) < 0]`` is strictly positive) is the same
 construction seen through negation: off the expert hyperplanes, X is a
 positive-side witness exactly when -X is a negative-side one with the same
 event, so :func:`build_positive_box` checks only what negation cannot see
@@ -127,27 +127,24 @@ class ViolationBox:
 def build_violation_box(scenario: Scenario, x: Gamble) -> ViolationBox:
     """The open box (X, X + delta) of uniformly violating gambles.
 
-    ``delta`` is the smaller of the two margins; when the witness itself
-    has strictly negative unconditional prevision, delta is additionally
-    capped at ``-pi(X)`` so the whole box keeps a negative prevision.
-    Otherwise every Y in the box has ``pi(Y) > 0 > pi(Y 1_A)``.  Either way
-    the gap identity's integrand is strictly positive on the box and its
-    mirror, which the adversarial measure construction relies on.
+    ``delta`` is the smaller margin, so every Y in the box has event A and
+    ``pi(Y | A) < pi(X | A) + delta <= 0``, hence ``pi(Y 1_A) < 0``.  The
+    gap identity's integrand h, which the adversarial measure construction
+    relies on, is then positive on the box whatever the sign of ``pi(Y)``:
+    ``h(Y) = -pi(Y 1_A) > 0`` if ``pi(Y) < 0``, and ``h(Y) = pi(Y 1_{A^c})
+    = pi(Y) - pi(Y 1_A) > 0`` if ``pi(Y) >= 0``.  Off the ties
+    ``pi(Y) = 0``, ``h(-Y) = h(Y)``, so h is positive on the mirror too.
     """
     event, value, previsions = _require_negative_witness(scenario, x)
     lam = -value
     outside = np.delete(previsions, event.sorted_members())
     xi = float(np.min(-outside)) if outside.size else math.inf
-    delta = min(lam, xi)
-    unconditional = expectation(scenario.agent, x)
-    if unconditional < 0.0:
-        delta = min(delta, -unconditional)
     return ViolationBox(
         base=x,
         event=event,
         value_margin=lam,
         event_margin=xi,
-        delta=delta,
+        delta=min(lam, xi),
         orientation=Orientation.NEGATIVE_SIDE,
     )
 
@@ -161,7 +158,7 @@ def build_positive_box(scenario: Scenario, x: Gamble) -> ViolationBox:
     event B and conditional ``-pi(X | B)``: the last two conditions are the
     one witness check on -X, which raises :class:`ValidationError` when they
     fail.  The box is the mirror of ``build_violation_box(scenario, -X)``,
-    of width ``min(pi(X | B), min over accepting i of P_i(X), pi(X))``, and
+    of width ``min(pi(X | B), min over accepting i of P_i(X))``, and
     every property of that box holds here negated.
     """
     unconditional = expectation(scenario.agent, x)

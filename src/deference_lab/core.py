@@ -120,6 +120,17 @@ class Gamble:
         return f"Gamble({self.values.tolist()})"
 
 
+def _world_index(i: object, n: int) -> int:
+    """``i`` as an int world index in range for n worlds, like an event member."""
+    try:
+        index = operator.index(i)
+    except TypeError:
+        raise ValidationError(f"world index must be an integer, got {i!r}") from None
+    if not 0 <= index < n:
+        raise ValidationError(f"world index {index} out of range for n={n}")
+    return index
+
+
 @dataclass(frozen=True, slots=True)
 class Event:
     """A subset of the n worlds, held as a frozenset of 0-based indices."""
@@ -196,10 +207,8 @@ class ProbMass:
     @classmethod
     def ideal(cls, n: int, i: int) -> "ProbMass":
         """The point mass at world i (the ideal prevision there)."""
-        if not 0 <= i < n:
-            raise ValidationError(f"world index {i} out of range for n={n}")
         w = np.zeros(n)
-        w[i] = 1.0
+        w[_world_index(i, n)] = 1.0
         return cls(w)
 
     def __eq__(self, other: object) -> bool:

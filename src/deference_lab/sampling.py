@@ -6,6 +6,9 @@ from its own generator seeded by ``SeedSequence(seed, spawn_key=(j,))`` and
 partial results are combined in chunk order.  Because no stream crosses a
 chunk boundary and the reduction order is fixed, results are bit-identical
 for a given (seed, N) no matter how many worker threads run the chunks.
+Both drivers take N >= 1 and seed >= 0 as integers of any kind (``True``
+reads as 1) and raise ``ValidationError`` for anything else, before the
+memo below is read or dropped.
 
 Within a chunk, ``MeasureSpec.sampler`` lays the stream out as m uniforms
 for the component pick, then m*dim standard normals, which a plain
@@ -68,6 +71,7 @@ count.  Large runs keep O(chunk) memory, and unkeyed draws skip the memo.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -163,6 +167,17 @@ def chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk_index,)))
 
 
+def _at_least(name: str, value: object, least: int) -> int:
+    """``value`` as an int no less than ``least``, else :class:`ValidationError`."""
+    try:
+        whole = operator.index(value)
+    except TypeError:
+        whole = None
+    if whole is None or whole < least:
+        raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
+    return whole
+
+
 def _chunk_sizes(total: int) -> list[int]:
     full, rest = divmod(total, CHUNK_SIZE)
     return [CHUNK_SIZE] * full + ([rest] if rest else [])
@@ -189,8 +204,6 @@ def _map_draws(
     ``MeasureSpec.sampler``'s ``normals``, ``place`` and ``picks``.
     """
     global _memo
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
     sizes = _chunk_sizes(samples)
     tag = getattr(draw, "_memo_key", None)
     reused = normals = kept = kept_normals = None
@@ -296,6 +309,7 @@ def mc_estimate(draw: DrawFn, values: ValueFn, samples: int, seed: int) -> Score
             m2 = float(np.sum((chunk - mean) ** 2))
         return len(chunk), mean, m2
 
+    samples, seed = _at_least("samples", samples, 1), _at_least("seed", seed, 0)
     chunks = iter(_map_draws(draw, values, vet, moments, samples, seed))
     count, mean, m2 = next(chunks)
     for c_count, c_mean, c_m2 in chunks:
@@ -328,6 +342,7 @@ def mc_frequency(draw: DrawFn, hits: ValueFn, samples: int, seed: int) -> ScoreE
     def count(chunk: np.ndarray) -> tuple[int]:
         return (int(np.count_nonzero(chunk)),)
 
+    samples, seed = _at_least("samples", samples, 1), _at_least("seed", seed, 0)
     total_hits = sum(h for (h,) in _map_draws(draw, hits, vet, count, samples, seed))
     freq = total_hits / samples
     std_error = math.sqrt(freq * (1.0 - freq) / samples)

@@ -219,24 +219,25 @@ class TestBuildAdversarialMeasure:
 
     def test_every_buildable_quarter_grid_box(self):
         # Wherever the box step succeeds, the measure step must too.
-        # Box-step failures are the box's own defect (ROADMAP item 5): the
-        # one slack tau raised them from 79 to 101, and they may only fall.
+        # Box-step failures are the box's own defect (ROADMAP item 13): an
+        # outside expert within rounding of its zero hyperplane.  There are
+        # 68, and they may only fall.
         boxes, box_failures = _quarter_grid_boxes()
         for scenario, box in boxes:
             build_adversarial_measure(scenario, box, 1.0, 2_000, seed=0)
         assert len(boxes) + box_failures == 8_154  # every violating orbit representative
-        assert box_failures <= 101
+        assert box_failures <= 68
 
     def test_bump_gap_is_exactly_positive_on_quarter_grid_boxes(self):
         # The premise behind the bump pair at the box midpoint, of scale
         # delta / 6: its exact gap g_b is positive.  Off ties g(-X) = g(X),
         # so the + half has the pair's gap; every 8th box keeps this fast.
         # A box no wider than tau sits on a witness within tau of a zero
-        # hyperplane (ROADMAP item 5), and its bump is finer than the
+        # hyperplane (ROADMAP item 13), and its bump is finer than the
         # rounding of its centre, which no float integral resolves: there
-        # are 162 such boxes, and they may only fall.
+        # are 86 such boxes, and they may only fall.
         boxes, _ = _quarter_grid_boxes()
         wide = [(scenario, box) for scenario, box in boxes if box.delta > SLACK]
-        assert len(boxes) - len(wide) <= 162
+        assert len(boxes) - len(wide) <= 86
         for scenario, box in wide[::8]:
             assert component_gap(scenario, box.midpoint().values, box.delta / 6.0) > 0.0

@@ -18,7 +18,7 @@ from deference_lab import (
     check_local_trust,
     expectation,
 )
-from oracles import random_scenario
+from oracles import guarded_identity_values, random_scenario
 
 TOL = 1e-12
 
@@ -112,14 +112,27 @@ class TestViolationBox:
         with pytest.raises(ValidationError, match=message):
             dataclasses.replace(box, **change)
 
-    def test_width_capped_inside_negative_prevision_region(self, anti_expert):
-        # pi(X) = -0.25, margins are 0.75: the cap must win so every box
-        # point keeps a strictly negative unconditional prevision.
+    def test_width_is_smaller_margin_across_zero_prevision(self, anti_expert):
+        # pi(X) = -0.25 and both margins are 0.75: the box is that wide,
+        # straddles pi(Y) = 0, and the integrand h stays positive on it.
         x = Gamble([0.25, -0.75])
         box = build_violation_box(anti_expert, x)
-        assert box.delta == pytest.approx(0.25, abs=TOL)
+        assert box.delta == 0.75
         points = box.sample_interior(np.random.default_rng(1), 2_000)
-        assert np.all(points @ anti_expert.agent.weights < 0.0)
+        agent_values = points @ anti_expert.agent.weights
+        assert agent_values.min() < 0.0 < agent_values.max()
+        _negative_side_properties(anti_expert, box)
+
+    def test_quarter_grid_witness_near_zero_prevision(self):
+        # Grid key (1, 0, 5, 13): pi(X) rounds to a sliver below zero, and
+        # the box is still min(lambda, xi) wide.
+        scenario = Scenario.from_weights(
+            [0.0, 0.25, 0.75],
+            [[0.0, 0.0, 1.0], [0.25, 0.0, 0.75], [0.75, 0.25, 0.0]],
+        )
+        box = build_violation_box(scenario, check_global_trust(scenario).witness)
+        assert box.delta == min(box.value_margin, box.event_margin) == 0.24999999999999975
+        _negative_side_properties(scenario, box)
 
     def test_infinite_event_margin_box(self):
         scenario, x = _wide_event_scenario()
@@ -145,6 +158,7 @@ def _negative_side_properties(scenario, box, samples=10_000, seed=2):
     prob = float(members @ pi)
     assert prob > 0.0
     assert np.all((points * members) @ pi < 0.0)
+    _integrand_positive(scenario, points)
 
 
 def _positive_side_properties(scenario, box, samples=10_000, seed=3):
@@ -158,6 +172,13 @@ def _positive_side_properties(scenario, box, samples=10_000, seed=3):
     pi = scenario.agent.weights
     assert float(members @ pi) > 0.0
     assert np.all((points * members) @ pi > 0.0)
+    _integrand_positive(scenario, points)
+
+
+def _integrand_positive(scenario, points):
+    """The gap identity's integrand h > 0 on the points and their negations."""
+    assert np.all(guarded_identity_values(scenario, points) > 0.0)
+    assert np.all(guarded_identity_values(scenario, -points) > 0.0)
 
 
 def _positive_global_witnesses(seed, count):
@@ -200,7 +221,7 @@ class TestBoxBits:
     witnesses with pi(X) > 0.  Raw bytes, so the sign of a zero counts.
     """
 
-    DIGEST = "73935cd42e00f24a7afe65f3f233516a0fc93fbf26965b147bf06095dbc6f441"
+    DIGEST = "80ab2efb2e5b012cbac9c7f2d34612c411d8ecb7742e8ca3027189503e780a77"
 
     @staticmethod
     def _feed(digest, box):
@@ -228,17 +249,19 @@ class TestBoxBits:
 class TestPositiveBox:
     def test_anti_expert_worked_example(self, anti_expert):
         # X = (-0.2, 1): rejection event {w2}, conditional there 1 > 0,
-        # pi(X) = 0.4 -- the binding width is the unconditional slack.
+        # and the accepting expert's P_1(X) = 1: both margins are 1, and
+        # pi(X) = 0.4 caps nothing, so the box straddles pi(Y) = 0.
         x = Gamble([-0.2, 1.0])
         box = build_positive_box(anti_expert, x)
         assert box.orientation is Orientation.POSITIVE_SIDE
         assert box.event.sorted_members() == [1]
-        assert box.delta == pytest.approx(0.4, abs=TOL)
+        assert box.delta == 1.0
         assert box.upper.tolist() == [-0.2, 1.0]
-        assert np.allclose(box.lower, [-0.2 - box.delta, 1.0 - box.delta])
+        assert box.lower.tolist() == [-1.2, 0.0]
         _positive_side_properties(anti_expert, box)
         points = box.sample_interior(np.random.default_rng(4), 5_000)
-        assert np.all(points @ anti_expert.agent.weights >= 0.0)
+        agent_values = points @ anti_expert.agent.weights
+        assert agent_values.min() < 0.0 < agent_values.max()
 
     def test_rejects_negative_prevision(self, anti_expert):
         with pytest.raises(ValidationError, match=r"positive-side witness needs pi\(X\) > 0"):
@@ -285,9 +308,8 @@ class TestPositiveBox:
     def test_positive_boxes_on_random_global_witnesses(self):
         for scenario, witness in _positive_global_witnesses(seed=11, count=12):
             box = build_positive_box(scenario, witness)
+            assert box.delta == min(box.value_margin, box.event_margin)
             _positive_side_properties(scenario, box, samples=2_000)
-            points = box.sample_interior(np.random.default_rng(5), 2_000)
-            assert np.all(points @ scenario.agent.weights >= 0.0)
 
     def test_mirror_identity(self):
         for scenario, witness in _positive_global_witnesses(seed=12, count=12):

@@ -775,6 +775,23 @@ class TestCounterexample:
         gap = report["gap"]
         assert gap["value"] > 5 * gap["std_error"] > 0.0
 
+    def test_witness_rounding_below_zero_prevision_gets_a_box(self, capsys, scenario_file):
+        # pi(X) rounds to -5.6e-17 here, and the box is still
+        # min(lambda, xi) wide.
+        document = {
+            "worlds": ["w1", "w2", "w3"],
+            "agent": [0.0, 0.5, 0.5],
+            "expert": [[0.0, 0.0, 1.0], [0.0, 0.25, 0.75], [0.5, 0.25, 0.25]],
+        }
+        argv = ["counterexample", scenario_file(document), "--samples", "20000", "--seed", "7"]
+        code, report = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        box = report["box"]
+        assert box["delta"] == 0.49999999999999956
+        assert box["event"] == ["w1", "w2"]
+        gap = report["gap"]
+        assert gap["value"] > 5 * gap["std_error"] > 0.0
+
     def test_trust_is_decided_once(self, capsys, scenario_file, monkeypatch):
         # The box certifies the violation, so the search need not re-decide it.
         from deference_lab import adversarial, cli, trust

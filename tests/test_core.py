@@ -128,6 +128,11 @@ class TestConstruction:
         with pytest.raises(ValidationError, match=f"world index {i} out of range for n=3"):
             ProbMass.ideal(3, i)
 
+    def test_ideal_mass_needs_an_integer_world(self):
+        # Unchecked, a float index passes the range test and fails as IndexError.
+        with pytest.raises(ValidationError, match=r"world index must be an integer, got 1\.0"):
+            ProbMass.ideal(3, 1.0)
+
     def test_ideal_mass_is_the_point_mass(self):
         assert ProbMass.ideal(3, 0) == ProbMass([1.0, 0.0, 0.0])
         assert ProbMass.ideal(3, 2) == ProbMass([0.0, 0.0, 1.0])

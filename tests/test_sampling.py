@@ -197,6 +197,57 @@ class TestScoreEstimate:
             ScoreEstimate(value=0.0, std_error=0.0, samples=0, seed=0)
 
 
+UNIT_GAUSS = MeasureSpec.gaussian(1.0)
+
+
+class TestEstimatorArguments:
+    """Malformed samples, seeds and world indices raise before the memo is read."""
+
+    ESTIMATORS = {
+        "gap": lambda s, samples, seed: expected_gap(s, UNIT_GAUSS, samples, seed),
+        "ae-trust": lambda s, samples, seed: estimate_ae_trust(s, 1.0, samples, seed),
+        "inaccuracy": lambda s, samples, seed: inaccuracy_mc(s.agent, 1, UNIT_GAUSS, samples, seed),
+    }
+
+    @staticmethod
+    def _kept_run() -> tuple[Scenario, tuple]:
+        scenario = Scenario.from_weights(SCORE_SCENARIO["agent"], SCORE_SCENARIO["expert"])
+        expected_gap(scenario, UNIT_GAUSS, 1_000, 0)
+        assert sampling._memo is not None
+        return scenario, sampling._memo
+
+    @pytest.mark.parametrize("estimator", ESTIMATORS)
+    @pytest.mark.parametrize(
+        "samples, seed, message",
+        [
+            (100.0, 0, r"samples must be an integer >= 1, got 100\.0"),
+            (0, 0, "samples must be an integer >= 1, got 0"),
+            (100, 1.5, r"seed must be an integer >= 0, got 1\.5"),
+            (100, -1, "seed must be an integer >= 0, got -1"),
+        ],
+    )
+    def test_rejected_before_the_memo(self, estimator, samples, seed, message):
+        scenario, kept = self._kept_run()
+        with pytest.raises(ValidationError, match=message):
+            self.ESTIMATORS[estimator](scenario, samples, seed)
+        assert sampling._memo is kept
+
+    def test_world_index_must_be_an_integer(self):
+        scenario, kept = self._kept_run()
+        with pytest.raises(ValidationError, match=r"world index must be an integer, got 1\.0"):
+            inaccuracy_mc(scenario.agent, 1.0, UNIT_GAUSS, 100, 0)
+        assert sampling._memo is kept
+        truth = inaccuracy_mc(scenario.agent, True, UNIT_GAUSS, 1_000, 1)
+        assert truth == inaccuracy_mc(scenario.agent, 1, UNIT_GAUSS, 1_000, 1)
+
+    @pytest.mark.parametrize("estimator", ESTIMATORS)
+    def test_true_seed_reads_as_one(self, estimator):
+        scenario, _ = self._kept_run()
+        run = self.ESTIMATORS[estimator]
+        estimate = run(scenario, 1_000, True)
+        assert type(estimate.seed) is int and estimate == run(scenario, 1_000, 1)
+
+
 # ---------------------------------------------------------------------------
 # Golden estimator bits and the draw memo
 # ---------------------------------------------------------------------------
