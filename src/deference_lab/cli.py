@@ -37,7 +37,6 @@ import dataclasses
 import functools
 import hashlib
 import json
-import math
 import sys
 import time
 from argparse import Namespace
@@ -49,6 +48,7 @@ from .adversarial import SearchExhaustedError, build_adversarial_measure
 from .boxes import ViolationBox, build_violation_box
 from .core import Event, Gamble, ProbMass, ValidationError, WorldSpace
 from .measures import MeasureSpec
+from .sampling import _at_least, thread_count
 from .trust import (
     Scenario,
     TrustVerdict,
@@ -289,27 +289,6 @@ def _measure_fragment(measure: MeasureSpec) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _positive_int(raw: str) -> int:
-    value = int(raw)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
-def _nonnegative_int(raw: str) -> int:
-    value = int(raw)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
-def _positive_float(raw: str) -> float:
-    value = float(raw)
-    if not (value > 0.0 and math.isfinite(value)):
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {value}")
-    return value
-
-
 def _cmd_check(args: Namespace, scenario: Scenario, gambles: dict, report: dict) -> int:
     report["global"] = _verdict_fragment(scenario, check_global_trust(scenario))
     if args.gamble is not None:
@@ -392,10 +371,10 @@ def _build_parser() -> argparse.ArgumentParser:
         if gamble:
             cmd.add_argument("--gamble", default=None, help="named gamble for a local check")
         if sigma:
-            cmd.add_argument("--sigma", type=_positive_float, default=1.0)
+            cmd.add_argument("--sigma", type=float, default=1.0)
         if sampled:
-            cmd.add_argument("--samples", type=_positive_int, default=100_000)
-            cmd.add_argument("--seed", type=_nonnegative_int, default=0)
+            cmd.add_argument("--samples", type=int, default=100_000)
+            cmd.add_argument("--seed", type=int, default=0)
         cmd.add_argument("--format", choices=("json", "text"), default="json")
         cmd.set_defaults(handler=handler)
 
@@ -416,6 +395,14 @@ def main(argv: list[str] | None = None) -> int:
 
     started = time.perf_counter()
     try:
+        if hasattr(args, "samples"):
+            # A sampled subcommand's inputs, by the library's own rules and
+            # before the scenario is read: whatever its verdict, a bad one exits 2.
+            _at_least("samples", args.samples, 1)
+            _at_least("seed", args.seed, 0)
+            thread_count()
+            if hasattr(args, "sigma"):
+                MeasureSpec.gaussian(args.sigma)
         scenario, gambles = load_scenario(args.scenario)
         report = {"command": args.command, "scenario": args.scenario}
         report["digest"] = scenario_digest(scenario)

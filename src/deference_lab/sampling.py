@@ -18,12 +18,13 @@ Thread count is taken from the ``DEFLAB_THREADS`` environment variable
 (default 1); anything but a positive integer raises ``ValidationError``.
 With one worker, or a run of one chunk, the chunks run in the calling
 thread and no thread is started.  Otherwise they run on one worker pool
-kept between calls: it is built on the first such run (importing the
-module starts no thread), and rebuilt when ``DEFLAB_THREADS`` changes.
-The replaced pool is not shut down, because a concurrent caller may still
-hold it; its idle threads exit once it is garbage-collected.  A forked
-child inherits the pool but none of its threads, so an at-fork hook drops
-it there and the child builds its own.  The first chunk to raise, or an
+kept between calls in a one-entry ``functools.lru_cache`` keyed by the
+worker count: it is built on the first such run (importing the module
+starts no thread), and replaced when ``DEFLAB_THREADS`` changes.  The
+replaced pool is not shut down, because a concurrent caller may still hold
+it; its idle threads exit once it is garbage-collected.  A forked child
+inherits the pool but none of its threads, so an at-fork hook clears the
+cache there and the child builds its own.  The first chunk to raise, or an
 interrupted wait, sets a stop flag that every chunk reads before it draws
 and before each block: the running chunks end at their next block, and a
 chunk begun later draws nothing.  The call waits for every chunk, so none
@@ -70,6 +71,7 @@ count.  Large runs keep O(chunk) memory, and unkeyed draws skip the memo.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import os
@@ -105,30 +107,19 @@ _MEMO_BYTES = 32 << 20
 #: its key or nothing.
 _memo: tuple[tuple, list[np.ndarray], list[np.ndarray] | None] | None = None
 
-#: The kept worker pool: (workers, executor), or None until a run needs one.
-#: Only ever replaced whole, never shut down.  Two callers that race to build
-#: one each get a working pool; the one not kept is collected like a
-#: replaced one.
-_pool: tuple[int, ThreadPoolExecutor] | None = None
-
-
+@functools.lru_cache(maxsize=1)
 def _executor(workers: int) -> ThreadPoolExecutor:
-    """The kept executor, rebuilt when ``workers`` differs from its size."""
-    global _pool
-    entry = _pool
-    if entry is None or entry[0] != workers:
-        entry = _pool = (workers, ThreadPoolExecutor(max_workers=workers))
-    return entry[1]
+    """The kept worker pool; a call with another ``workers`` replaces it.
 
-
-def _forget_pool() -> None:
-    """Drop the pool in a forked child, which inherits none of its threads."""
-    global _pool
-    _pool = None
+    The replaced pool is dropped, never shut down.  Two callers that race to
+    build one each get a working pool; the one not kept is collected too.
+    """
+    return ThreadPoolExecutor(max_workers=workers)
 
 
 if hasattr(os, "register_at_fork"):  # absent where there is no fork
-    os.register_at_fork(after_in_child=_forget_pool)
+    # A forked child inherits the pool but none of its threads.
+    os.register_at_fork(after_in_child=_executor.cache_clear)
 
 
 @dataclass(frozen=True)
@@ -141,10 +132,10 @@ class ScoreEstimate:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.samples < 1:
-            raise ValueError(f"samples must be >= 1, got {self.samples}")
+        _at_least("samples", self.samples, 1)
+        _at_least("seed", self.seed, 0)
         if not self.std_error >= 0.0:
-            raise ValueError(f"std_error must be >= 0, got {self.std_error}")
+            raise ValidationError(f"std_error must be >= 0, got {self.std_error}")
 
 
 def thread_count() -> int:

@@ -653,7 +653,9 @@ class TestScore:
         assert main([command, scenario_file(ANTI), f"--sigma={sigma}"]) == EXIT_INPUT
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "argument --sigma: must be positive and finite" in captured.err
+        assert captured.err == (
+            f"error: sigma must be positive and finite, and so must its draws, got {sigma}\n"
+        )
 
     @pytest.mark.parametrize("command", ["score", "identity", "ae-trust", "counterexample"])
     def test_rejects_negative_seed(self, capsys, scenario_file, command):
@@ -661,7 +663,31 @@ class TestScore:
         assert main([command, scenario_file(ANTI), "--seed", "-1"]) == EXIT_INPUT
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "argument --seed: must be >= 0, got -1" in captured.err
+        assert captured.err == "error: seed must be an integer >= 0, got -1\n"
+
+    def test_unparseable_samples_name_the_type(self, capsys, scenario_file):
+        assert main(["score", scenario_file(ANTI), "--samples", "1e5"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --samples: invalid int value: '1e5'" in captured.err
+
+    @pytest.mark.parametrize(
+        "option, message",
+        [
+            (["--samples", "0"], "samples must be an integer >= 1, got 0"),
+            (["--seed", "-1"], "seed must be an integer >= 0, got -1"),
+            (["--sigma", "0"], "sigma must be positive and finite, and so must its draws, got 0.0"),
+        ],
+        ids=["samples", "seed", "sigma"],
+    )
+    def test_options_are_checked_before_the_scenario_is_read(
+        self, capsys, tmp_path, option, message
+    ):
+        missing = str(tmp_path / "missing.json")
+        assert main(["score", missing, *option]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
 
 class TestAeTrust:
@@ -816,6 +842,15 @@ class TestCounterexample:
         assert code == EXIT_TRUST_HOLDS
         assert report["verdict"]["holds"] is True
         assert "box" not in report
+
+    def test_overflowing_sigma_exits_2_when_trust_holds(self, capsys, scenario_file):
+        # The options are checked before the verdict, which would exit 3.
+        assert main(["counterexample", scenario_file(TRUTH), "--sigma", "1e308"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: sigma must be positive and finite, and so must its draws, got 1e+308\n"
+        )
 
     def test_one_sample_has_no_standard_error(self, capsys, scenario_file):
         # One draw cannot clear five standard errors: its scatter is unknown.
@@ -1025,7 +1060,11 @@ class TestThreadSetting:
     @pytest.mark.parametrize("raw", ["abc", "0", "-2", "", "1.5"])
     def test_malformed_value_exits_2_with_one_line(self, raw, capsys, scenario_file, monkeypatch):
         monkeypatch.setenv("DEFLAB_THREADS", raw)
-        assert main(["score", scenario_file(ANTI), "--samples", "100"]) == EXIT_INPUT
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: DEFLAB_THREADS must be a positive integer, got {raw!r}\n"
+        # On TRUTH the verdict alone would exit 3; the setting is checked first.
+        for command, document in (("score", ANTI), ("counterexample", TRUTH)):
+            assert main([command, scenario_file(document), "--samples", "100"]) == EXIT_INPUT
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"error: DEFLAB_THREADS must be a positive integer, got {raw!r}\n"
+            )

@@ -196,6 +196,19 @@ class TestScoreEstimate:
         with pytest.raises(ValueError):
             ScoreEstimate(value=0.0, std_error=0.0, samples=0, seed=0)
 
+    def test_fractional_samples_raise(self):
+        with pytest.raises(ValidationError, match="samples must be an integer >= 1, got 2.5"):
+            ScoreEstimate(value=0.0, std_error=0.0, samples=2.5, seed=0)
+
+    def test_negative_seed_raises(self):
+        with pytest.raises(ValidationError, match="seed must be an integer >= 0, got -1"):
+            ScoreEstimate(value=0.0, std_error=0.0, samples=2, seed=-1)
+
+    @pytest.mark.parametrize("std_error", [-1.0, math.nan])
+    def test_negative_or_nan_std_error_raises(self, std_error):
+        with pytest.raises(ValidationError, match=f"std_error must be >= 0, got {std_error}"):
+            ScoreEstimate(value=0.0, std_error=std_error, samples=2, seed=0)
+
 
 UNIT_GAUSS = MeasureSpec.gaussian(1.0)
 
@@ -417,16 +430,16 @@ class TestWorkerPool:
 
     def test_one_thread_starts_no_thread(self, monkeypatch):
         monkeypatch.setenv("DEFLAB_THREADS", "1")
-        monkeypatch.setattr(sampling, "_pool", None)
+        sampling._executor.cache_clear()
         scenario, measures = _pin_setup()
         before = threading.active_count()
         for mu in measures.values():
             _four_estimators(scenario, mu)
         assert threading.active_count() <= before
-        assert sampling._pool is None
+        assert sampling._executor.cache_info().currsize == 0
 
     def test_changing_the_thread_count_keeps_the_pins(self, monkeypatch):
-        monkeypatch.setattr(sampling, "_pool", None)
+        sampling._executor.cache_clear()
         before = threading.active_count()
         scenario, measures = _pin_setup()
         for threads in ("2", "3", "1", "2"):
@@ -437,7 +450,10 @@ class TestWorkerPool:
                 got.update(_pinned_bundle(scenario, name, mu))
             got[("ae",)] = _bits(estimate_ae_trust(scenario, 1.5, PIN_SAMPLES, PIN_SEED))
             assert got == PINS, threads
-        assert sampling._pool[0] == 2
+        # The kept pool is the two-worker one: asking for it again is a hit.
+        hits = sampling._executor.cache_info().hits
+        sampling._executor(2)
+        assert sampling._executor.cache_info().hits == hits + 1
         # The replaced three-worker pool is collected and its threads exit.
         deadline = time.monotonic() + 10.0
         while threading.active_count() > before + 2 and time.monotonic() < deadline:
@@ -451,7 +467,7 @@ class TestWorkerPool:
         scenario, measures = _pin_setup()
         mu = measures["gaussian"]
         parent = _bits(expected_gap(scenario, mu, PIN_SAMPLES, PIN_SEED))
-        assert sampling._pool is not None
+        assert sampling._executor.cache_info().currsize == 1
         context = multiprocessing.get_context("fork")
         receive, send = context.Pipe(duplex=False)
 
