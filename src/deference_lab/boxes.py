@@ -137,7 +137,7 @@ def build_violation_box(scenario: Scenario, x: Gamble) -> ViolationBox:
     """
     event, value, previsions = _require_negative_witness(scenario, x)
     lam = -value
-    outside = np.delete(previsions, event.sorted_members())
+    outside = previsions[previsions < 0.0]
     xi = float(np.min(-outside)) if outside.size else math.inf
     return ViolationBox(
         base=x,

@@ -247,24 +247,33 @@ def conditional_expectation(p: ProbMass, x: Gamble, a: Event) -> float | None:
     """The conditional prevision of x given the event, or None if undefined.
 
     Defined exactly when the event has strictly positive probability, in
-    which case it equals ``p(X 1_A) / p(A)``: both sums run left to right
-    over the products with the event's 0/1 mask, as :func:`expectation`
-    adds.  A zero-probability event yields ``None`` -- undefined is a
-    distinguished result here, not an error and not zero.
-
-    Conditioning on the full space returns ``expectation(p, x)`` itself:
-    the two are equal for a normalized mass, and taking the quotient would
-    manufacture one ulp of noise exactly where downstream trust checks
-    compare conditional values against unconditional ones.
+    which case it equals ``p(X 1_A) / p(A)``.  Both sums come from
+    :func:`_conditional`, the one mask kernel, which the trust checks also
+    call on the boolean masks they already hold.  A zero-probability event
+    yields ``None`` -- undefined is a distinguished result here, not an
+    error and not zero.
     """
     _check_dims(p, x)
     if p.n != a.n:
         raise ValidationError(f"dimension mismatch: mass has {p.n} worlds, event has {a.n}")
-    if len(a.members) == a.n:
-        return expectation(p, x)
-    mask = np.zeros(a.n)
-    mask[list(a.members)] = 1.0
-    prob = float(_ordered_sum(p.weights * mask))
+    inside = np.zeros(a.n, dtype=bool)
+    inside[list(a.members)] = True
+    return _conditional(p.weights, x.values, inside)
+
+
+def _conditional(weights: np.ndarray, values: np.ndarray, inside: np.ndarray) -> float | None:
+    """``p(X | A)`` for the event with boolean mask ``inside``, or None if undefined.
+
+    Both sums run left to right over the products with the event's 0/1
+    mask, as :func:`expectation` adds.  Conditioning on the full space
+    returns the expectation itself: the two are equal for a normalized
+    mass, and taking the quotient would manufacture one ulp of noise
+    exactly where downstream trust checks compare conditional values
+    against unconditional ones.
+    """
+    if inside.all():
+        return float(_ordered_sum(weights * values))
+    prob = float(_ordered_sum(weights * inside))
     if not prob > 0.0:
         return None
-    return float(_ordered_sum(p.weights * (x.values * mask))) / prob
+    return float(_ordered_sum(weights * (values * inside))) / prob

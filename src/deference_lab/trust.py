@@ -25,10 +25,14 @@ per world.  Three checks live here:
   sign pattern of u exactly when no off-diagonal entry of K' is positive
   and no row sum is negative.  So only the singleton classes and the full
   space bind, and one least-squares solve (an SVD of the k x n matrix E')
-  decides trust.  Each failure has a closed-form witness: the least-norm
-  X with expert previsions +1 on the accepting classes and -1 elsewhere,
-  moved along the offending direction until ``pi(X 1_A) <= -1`` and scaled
-  to ``max |X_j| = 1``.
+  decides trust.  The tests run in that order: class residual, then
+  off-diagonal entry of K', then row sum, each computed only when the
+  tests before it pass.  A residual can exist only when rank E' < n: n
+  independent rows span R^n, which holds every class mass, so at rank n
+  the residual test is skipped.  Each failure has a closed-form witness:
+  the least-norm X with expert previsions +1 on the accepting classes and
+  -1 elsewhere, moved along the offending direction until
+  ``pi(X 1_A) <= -1`` and scaled to ``max |X_j| = 1``.
 
   When the distinct rows are linearly dependent (rank r < k), trust
   fails.  Take u = E' y with distinct entries; one exists because the
@@ -74,11 +78,13 @@ from .core import (
     ValidationError,
     WorldSpace,
     _check_dims,
+    _conditional,
     _ordered_sum,
-    conditional_expectation,
 )
 from .measures import MeasureSpec
 from .sampling import ScoreEstimate, mc_frequency
+
+_EPS = np.finfo(float).eps
 
 __all__ = [
     "Scenario",
@@ -188,8 +194,9 @@ def _event_of(mask: np.ndarray) -> Event:
 def _require_negative_witness(scenario: Scenario, x: Gamble) -> tuple[Event, float, np.ndarray]:
     """X's event A = [P(X) >= 0], pi(X | A) < 0 and the P_i(X): the one check of a witness."""
     previsions = _expert_previsions(scenario, x)
-    event = _event_of(previsions >= 0.0)
-    value = conditional_expectation(scenario.agent, x, event)
+    accepted = previsions >= 0.0
+    event = _event_of(accepted)
+    value = _conditional(scenario.agent.weights, x.values, accepted)
     if value is None or not value < 0.0:
         raise ValidationError(
             "not a trust violation witness: conditional value given [P(X) >= 0] "
@@ -217,7 +224,7 @@ def check_local_trust(scenario: Scenario, x: Gamble) -> TrustVerdict:
     previsions = _expert_previsions(scenario, x)
     values = previsions.tolist()
     for v in sorted(set(values) | {0.0}):
-        cond = conditional_expectation(scenario.agent, x, _event_of(previsions >= v))
+        cond = _conditional(scenario.agent.weights, x.values, previsions >= v)
         if cond is None or cond >= v:
             continue
         slack = min([v - cond, *(v - pv for pv in values if pv < v)])
@@ -243,7 +250,7 @@ def check_global_trust(scenario: Scenario) -> TrustVerdict:
     e = scenario.expert_matrix()
     pi = scenario.agent.weights
     classes: dict[tuple[float, ...], int] = {}
-    label = np.array([classes.setdefault(tuple(row.tolist()), len(classes)) for row in e])
+    label = np.array([classes.setdefault(tuple(row), len(classes)) for row in e.tolist()])
     member = label == np.arange(len(classes))[:, None]  # member[c, i] iff world i is in class c
     # A class of zero agent mass moves neither pi(A) nor pi(X 1_A).
     member = member[member @ pi > 0.0]
@@ -251,29 +258,16 @@ def check_global_trust(scenario: Scenario) -> TrustVerdict:
     distinct = e[np.argmax(member, axis=1)]
     masses = (member * pi).T  # (n, k): column c is pi o 1_c
     basis_u, sv, basis_vt = np.linalg.svd(distinct, full_matrices=False)
-    rank = int(np.count_nonzero(sv > sv[0] * max(distinct.shape) * np.finfo(float).eps))
+    rank = int(np.count_nonzero(sv > sv[0] * max(distinct.shape) * _EPS))
 
     if rank < k:
         inside, x, direction = _chain_offence(distinct, masses, basis_vt[:rank])
     else:
         pinv = basis_vt.T @ (basis_u.T / sv[:, None])  # least-norm X for E'X = u is pinv @ u
-        kq = pinv.T @ masses  # K'
-        residual = _off_row_space(basis_vt, masses)
-        sizes = np.linalg.norm(residual, axis=0)
-        off = kq - np.diag(np.diag(kq))
-        rows = kq.sum(axis=1)
-
-        if sizes.max() > SLACK:
-            c = int(np.argmax(sizes))
-            inside, direction = np.arange(k) == c, -residual[:, c]
-        elif off.max() > SLACK:
-            d, c = np.unravel_index(np.argmax(off), off.shape)
-            inside, direction = np.arange(k) == c, -pinv[:, d]
-        elif rows.min() < -SLACK:
-            d = int(np.argmin(rows))
-            inside, direction = np.ones(k, dtype=bool), pinv[:, d]
-        else:
+        offence = _full_rank_offence(basis_vt, pinv, masses)
+        if offence is None:
             return TrustVerdict(holds=True, margin=0.0)
+        inside, direction = offence
         # Expert previsions +1 on the accepting classes and -1 off them.
         x = pinv @ np.where(inside, 1.0, -1.0)
 
@@ -287,6 +281,34 @@ def check_global_trust(scenario: Scenario) -> TrustVerdict:
     partial = float(_ordered_sum(pi * (witness.values * accepted)))
     outside = previsions[~accepted].tolist()
     return TrustVerdict(False, witness, event, value, margin=-max([partial, *outside]))
+
+
+def _full_rank_offence(
+    basis: np.ndarray, pinv: np.ndarray, masses: np.ndarray
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """(accepting classes, direction) of the first offence for independent rows, or None.
+
+    Each test runs only when those before it pass; ties go to the first
+    extreme entry in C order.  Rank n rows span R^n: no class residual.
+    """
+    n, k = masses.shape
+    if k < n:
+        residual = _off_row_space(basis, masses)
+        sizes = np.sqrt(np.add.reduce(residual * residual, axis=0))  # column norms
+        c = int(np.argmax(sizes))
+        if sizes[c] > SLACK:
+            return np.arange(k) == c, -residual[:, c]
+    kq = pinv.T @ masses  # K'
+    off = kq.copy()
+    np.fill_diagonal(off, 0.0)
+    d, c = divmod(int(np.argmax(off)), k)
+    if off[d, c] > SLACK:
+        return np.arange(k) == c, -pinv[:, d]
+    rows = kq.sum(axis=1)
+    d = int(np.argmin(rows))
+    if rows[d] < -SLACK:
+        return np.ones(k, dtype=bool), pinv[:, d]
+    return None
 
 
 def _chain_offence(
@@ -309,7 +331,7 @@ def _chain_offence(
     cuts = np.append((levels[:-1] + levels[1:]) / 2.0, levels[-1] - 1.0)
     prefixes = u >= cuts[:, None]  # (cuts, k): an ascending chain of upper sets
     residual = _off_row_space(basis, masses @ prefixes.T)  # column j: pi o 1_{A_j}'s
-    sizes = np.linalg.norm(residual, axis=0)
+    sizes = np.sqrt(np.add.reduce(residual * residual, axis=0))  # column norms
     j = int(np.argmax(sizes))
     if not sizes[j] > SLACK:
         raise ValidationError("dependent expert rows left no chain prefix off their row space")

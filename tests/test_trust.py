@@ -466,6 +466,18 @@ class TestClassQuotientDecision:
             check_global_trust(scenario)
             assert calls == [], family
 
+    def test_rank_n_rows_leave_no_class_residual(self):
+        # The decision skips the class residual test at rank n: n independent
+        # rows span R^n, so every class mass lies in their row space.  In
+        # floats the residual stays far below the slack tau = 1e-12.
+        for n in range(2, 65):
+            for maker in (random_scenario, trusting_scenario):
+                scenario = maker(np.random.default_rng([200, n]), n)
+                _, sv, basis = np.linalg.svd(scenario.expert_matrix())
+                assert sv[-1] > sv[0] * n * np.finfo(float).eps  # rank n
+                residual = trust._off_row_space(basis, np.diag(scenario.agent.weights))
+                assert np.linalg.norm(residual, axis=0).max() <= 1e-14, (maker.__name__, n)
+
 
 def _mixture_scenario(agent: np.ndarray, a: float) -> Scenario:
     """Experts P_i = a * (point mass at i) + (1 - a) * agent: trust holds."""
@@ -568,7 +580,9 @@ class TestGlobalTrustBits:
     Each pins a closed-form witness, re-checked in ``fractions.Fraction``:
     ``random_n6`` an off-diagonal entry of K', ``repeated_row_n6`` a class
     residual, ``positive_side_n5`` a witness the agent values positively,
-    and ``dependent_rows_n6`` the chain prefix of linearly dependent rows.
+    ``dependent_rows_n6`` the chain prefix of linearly dependent rows, and
+    ``row_sum_n3`` a negative row sum of K', whose witness event is the
+    full space.
     """
 
     GOLDEN = {
@@ -603,6 +617,13 @@ class TestGlobalTrustBits:
              "0x1.5b8b67332f5a1p-5", "-0x1.0000000000000p+0", "0x1.e8eaed52f39ecp-5"],
             [1, 4],
             "-0x1.c063d602e97f9p-1",
+        ),
+        "row_sum_n3": (
+            lambda: random_scenario(np.random.default_rng(111), 3),
+            "0x1.e24d55ec86538p-5",
+            ["-0x1.d5faa3183d865p-2", "-0x1.bcf84de8e4564p-3", "0x1.0000000000000p+0"],
+            [0, 1, 2],
+            "-0x1.e24d55ec86538p-5",
         ),
     }
 
