@@ -20,15 +20,13 @@ check) reads them; both margins are :class:`ViolationBox` fields:
 
 With ``delta = min(lambda, xi)``, every Y strictly between X and X + delta
 keeps the event and stays violating; the box is open, hence of positive
-Lebesgue measure.  The positive-side case (gambles just *below* a witness
-whose conditional given ``[P(X) < 0]`` is strictly positive) is the same
-construction seen through negation: off the expert hyperplanes, X is a
-positive-side witness exactly when -X is a negative-side one with the same
-event, so :func:`build_positive_box` checks only what negation cannot see
-(``pi(X) > 0`` and no ``P_i(X) = 0``), hands -X to the one witness check
-through :func:`build_violation_box`, and mirrors that box.  A box stores
-only its base, width and side: its bounds derive from them, so they cannot
-stray from the base that function certified.
+Lebesgue measure.  The positive-side case (gambles just *below* X whose
+conditional given their rejection event is strictly positive) is the same
+construction seen through negation: :func:`build_positive_box` hands -X to
+the one witness check through :func:`build_violation_box` and mirrors that
+box, with no check of its own.  A box stores only its base, width and
+side: its bounds derive from them, so they cannot stray from the base that
+function certified.
 """
 
 from __future__ import annotations
@@ -39,8 +37,8 @@ from enum import Enum
 
 import numpy as np
 
-from .core import Event, Gamble, ValidationError, expectation
-from .trust import Scenario, _require_negative_witness, expert_event
+from .core import Event, Gamble, ValidationError
+from .trust import Scenario, _require_negative_witness
 
 __all__ = ["Orientation", "ViolationBox", "build_violation_box", "build_positive_box"]
 
@@ -152,20 +150,16 @@ def build_violation_box(scenario: Scenario, x: Gamble) -> ViolationBox:
 def build_positive_box(scenario: Scenario, x: Gamble) -> ViolationBox:
     """The open box (X - delta, X) of gambles violating trust from above.
 
-    X must have ``pi(X) > 0`` and no ``P_i(X) = 0``, and its rejection
-    event B = [P(X) < 0] positive probability and ``pi(X | B) > 0``.
-    Negation is exact in floats, so off the hyperplanes -X has acceptance
-    event B and conditional ``-pi(X | B)``: the last two conditions are the
-    one witness check on -X, which raises :class:`ValidationError` when they
-    fail.  The box is the mirror of ``build_violation_box(scenario, -X)``,
-    of width ``min(pi(X | B), min over accepting i of P_i(X))``, and
-    every property of that box holds here negated.
+    It is the mirror of ``build_violation_box(scenario, -X)``, which raises
+    :class:`ValidationError` unless -X passes the one witness check: its
+    event A' = [P(-X) >= 0] = [P(X) <= 0] has positive probability and
+    ``pi(X | A') > 0``.  Negation is exact in floats, so every Y in
+    (X - delta, X) has -Y in the negative box of -X.  There each expert in
+    A' has ``P_i(-Y) > 0``, every other expert ``P_i(-Y) < 0``, and
+    ``pi(-Y | A') < 0``.  So Y's rejection event [P(Y) < 0] is A', no zero
+    hyperplane meets the box, ``pi(Y | A') > 0``, and the gap integrand h
+    is positive on the box, as on its mirror.  None of this uses the sign
+    of ``pi(X)``.  An expert with ``P_i(X) = 0`` accepts X itself, an
+    excluded corner of the box, and rejects every Y inside it.
     """
-    unconditional = expectation(scenario.agent, x)
-    if not unconditional > 0.0:
-        raise ValidationError(f"positive-side witness needs pi(X) > 0, got {unconditional}")
-    if expert_event(scenario, -x, 0.0) != expert_event(scenario, x, 0.0).complement():
-        raise ValidationError(
-            "degenerate box: X lies on the zero hyperplane of an accepting expert"
-        )
     return build_violation_box(scenario, -x).mirrored()

@@ -134,6 +134,8 @@ class ScoreEstimate:
     def __post_init__(self) -> None:
         _at_least("samples", self.samples, 1)
         _at_least("seed", self.seed, 0)
+        if math.isnan(self.value):
+            raise ValidationError(f"value must not be nan, got {self.value}")
         if not self.std_error >= 0.0:
             raise ValidationError(f"std_error must be >= 0, got {self.std_error}")
 

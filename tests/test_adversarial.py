@@ -167,14 +167,26 @@ class TestBuildAdversarialMeasure:
         with pytest.raises(ValidationError, match="not a trust violation witness"):
             build_adversarial_measure(scenario, box.mirrored(), 1.0, 1_000, seed=0)
 
-    def test_positive_side_box_is_checked_through_its_mirror(self):
+    def test_positive_side_box_is_checked_through_its_mirror(self, anti_expert):
         # Every expert rejects X = [-1, 5], so X itself witnesses nothing on
-        # the negative side; -X (everyone accepts, pi = -2) does.
-        scenario = Scenario.from_weights([0.5, 0.5], [[0.9, 0.1], [0.9, 0.1]])
-        box = build_positive_box(scenario, Gamble([-1.0, 5.0]))
-        measure, estimate = build_adversarial_measure(scenario, box, 1.0, 20_000, seed=0)
-        assert measure.bumps[0].weight == 1.0 - MIN_BASE_WEIGHT
-        assert estimate.value > 5 * estimate.std_error
+        # the negative side; -X (everyone accepts, pi = -2) does.  The
+        # mirror needs no sign of pi(X) and no nonzero P_i(X): on the
+        # anti-expert pi(X) is -0.25 and 0, and the last X has P_2(X) = 0.
+        hyperplane = Scenario.from_weights(
+            [1 / 3, 1 / 3, 1 / 3],
+            [[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]],
+        )
+        cases = [
+            (Scenario.from_weights([0.5, 0.5], [[0.9, 0.1], [0.9, 0.1]]), [-1.0, 5.0]),
+            (anti_expert, [-1.0, 0.5]),
+            (anti_expert, [-1.0, 1.0]),
+            (hyperplane, [-1.0, 0.0, 2.0]),
+        ]
+        for scenario, x in cases:
+            box = build_positive_box(scenario, Gamble(x))
+            measure, estimate = build_adversarial_measure(scenario, box, 1.0, 20_000, seed=0)
+            assert measure.bumps[0].weight == 1.0 - MIN_BASE_WEIGHT
+            assert estimate.value > 5 * estimate.std_error
 
     def test_exhaustion_reports_best_candidate(self, anti_expert, monkeypatch):
         # A gap inside five standard errors must not pass: the real box's

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from deference_lab import (
     check_local_trust,
     expectation,
 )
-from oracles import guarded_identity_values, random_scenario
+from oracles import dyadic_mass, guarded_identity_values, random_scenario
 
 TOL = 1e-12
 
@@ -30,6 +31,14 @@ def _wide_event_scenario() -> tuple[Scenario, Gamble]:
         [[0.0, 0.5, 0.5], [0.0, 0.5, 0.5], [0.0, 0.5, 0.5]],
     )
     return scenario, Gamble([-1.0, 1.0, 1.0])
+
+
+def _hyperplane_scenario() -> Scenario:
+    """Expert i is certain of world 4 - i, so P_2(X) = x_2."""
+    return Scenario.from_weights(
+        [1 / 3, 1 / 3, 1 / 3],
+        [[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]],
+    )
 
 
 class TestMargins:
@@ -193,6 +202,18 @@ def _positive_global_witnesses(seed, count):
     return found
 
 
+def _exact_dot(weights, values):
+    return sum(Fraction(w) * Fraction(v) for w, v in zip(weights, values))
+
+
+def _exact_integrand(pi, rows, z):
+    """The gap identity's integrand h(Z), in exact rationals."""
+    accepted = [_exact_dot(row, z) >= 0 for row in rows]
+    if _exact_dot(pi, z) < 0:
+        return -sum(p * v for p, v, a in zip(pi, z, accepted) if a)
+    return sum(p * v for p, v, a in zip(pi, z, accepted) if not a)
+
+
 class TestBoxInvariants:
     def test_negative_boxes_on_random_violations(self):
         rng = np.random.default_rng(10)
@@ -263,9 +284,15 @@ class TestPositiveBox:
         agent_values = points @ anti_expert.agent.weights
         assert agent_values.min() < 0.0 < agent_values.max()
 
-    def test_rejects_negative_prevision(self, anti_expert):
-        with pytest.raises(ValidationError, match=r"positive-side witness needs pi\(X\) > 0"):
-            build_positive_box(anti_expert, Gamble([-1.0, 0.5]))
+    def test_negative_prevision_witness_is_mirrored(self, anti_expert):
+        # pi(X) = -0.25: the box needs no sign of pi(X).  -X = (1, -0.5)
+        # has event {w2} and conditional -0.5, and P_1(-X) = -0.5.
+        box = build_positive_box(anti_expert, Gamble([-1.0, 0.5]))
+        assert box == build_violation_box(anti_expert, Gamble([1.0, -0.5])).mirrored()
+        assert box.event.sorted_members() == [1]
+        assert box.lower.tolist() == [-1.5, 0.0]
+        assert box.upper.tolist() == [-1.0, 0.5]
+        _positive_side_properties(anti_expert, box)
 
     def test_rejects_empty_rejection_event(self, truth_expert):
         with pytest.raises(
@@ -280,22 +307,26 @@ class TestPositiveBox:
         ):
             build_positive_box(truth_expert, Gamble([2.0, -1.0]))
 
-    def test_zero_prevision_witness_degenerates(self, anti_expert):
-        # pi(X) = 0 leaves no slack for the nonnegative-side requirement.
-        with pytest.raises(
-            ValidationError, match=r"positive-side witness needs pi\(X\) > 0, got 0\.0"
-        ):
-            build_positive_box(anti_expert, Gamble([-1.0, 1.0]))
+    def test_zero_prevision_witness_is_mirrored(self, anti_expert):
+        # pi(X) = 0: both margins of -X = (1, -1) are 1.
+        box = build_positive_box(anti_expert, Gamble([-1.0, 1.0]))
+        assert box == build_violation_box(anti_expert, Gamble([1.0, -1.0])).mirrored()
+        assert box.event.sorted_members() == [1]
+        assert box.delta == 1.0
+        assert box.lower.tolist() == [-2.0, 0.0]
+        _positive_side_properties(anti_expert, box)
 
-    def test_on_hyperplane_witness_degenerates(self):
-        # P_2(X) = x_2 = 0: world 2 accepts with no room to move down.
-        # Rejection event {w3} has conditional 2 > 0 and pi(X) = 1/3.
-        scenario = Scenario.from_weights(
-            [1 / 3, 1 / 3, 1 / 3],
-            [[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]],
-        )
-        with pytest.raises(ValidationError, match="degenerate box: X lies on the zero hyperplane"):
-            build_positive_box(scenario, Gamble([-1.0, 0.0, 2.0]))
+    def test_on_hyperplane_witness_is_mirrored(self):
+        # P_2(X) = x_2 = 0: expert 2 accepts X, a corner the open box
+        # excludes, and rejects every Y inside, where y_2 < 0.  So the
+        # event is [P(X) <= 0] = {w2, w3}, with conditional 1 > 0.
+        scenario = _hyperplane_scenario()
+        box = build_positive_box(scenario, Gamble([-1.0, 0.0, 2.0]))
+        assert box == build_violation_box(scenario, Gamble([1.0, -0.0, -2.0])).mirrored()
+        assert box.event.sorted_members() == [1, 2]
+        assert box.delta == 1.0
+        assert box.lower.tolist() == [-2.0, -1.0, 1.0]
+        _positive_side_properties(scenario, box)
 
     def test_zero_lower_bound_is_positive_zero(self):
         # Every expert rejects (P_i(X) = x_1 = -1), so B is the whole space
@@ -310,6 +341,45 @@ class TestPositiveBox:
             box = build_positive_box(scenario, witness)
             assert box.delta == min(box.value_margin, box.event_margin)
             _positive_side_properties(scenario, box, samples=2_000)
+
+    def test_mirror_proof_in_exact_arithmetic(self):
+        # Quarter masses and gambles in halves keep every prevision exact.
+        # Boxes whose X has pi(X) <= 0 or a zero prevision rely on the
+        # mirror proof alone; at rational interior points Y their event is
+        # Y's rejection event, no P_i(Y) is 0, pi(Y 1_B) > 0 and h > 0.
+        rng = np.random.default_rng(2026)
+        seen = {"nonpositive": 0, "zero_prevision": 0}
+        for _ in range(2_000):
+            n = int(rng.integers(2, 6))
+            scenario = Scenario.from_weights(
+                dyadic_mass(rng, n, 4), [dyadic_mass(rng, n, 4) for _ in range(n)]
+            )
+            x = Gamble(rng.integers(-4, 5, size=n) / 2.0)
+            try:
+                box = build_positive_box(scenario, x)
+            except ValidationError:
+                continue
+            pi = [Fraction(w) for w in scenario.agent.weights.tolist()]
+            rows = [[Fraction(e) for e in row] for row in scenario.expert_matrix().tolist()]
+            values = x.values.tolist()
+            nonpositive = _exact_dot(pi, values) <= 0
+            zero_prevision = any(_exact_dot(row, values) == 0 for row in rows)
+            if not (nonpositive or zero_prevision):
+                continue
+            seen["nonpositive"] += nonpositive
+            seen["zero_prevision"] += zero_prevision
+            members = set(box.event.sorted_members())
+            lower = [Fraction(v) for v in box.lower.tolist()]
+            upper = [Fraction(v) for v in box.upper.tolist()]
+            for steps in rng.integers(1, 13, size=(12, n)).tolist():
+                y = [lo + Fraction(k, 13) * (hi - lo) for lo, hi, k in zip(lower, upper, steps)]
+                previsions = [_exact_dot(row, y) for row in rows]
+                assert 0 not in previsions
+                assert {i for i, p in enumerate(previsions) if p < 0} == members
+                assert sum(pi[j] * y[j] for j in members) > 0
+                assert _exact_integrand(pi, rows, y) > 0
+                assert _exact_integrand(pi, rows, [-v for v in y]) > 0
+        assert min(seen.values()) >= 50, seen
 
     def test_mirror_identity(self):
         for scenario, witness in _positive_global_witnesses(seed=12, count=12):

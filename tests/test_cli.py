@@ -784,8 +784,8 @@ class TestCounterexample:
         assert out == golden
 
     def test_witness_on_an_accepting_hyperplane_gets_a_box(self, capsys, scenario_file):
-        # pi(X) > 0 and P_1(X) = 0.0 for an accepting expert: a box below X
-        # would have no width, the box above it has.
+        # pi(X) > 0 and P_1(X) = 0.0 for an accepting expert: the command
+        # fattens X upward, and that box has width.
         document = {
             "worlds": ["w1", "w2", "w3", "w4"],
             "agent": [2 / 3, 0.0, 0.0, 1 / 3],

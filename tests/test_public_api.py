@@ -87,7 +87,7 @@ def test_benchmark_tracer_installs_and_restores(monkeypatch):
         tracer.uninstall()
     # Every (module, name) reference the tracer wraps; a new count means
     # the benchmark's spans now see a different set of calls.
-    assert len(patched) == 37
+    assert len(patched) == 36
     assert all(getattr(owner, name) is original for owner, name, original in patched)
     # The span wrapper names this exception in an ``except`` clause.
     assert issubclass(adversarial.SearchExhaustedError, Exception)

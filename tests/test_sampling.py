@@ -10,6 +10,7 @@ import sys
 import threading
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -208,6 +209,15 @@ class TestScoreEstimate:
     def test_negative_or_nan_std_error_raises(self, std_error):
         with pytest.raises(ValidationError, match=f"std_error must be >= 0, got {std_error}"):
             ScoreEstimate(value=0.0, std_error=std_error, samples=2, seed=0)
+
+    def test_nan_value_raises(self):
+        with pytest.raises(ValidationError, match="value must not be nan, got nan"):
+            ScoreEstimate(value=math.nan, std_error=0.0, samples=1, seed=0)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    def test_infinite_value_is_kept(self, value):
+        # An estimate that overflows reads inf rather than raising.
+        assert ScoreEstimate(value=value, std_error=math.inf, samples=1, seed=0).value == value
 
 
 UNIT_GAUSS = MeasureSpec.gaussian(1.0)
@@ -420,7 +430,11 @@ class TestWorkerPool:
         code = "import threading, deference_lab; print(threading.active_count())"
         done = subprocess.run(
             [sys.executable, "-c", code],
-            env={**os.environ, "DEFLAB_THREADS": "2"},
+            env={
+                **os.environ,
+                "DEFLAB_THREADS": "2",
+                "PYTHONPATH": str(Path(sampling.__file__).parents[1]),
+            },
             capture_output=True,
             text=True,
             timeout=60,
