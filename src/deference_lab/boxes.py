@@ -133,7 +133,7 @@ def build_violation_box(scenario: Scenario, x: Gamble) -> ViolationBox:
     = pi(Y) - pi(Y 1_A) > 0`` if ``pi(Y) >= 0``.  Off the ties
     ``pi(Y) = 0``, ``h(-Y) = h(Y)``, so h is positive on the mirror too.
     """
-    event, value, previsions = _require_negative_witness(scenario, x)
+    event, value, previsions, *_ = _require_negative_witness(scenario, x)
     lam = -value
     outside = previsions[previsions < 0.0]
     xi = float(np.min(-outside)) if outside.size else math.inf

@@ -52,12 +52,11 @@ class ValidationError(ValueError):
 
 
 def _frozen_array(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
+    arr = np.array(values, dtype=float)  # a copy, which the caller cannot alias
     if arr.ndim != 1 or arr.size == 0:
         raise ValidationError(f"{name} must be a nonempty 1-D real vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValidationError(f"{name} has non-finite entries: {arr.tolist()}")
-    arr = arr.copy()
     arr.flags.writeable = False
     return arr
 
@@ -141,14 +140,14 @@ class Event:
     def __post_init__(self) -> None:
         try:  # integers of any kind pass, a float or anything else raises
             n = operator.index(self.n)
-            members = frozenset(operator.index(i) for i in self.members)
+            members = frozenset(map(operator.index, self.members))
         except TypeError:
             raise ValidationError(
                 f"event needs integer n and members, got n={self.n!r}, members={self.members!r}"
             ) from None
         if n < 1:
             raise ValidationError(f"event needs a space of >= 1 worlds, got n={n}")
-        if any(i < 0 or i >= n for i in members):
+        if members and (min(members) < 0 or max(members) >= n):
             raise ValidationError(f"event members {sorted(members)} out of range for n={n}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "members", members)
@@ -193,7 +192,7 @@ class ProbMass:
         arr = _frozen_array(self.weights, "probability mass")
         if np.any(arr < 0.0) or np.any(arr > 1.0):
             raise ValidationError(f"mass weights must lie in [0, 1], got {arr.tolist()}")
-        total = float(_ordered_sum(arr))
+        total = _ordered_sum(arr)
         if abs(total - 1.0) > SLACK:
             raise ValidationError(f"mass sums to {total!r}, expected 1 within {SLACK}")
         if abs(total - 1.0) > arr.size * 2.0**-52:
@@ -220,12 +219,17 @@ class ProbMass:
         return f"ProbMass({self.weights.tolist()})"
 
 
-def _ordered_sum(values: np.ndarray) -> np.ndarray:
+def _ordered_sum(values: np.ndarray) -> np.ndarray | float:
     """Sum over the last axis, strictly left to right, as a loop from 0.0 would.
 
     ``accumulate`` adds in order; ``+ 0.0`` turns an all -0.0 sum into +0.0.
+    A vector sums to a float: its last partial sum is read as a scalar, so
+    the ``+ 0.0`` is float arithmetic rather than a 0-d array operation.
     """
-    return np.add.accumulate(values, axis=-1)[..., -1] + 0.0
+    partial = np.add.accumulate(values, axis=-1)
+    if partial.ndim == 1:
+        return float(partial[-1]) + 0.0
+    return partial[..., -1] + 0.0
 
 
 def _check_dims(p: ProbMass, x: Gamble) -> None:
@@ -240,7 +244,7 @@ def expectation(p: ProbMass, x: Gamble) -> float:
     run and equal, bit for bit, a Python loop adding one product at a time.
     """
     _check_dims(p, x)
-    return float(_ordered_sum(p.weights * x.values))
+    return _ordered_sum(p.weights * x.values)
 
 
 def conditional_expectation(p: ProbMass, x: Gamble, a: Event) -> float | None:
@@ -258,22 +262,25 @@ def conditional_expectation(p: ProbMass, x: Gamble, a: Event) -> float | None:
         raise ValidationError(f"dimension mismatch: mass has {p.n} worlds, event has {a.n}")
     inside = np.zeros(a.n, dtype=bool)
     inside[list(a.members)] = True
-    return _conditional(p.weights, x.values, inside)
+    return _conditional(p.weights, x.values, inside)[0]
 
 
-def _conditional(weights: np.ndarray, values: np.ndarray, inside: np.ndarray) -> float | None:
-    """``p(X | A)`` for the event with boolean mask ``inside``, or None if undefined.
+def _conditional(
+    weights: np.ndarray, values: np.ndarray, inside: np.ndarray
+) -> tuple[float | None, float]:
+    """``p(X | A)`` (None if undefined) and ``p(X 1_A)`` for the boolean mask ``inside``.
 
     Both sums run left to right over the products with the event's 0/1
     mask, as :func:`expectation` adds.  Conditioning on the full space
-    returns the expectation itself: the two are equal for a normalized
-    mass, and taking the quotient would manufacture one ulp of noise
-    exactly where downstream trust checks compare conditional values
-    against unconditional ones.
+    returns the expectation itself, which is also ``p(X 1_A)`` bit for bit
+    (``x * True == x``): the two are equal for a normalized mass, and
+    taking the quotient would manufacture one ulp of noise exactly where
+    downstream trust checks compare conditional values against
+    unconditional ones.
     """
     if inside.all():
-        return float(_ordered_sum(weights * values))
-    prob = float(_ordered_sum(weights * inside))
-    if not prob > 0.0:
-        return None
-    return float(_ordered_sum(weights * (values * inside))) / prob
+        value = _ordered_sum(weights * values)
+        return value, value
+    prob = _ordered_sum(weights * inside)
+    partial = _ordered_sum(weights * (values * inside))
+    return (partial / prob if prob > 0.0 else None), partial

@@ -61,11 +61,14 @@ one witness check, ``_require_negative_witness``, which raises
 :class:`ValidationError` for a witness that lost its violation in floats.
 Its outcome is final: both checks stop at their first offence and return
 the event and value it reads or let its error through, and the boxes reach
-it too, the positive side through the mirror -X.
+it too, the positive side through the mirror -X.  It also returns the
+acceptance mask and ``pi(X 1_A)`` that it computed on the way, from which
+the global check reads its margin.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,8 +179,11 @@ def expert_event(scenario: Scenario, x: Gamble, t: float) -> Event:
     """The event that the expert's prevision of x is at least t.
 
     Membership is the exact floating-point comparison ``P_i(x) >= t``; ties
-    land inside the event.
+    land inside the event.  A nan threshold raises :class:`ValidationError`:
+    every comparison with it is false, which would read as the empty event.
     """
+    if math.isnan(t):
+        raise ValidationError(f"threshold must not be nan, got {t}")
     return _event_of(_expert_previsions(scenario, x) >= t)
 
 
@@ -188,21 +194,28 @@ def _expert_previsions(scenario: Scenario, x: Gamble) -> np.ndarray:
 
 
 def _event_of(mask: np.ndarray) -> Event:
-    return Event(mask.size, frozenset(np.flatnonzero(mask).tolist()))
+    return Event(mask.size, frozenset(mask.nonzero()[0].tolist()))
 
 
-def _require_negative_witness(scenario: Scenario, x: Gamble) -> tuple[Event, float, np.ndarray]:
-    """X's event A = [P(X) >= 0], pi(X | A) < 0 and the P_i(X): the one check of a witness."""
+def _require_negative_witness(
+    scenario: Scenario, x: Gamble
+) -> tuple[Event, float, np.ndarray, np.ndarray, float]:
+    """The one check of a witness: X's event A = [P(X) >= 0] and pi(X | A) < 0.
+
+    Returns A, pi(X | A), the P_i(X), A's boolean mask and pi(X 1_A), the
+    partial expectation the conditional value was read from, so that no
+    caller recomputes them.
+    """
     previsions = _expert_previsions(scenario, x)
     accepted = previsions >= 0.0
     event = _event_of(accepted)
-    value = _conditional(scenario.agent.weights, x.values, accepted)
+    value, partial = _conditional(scenario.agent.weights, x.values, accepted)
     if value is None or not value < 0.0:
         raise ValidationError(
             "not a trust violation witness: conditional value given [P(X) >= 0] "
             f"is {'undefined' if value is None else value} on event {event.sorted_members()}"
         )
-    return event, value, previsions
+    return event, value, previsions, accepted, partial
 
 
 def check_local_trust(scenario: Scenario, x: Gamble) -> TrustVerdict:
@@ -224,12 +237,12 @@ def check_local_trust(scenario: Scenario, x: Gamble) -> TrustVerdict:
     previsions = _expert_previsions(scenario, x)
     values = previsions.tolist()
     for v in sorted(set(values) | {0.0}):
-        cond = _conditional(scenario.agent.weights, x.values, previsions >= v)
+        cond = _conditional(scenario.agent.weights, x.values, previsions >= v)[0]
         if cond is None or cond >= v:
             continue
         slack = min([v - cond, *(v - pv for pv in values if pv < v)])
         witness = x.shifted(slack / 2.0 - v) if v else x
-        event, value, _ = _require_negative_witness(scenario, witness)
+        event, value, *_ = _require_negative_witness(scenario, witness)
         return TrustVerdict(False, witness, event, value)
     return TrustVerdict(holds=True)
 
@@ -249,14 +262,18 @@ def check_global_trust(scenario: Scenario) -> TrustVerdict:
     """
     e = scenario.expert_matrix()
     pi = scenario.agent.weights
-    classes: dict[tuple[float, ...], int] = {}
-    label = np.array([classes.setdefault(tuple(row), len(classes)) for row in e.tolist()])
-    member = label == np.arange(len(classes))[:, None]  # member[c, i] iff world i is in class c
-    # A class of zero agent mass moves neither pi(A) nor pi(X 1_A).
-    member = member[member @ pi > 0.0]
-    k = len(member)
-    distinct = e[np.argmax(member, axis=1)]
-    masses = (member * pi).T  # (n, k): column c is pi o 1_c
+    # A class is named by its first world.  A class of zero agent mass
+    # moves neither pi(A) nor pi(X 1_A), so only the classes with a world
+    # of positive mass are kept, in the order of their first worlds.
+    first: dict[tuple[float, ...], int] = {}
+    head = [first.setdefault(row, i) for i, row in enumerate(map(tuple, e.tolist()))]
+    kept = sorted({h for h, p in zip(head, pi.tolist()) if p > 0.0})
+    k = len(kept)
+    column = dict(zip(kept, range(k)))
+    distinct = e.take(kept, axis=0)
+    # (n, k): column c is pi o 1_c.  Row i scales the unit row of its class,
+    # or the zero row k when its class was dropped.
+    masses = np.eye(k + 1, k).take([column.get(h, k) for h in head], axis=0) * pi[:, None]
     basis_u, sv, basis_vt = np.linalg.svd(distinct, full_matrices=False)
     rank = int(np.count_nonzero(sv > sv[0] * max(distinct.shape) * _EPS))
 
@@ -271,14 +288,13 @@ def check_global_trust(scenario: Scenario) -> TrustVerdict:
         # Expert previsions +1 on the accepting classes and -1 off them.
         x = pinv @ np.where(inside, 1.0, -1.0)
 
-    # Move along the offending direction until pi(X 1_A) <= -1.
-    weight = masses[:, inside].sum(axis=1)
+    # Move along the offending direction until pi(X 1_A) <= -1.  Each row
+    # of masses has at most one nonzero entry, so the product rounds nothing.
+    weight = masses @ inside
     x = x + max(0.0, weight @ x + 1.0) / -(weight @ direction) * direction
     witness = Gamble(x / np.abs(x).max())
-    event, value, previsions = _require_negative_witness(scenario, witness)
-    accepted = previsions >= 0.0
+    event, value, previsions, accepted, partial = _require_negative_witness(scenario, witness)
     # The event's cone-LP objective at the (feasible) witness.
-    partial = float(_ordered_sum(pi * (witness.values * accepted)))
     outside = previsions[~accepted].tolist()
     return TrustVerdict(False, witness, event, value, margin=-max([partial, *outside]))
 
@@ -295,17 +311,17 @@ def _full_rank_offence(
     if k < n:
         residual = _off_row_space(basis, masses)
         sizes = np.sqrt(np.add.reduce(residual * residual, axis=0))  # column norms
-        c = int(np.argmax(sizes))
+        c = int(sizes.argmax())
         if sizes[c] > SLACK:
             return np.arange(k) == c, -residual[:, c]
     kq = pinv.T @ masses  # K'
     off = kq.copy()
-    np.fill_diagonal(off, 0.0)
-    d, c = divmod(int(np.argmax(off)), k)
+    off.flat[:: k + 1] = 0.0
+    d, c = divmod(int(off.argmax()), k)
     if off[d, c] > SLACK:
         return np.arange(k) == c, -pinv[:, d]
-    rows = kq.sum(axis=1)
-    d = int(np.argmin(rows))
+    rows = np.add.reduce(kq, axis=1)
+    d = int(rows.argmin())
     if rows[d] < -SLACK:
         return np.ones(k, dtype=bool), pinv[:, d]
     return None
@@ -332,7 +348,7 @@ def _chain_offence(
     prefixes = u >= cuts[:, None]  # (cuts, k): an ascending chain of upper sets
     residual = _off_row_space(basis, masses @ prefixes.T)  # column j: pi o 1_{A_j}'s
     sizes = np.sqrt(np.add.reduce(residual * residual, axis=0))  # column norms
-    j = int(np.argmax(sizes))
+    j = int(sizes.argmax())
     if not sizes[j] > SLACK:
         raise ValidationError("dependent expert rows left no chain prefix off their row space")
     return prefixes[j], y - cuts[j], -residual[:, j]

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -83,6 +84,14 @@ class TestExpertEvent:
     def test_ties_fall_inside(self, truth_expert):
         event = expert_event(truth_expert, Gamble([0.0, -1.0]), 0.0)
         assert 0 in event
+
+    def test_nan_threshold_raises(self, truth_expert):
+        with pytest.raises(ValidationError, match="threshold must not be nan"):
+            expert_event(truth_expert, Gamble([2.0, -1.0]), math.nan)
+
+    @pytest.mark.parametrize("t, members", [(math.inf, []), (-math.inf, [0, 1])])
+    def test_infinite_threshold_is_kept(self, truth_expert, t, members):
+        assert expert_event(truth_expert, Gamble([2.0, -1.0]), t).sorted_members() == members
 
 
 def _knife_edge_case(rng: np.random.Generator) -> tuple[Scenario, Gamble]:
@@ -688,6 +697,52 @@ class TestGlobalTrustBits:
         # The counter is live: the LP oracle's simplex calls do show up.
         event_violation_margin(dependent, Event(6, frozenset({1, 4})))
         assert len(calls) == 1
+        # The digest pins the class table on each of its cases.
+        cases = Counter(self._table_case(s) for s in self._digest_suite())
+        assert cases == {
+            "distinct rows, all mass positive": 102,
+            "distinct rows, zero-mass worlds": 24,
+            "repeated rows, all mass positive": 53,
+            "repeated rows, zero-mass worlds in positive classes": 35,
+            "repeated rows, a class of zero mass": 16,
+        }
+
+    @staticmethod
+    def _table_case(scenario: Scenario) -> str:
+        rows = [tuple(row) for row in scenario.expert_matrix().tolist()]
+        weights = scenario.agent.weights.tolist()
+        if len(set(rows)) == scenario.n:
+            return "distinct rows, " + (
+                "zero-mass worlds" if 0.0 in weights else "all mass positive"
+            )
+        if 0.0 not in weights:
+            return "repeated rows, all mass positive"
+        heavy = {row for row, p in zip(rows, weights) if p > 0.0}
+        if heavy == set(rows):
+            return "repeated rows, zero-mass worlds in positive classes"
+        return "repeated rows, a class of zero mass"
+
+    def test_margin_matches_a_loop(self):
+        # -max(pi(X 1_A), P_i(X) for i outside A), each added one product at
+        # a time from 0.0, is the failing verdict's margin bit for bit.
+        failing = 0
+        for scenario in self._digest_suite():
+            verdict = check_global_trust(scenario)
+            if verdict.holds:
+                continue
+            failing += 1
+            x = verdict.witness.values.tolist()
+            inside = verdict.witness_event.members
+            partial = expectation_loop(
+                scenario.agent.weights, [v if j in inside else 0.0 for j, v in enumerate(x)]
+            )
+            outside = [
+                expectation_loop(row, x)
+                for i, row in enumerate(scenario.expert_matrix())
+                if i not in inside
+            ]
+            assert verdict.margin.hex() == (-max([partial, *outside])).hex()
+        assert failing == 115
 
 
 class TestAlmostEverywhereTrust:
