@@ -7,8 +7,9 @@ event, while staying clear of the n hyperplanes ``{Y : P_i(Y) = 0}`` on
 which expert previsions vanish.
 
 Two margins control the box for a witness with event A = [P(X) >= 0] and
-``pi(X | A) < 0``, as ``trust._require_negative_witness`` (the one witness
-check) reads them; both margins are :class:`ViolationBox` fields:
+``pi(X | A) < 0``.  Both come from ``trust._require_negative_witness`` (the
+one witness check), which returns pi(X | A) and xi, and both are
+:class:`ViolationBox` fields:
 
 * ``value_margin`` (lambda) -- how much X can be lifted uniformly before
   the conditional value reaches zero; equals ``-pi(X | A)`` since a
@@ -60,7 +61,8 @@ class ViolationBox:
     is carved out: a negative-side box holds the Y = X + D with every D_j
     in (0, delta), so 0 < P_i(D) < delta for every mass function, and the
     margins keep the accepting experts above zero and the others below.  A
-    positive-side box is such a box negated.
+    positive-side box is such a box negated.  Its bounds and midpoint must
+    be finite floats.
     """
 
     base: Gamble
@@ -75,6 +77,10 @@ class ViolationBox:
             raise ValidationError(f"box width must be positive and finite, got {self.delta}")
         if self.delta > min(self.value_margin, self.event_margin):
             raise ValidationError("box width exceeds the margins that justify it")
+        with np.errstate(over="ignore"):
+            ends = np.concatenate([self.lower, self.upper, self.lower + self.upper])
+        if not np.isfinite(ends).all():
+            raise ValidationError("box bounds and midpoint must stay within float range")
         if not np.all(self.upper - self.lower > 0.0):
             raise ValidationError("box must be nonempty and open in every coordinate")
 
@@ -133,10 +139,8 @@ def build_violation_box(scenario: Scenario, x: Gamble) -> ViolationBox:
     = pi(Y) - pi(Y 1_A) > 0`` if ``pi(Y) >= 0``.  Off the ties
     ``pi(Y) = 0``, ``h(-Y) = h(Y)``, so h is positive on the mirror too.
     """
-    event, value, previsions, *_ = _require_negative_witness(scenario, x)
+    event, value, xi, _ = _require_negative_witness(scenario, x)
     lam = -value
-    outside = previsions[previsions < 0.0]
-    xi = float(np.min(-outside)) if outside.size else math.inf
     return ViolationBox(
         base=x,
         event=event,

@@ -52,7 +52,10 @@ class ValidationError(ValueError):
 
 
 def _frozen_array(values, name: str) -> np.ndarray:
-    arr = np.array(values, dtype=float)  # a copy, which the caller cannot alias
+    try:
+        arr = np.array(values, dtype=float)  # a copy, which the caller cannot alias
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must be a real vector, got {values!r}") from None
     if arr.ndim != 1 or arr.size == 0:
         raise ValidationError(f"{name} must be a nonempty 1-D real vector, got shape {arr.shape}")
     if not np.isfinite(arr).all():
@@ -68,6 +71,10 @@ class WorldSpace:
     labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        if isinstance(self.labels, str):
+            raise ValidationError(
+                f"world labels must be a sequence of labels, got {self.labels!r}"
+            )
         labels = tuple(str(w) for w in self.labels)
         if len(labels) == 0:
             raise ValidationError("world space needs at least one world")
@@ -101,8 +108,18 @@ class Gamble:
         return self.values.size
 
     def shifted(self, t: float) -> "Gamble":
-        """The gamble with t added to every payoff."""
-        return Gamble(self.values + float(t))
+        """The gamble with t added to every payoff.
+
+        A payoff that the shift carries past the largest float raises
+        :class:`ValidationError`, without a numpy overflow warning.
+        """
+        with np.errstate(over="ignore"):
+            values = self.values + float(t)
+        if not np.isfinite(values).all():
+            raise ValidationError(
+                f"shifted gamble left float range: shift by {float(t)!r} of {self!r}"
+            )
+        return Gamble(values)
 
     def scaled(self, c: float) -> "Gamble":
         return Gamble(self.values * float(c))

@@ -62,8 +62,9 @@ one witness check, ``_require_negative_witness``, which raises
 Its outcome is final: both checks stop at their first offence and return
 the event and value it reads or let its error through, and the boxes reach
 it too, the positive side through the mirror -X.  It also returns the
-acceptance mask and ``pi(X 1_A)`` that it computed on the way, from which
-the global check reads its margin.
+event margin xi, the least ``-P_i(X)`` over the experts outside A, and
+``pi(X 1_A)``; the global check reads its margin and the boxes their width
+from those, so no other code reads a witness's expert previsions.
 """
 
 from __future__ import annotations
@@ -197,14 +198,14 @@ def _event_of(mask: np.ndarray) -> Event:
     return Event(mask.size, frozenset(mask.nonzero()[0].tolist()))
 
 
-def _require_negative_witness(
-    scenario: Scenario, x: Gamble
-) -> tuple[Event, float, np.ndarray, np.ndarray, float]:
+def _require_negative_witness(scenario: Scenario, x: Gamble) -> tuple[Event, float, float, float]:
     """The one check of a witness: X's event A = [P(X) >= 0] and pi(X | A) < 0.
 
-    Returns A, pi(X | A), the P_i(X), A's boolean mask and pi(X 1_A), the
-    partial expectation the conditional value was read from, so that no
-    caller recomputes them.
+    Returns A, pi(X | A), the event margin xi = ``min(-P_i(X))`` over the
+    experts outside A (inf when A is every world) and pi(X 1_A), the partial
+    expectation the conditional value was read from.  No other code reads a
+    witness's expert previsions: the global margin and the boxes take xi
+    and pi(X 1_A) from here.
     """
     previsions = _expert_previsions(scenario, x)
     accepted = previsions >= 0.0
@@ -215,7 +216,9 @@ def _require_negative_witness(
             "not a trust violation witness: conditional value given [P(X) >= 0] "
             f"is {'undefined' if value is None else value} on event {event.sorted_members()}"
         )
-    return event, value, previsions, accepted, partial
+    outside = previsions[~accepted].tolist()
+    xi = -max(outside) if outside else math.inf
+    return event, value, xi, partial
 
 
 def check_local_trust(scenario: Scenario, x: Gamble) -> TrustVerdict:
@@ -269,11 +272,8 @@ def check_global_trust(scenario: Scenario) -> TrustVerdict:
     head = [first.setdefault(row, i) for i, row in enumerate(map(tuple, e.tolist()))]
     kept = sorted({h for h, p in zip(head, pi.tolist()) if p > 0.0})
     k = len(kept)
-    column = dict(zip(kept, range(k)))
     distinct = e.take(kept, axis=0)
-    # (n, k): column c is pi o 1_c.  Row i scales the unit row of its class,
-    # or the zero row k when its class was dropped.
-    masses = np.eye(k + 1, k).take([column.get(h, k) for h in head], axis=0) * pi[:, None]
+    masses = (np.array(head)[:, None] == kept) * pi[:, None]  # (n, k): column c is pi o 1_c
     basis_u, sv, basis_vt = np.linalg.svd(distinct, full_matrices=False)
     rank = int(np.count_nonzero(sv > sv[0] * max(distinct.shape) * _EPS))
 
@@ -293,10 +293,9 @@ def check_global_trust(scenario: Scenario) -> TrustVerdict:
     weight = masses @ inside
     x = x + max(0.0, weight @ x + 1.0) / -(weight @ direction) * direction
     witness = Gamble(x / np.abs(x).max())
-    event, value, previsions, accepted, partial = _require_negative_witness(scenario, witness)
+    event, value, xi, partial = _require_negative_witness(scenario, witness)
     # The event's cone-LP objective at the (feasible) witness.
-    outside = previsions[~accepted].tolist()
-    return TrustVerdict(False, witness, event, value, margin=-max([partial, *outside]))
+    return TrustVerdict(False, witness, event, value, margin=min(-partial, xi))
 
 
 def _full_rank_offence(

@@ -121,6 +121,17 @@ class TestViolationBox:
         with pytest.raises(ValidationError, match=message):
             dataclasses.replace(box, **change)
 
+    @pytest.mark.parametrize(
+        "x",
+        [[1e308, -1e308], [1e308, -7e307]],
+        ids=["upper-overflows", "midpoint-overflows"],
+    )
+    def test_rejects_bounds_past_float_range(self, anti_expert, x):
+        # delta = 1e308 carries the upper bound past the largest float; at
+        # delta = 7e307 the bounds are finite but their midpoint sum is not.
+        with pytest.raises(ValidationError, match="box bounds and midpoint must stay within"):
+            build_violation_box(anti_expert, Gamble(x))
+
     def test_width_is_smaller_margin_across_zero_prevision(self, anti_expert):
         # pi(X) = -0.25 and both margins are 0.75: the box is that wide,
         # straddles pi(Y) = 0, and the integrand h stays positive on it.

@@ -388,6 +388,22 @@ class TestCheck:
         assert report["local"]["witness_event"] == ["w2"]
         assert report["local"]["witness_value"] == -1.0
 
+    def test_witness_shift_past_float_range_is_one_error(self, capsys, scenario_file):
+        # The sweep fails at threshold 1e308 and shifts the gamble by -5e307,
+        # which carries -1.7e308 past the largest float.
+        huge = {
+            "worlds": ["w1", "w2", "w3"],
+            "agent": [0.25, 0.25, 0.5],
+            "expert": [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.5, 0.5]],
+            "gambles": {"bet": [1e308, 1.0, -1.7e308]},
+        }
+        code = main(["check", scenario_file(huge), "--gamble", "bet"])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert captured.out == ""
+        assert captured.err.startswith("error: shifted gamble left float range")
+        assert captured.err.count("\n") == 1
+
     def test_missing_gamble_name(self, capsys, scenario_file):
         code = main(["check", scenario_file(ANTI), "--gamble", "nope"])
         assert code == EXIT_INPUT

@@ -107,6 +107,20 @@ class TestConstruction:
         with pytest.raises(ValidationError, match=message):
             build()
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: Gamble(["a"]), r"gamble must be a real vector, got \['a'\]"),
+            (lambda: ProbMass({}), r"probability mass must be a real vector, got \{\}"),
+            (lambda: Gamble([[1.0], [1.0, 2.0]]), r"gamble must be a real vector"),
+            (lambda: WorldSpace("w1"), r"world labels must be a sequence of labels, got 'w1'"),
+        ],
+        ids=["gamble-string", "mass-dict", "gamble-ragged", "space-string"],
+    )
+    def test_malformed_values_raise_validation_error(self, build, message):
+        with pytest.raises(ValidationError, match=message):
+            build()
+
     def test_mass_rejects_negative_weights(self):
         with pytest.raises(ValidationError):
             ProbMass([-0.1, 1.1])

@@ -20,6 +20,7 @@ from deference_lab import (
     Scenario,
     ValidationError,
     WorldSpace,
+    build_violation_box,
     check_global_trust,
     check_local_trust,
     conditional_expectation,
@@ -742,6 +743,8 @@ class TestGlobalTrustBits:
                 if i not in inside
             ]
             assert verdict.margin.hex() == (-max([partial, *outside])).hex()
+            xi = -max(outside) if outside else math.inf
+            assert build_violation_box(scenario, verdict.witness).event_margin.hex() == xi.hex()
         assert failing == 115
 
 
