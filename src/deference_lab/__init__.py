@@ -14,7 +14,6 @@ from .core import (
     ProbMass,
     ValidationError,
     WorldSpace,
-    conditional_expectation,
     expectation,
 )
 from .sampling import ScoreEstimate
@@ -24,7 +23,6 @@ from .trust import (
     check_global_trust,
     check_local_trust,
     estimate_ae_trust,
-    expert_event,
 )
 from .boxes import (
     Orientation,
@@ -57,11 +55,9 @@ __all__ = [
     "build_violation_box",
     "check_global_trust",
     "check_local_trust",
-    "conditional_expectation",
     "estimate_ae_trust",
     "expectation",
     "expected_gap",
-    "expert_event",
     "inaccuracy_mc",
     "rhs_identity",
 ]

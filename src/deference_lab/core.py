@@ -14,12 +14,13 @@ Conventions fixed here and relied on everywhere else:
 * All reductions over worlds run in a fixed left-to-right order, so verdicts
   and estimates are bit-reproducible across runs.  One kernel,
   :func:`_ordered_sum`, does that adding for :func:`expectation`, the
-  :class:`ProbMass` total and :func:`conditional_expectation`, and
-  (over the rows of the expert matrix) for the expert previsions of
+  :class:`ProbMass` total and :func:`_conditional`, and (over the rows of
+  the expert matrix) for the expert previsions of
   :mod:`deference_lab.trust`.
-* ``conditional_expectation`` treats zero-probability conditioning events as
+* :func:`_conditional` treats zero-probability conditioning events as
   *undefined* (returns ``None``), never as zero; the definedness test is an
-  exact ``> 0``, not an epsilon comparison.
+  exact ``> 0``, not an epsilon comparison.  The trust checks condition
+  through it alone, by way of ``trust._require_negative_witness``.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ __all__ = [
     "Event",
     "ProbMass",
     "expectation",
-    "conditional_expectation",
 ]
 
 #: The one slack tau.  A mass must sum to 1 within it, and
@@ -121,9 +121,6 @@ class Gamble:
             )
         return Gamble(values)
 
-    def scaled(self, c: float) -> "Gamble":
-        return Gamble(self.values * float(c))
-
     def __neg__(self) -> "Gamble":
         return Gamble(-self.values)
 
@@ -169,17 +166,6 @@ class Event:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "members", members)
 
-    @classmethod
-    def full(cls, n: int) -> "Event":
-        return cls(n, frozenset(range(n)))
-
-    @classmethod
-    def empty(cls, n: int) -> "Event":
-        return cls(n, frozenset())
-
-    def complement(self) -> "Event":
-        return Event(self.n, frozenset(range(self.n)) - self.members)
-
     def __contains__(self, i: int) -> bool:
         return i in self.members
 
@@ -220,13 +206,6 @@ class ProbMass:
     def n(self) -> int:
         return self.weights.size
 
-    @classmethod
-    def ideal(cls, n: int, i: int) -> "ProbMass":
-        """The point mass at world i (the ideal prevision there)."""
-        w = np.zeros(n)
-        w[_world_index(i, n)] = 1.0
-        return cls(w)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ProbMass):
             return NotImplemented
@@ -262,24 +241,6 @@ def expectation(p: ProbMass, x: Gamble) -> float:
     """
     _check_dims(p, x)
     return _ordered_sum(p.weights * x.values)
-
-
-def conditional_expectation(p: ProbMass, x: Gamble, a: Event) -> float | None:
-    """The conditional prevision of x given the event, or None if undefined.
-
-    Defined exactly when the event has strictly positive probability, in
-    which case it equals ``p(X 1_A) / p(A)``.  Both sums come from
-    :func:`_conditional`, the one mask kernel, which the trust checks also
-    call on the boolean masks they already hold.  A zero-probability event
-    yields ``None`` -- undefined is a distinguished result here, not an
-    error and not zero.
-    """
-    _check_dims(p, x)
-    if p.n != a.n:
-        raise ValidationError(f"dimension mismatch: mass has {p.n} worlds, event has {a.n}")
-    inside = np.zeros(a.n, dtype=bool)
-    inside[list(a.members)] = True
-    return _conditional(p.weights, x.values, inside)[0]
 
 
 def _conditional(

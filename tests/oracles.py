@@ -64,6 +64,32 @@ def expectation_loop(weights, values) -> float:
     return acc
 
 
+def conditional_loop(weights, values, members) -> float | None:
+    """p(X | A) for the worlds ``members``, or None when p(A) is not positive.
+
+    Two loops, p(X 1_A) over p(A); the full space gives ``expectation_loop``
+    itself, as the library's conditional does.
+    """
+    mask = [float(i in members) for i in range(len(values))]
+    if all(mask):
+        return expectation_loop(weights, values)
+    prob = expectation_loop(weights, mask)
+    if not prob > 0.0:
+        return None
+    return expectation_loop(weights, [float(v) * m for v, m in zip(values, mask)]) / prob
+
+
+def expert_event_loop(scenario: Scenario, x: Gamble, t: float) -> Event:
+    """The event [P(X) >= t], one ``expectation_loop`` per expert row."""
+    previsions = [expectation_loop(row.weights, x.values) for row in scenario.expert]
+    return Event(scenario.n, frozenset(i for i, v in enumerate(previsions) if v >= t))
+
+
+def ideal_mass(n: int, i: int) -> ProbMass:
+    """The point mass at world i (the ideal prevision there)."""
+    return ProbMass([float(j == i) for j in range(n)])
+
+
 class ErrorKind(Enum):
     NONE = "none"
     TYPE1 = "type1"

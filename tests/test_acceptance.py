@@ -31,6 +31,7 @@ from deference_lab.cli import EXIT_OK, main
 from oracles import (
     assert_negation_symmetric,
     event_violation_margin,
+    ideal_mass,
     random_measure,
     random_scenario,
     trusting_scenario,
@@ -188,7 +189,7 @@ def test_criterion_5_violation_yields_positive_gap_measure(suite, tmp_path, caps
 def test_criterion_6_exactness_anchors(monkeypatch):
     mixture = MeasureSpec.mixture(1.0, (BumpPair(Gamble([2.0, -1.0]), 0.5, 0.5),))
     for n, i, measure in ((2, 0, MeasureSpec.gaussian(1.0)), (2, 1, mixture), (4, 2, MeasureSpec.gaussian(2.0))):
-        estimate = inaccuracy_mc(ProbMass.ideal(n, i), i, measure, 20_000, seed=0)
+        estimate = inaccuracy_mc(ideal_mass(n, i), i, measure, 20_000, seed=0)
         assert estimate.value == 0.0 and estimate.std_error == 0.0
 
     rng = np.random.default_rng(6)

@@ -30,6 +30,7 @@ from oracles import (
     exact_gap,
     exact_inaccuracy,
     guarded_identity_values,
+    ideal_mass,
     informed_zero_mass_scenario,
     is_almost_desirable,
     measure_gap,
@@ -115,7 +116,7 @@ class TestErrorClass:
             n = int(rng.integers(1, 6))
             i = int(rng.integers(0, n))
             x = Gamble(rng.standard_normal(n))
-            assert error_class(ProbMass.ideal(n, i), i, x) is ErrorKind.NONE
+            assert error_class(ideal_mass(n, i), i, x) is ErrorKind.NONE
 
     @given(st.data())
     @settings(max_examples=150)
@@ -135,14 +136,14 @@ class TestErrorClass:
         x = Gamble(np.asarray(values))
         i = data.draw(st.integers(min_value=0, max_value=n - 1))
         kind = error_class(p, i, x)
-        disagrees = is_almost_desirable(p, x) != is_almost_desirable(ProbMass.ideal(n, i), x)
+        disagrees = is_almost_desirable(p, x) != is_almost_desirable(ideal_mass(n, i), x)
         assert (kind is not ErrorKind.NONE) == disagrees
 
 
 class TestInaccuracyMc:
     def test_ideal_mass_scores_exactly_zero(self):
         for n, i in ((2, 0), (3, 2), (5, 1)):
-            estimate = inaccuracy_mc(ProbMass.ideal(n, i), i, GAUSS, 10_000, seed=0)
+            estimate = inaccuracy_mc(ideal_mass(n, i), i, GAUSS, 10_000, seed=0)
             assert estimate.value == 0.0
             assert estimate.std_error == 0.0
 

@@ -65,11 +65,9 @@ def test_package_exports_are_pinned():
         "build_violation_box",
         "check_global_trust",
         "check_local_trust",
-        "conditional_expectation",
         "estimate_ae_trust",
         "expectation",
         "expected_gap",
-        "expert_event",
         "inaccuracy_mc",
         "rhs_identity",
     ]

@@ -23,22 +23,22 @@ from deference_lab import (
     build_violation_box,
     check_global_trust,
     check_local_trust,
-    conditional_expectation,
     estimate_ae_trust,
     expectation,
-    expert_event,
     trust,
 )
 from oracles import (
     QUARTER_ROWS,
     coarse_trusting_scenario,
     coarse_zero_mass_scenario,
+    conditional_loop,
     dependent_rows_scenario,
     event_margins,
     event_violation_margin,
     exact_quotient_holds,
     exact_witness_violates,
     expectation_loop,
+    expert_event_loop,
     garbled_scenario,
     guarded_ae_hits,
     informed_zero_mass_scenario,
@@ -66,33 +66,30 @@ def _suite(count: int, seed: int) -> list[Scenario]:
     return scenarios
 
 
+def _accepting(scenario: Scenario, x: Gamble, t: float) -> list[int]:
+    """The worlds of [P(X) >= t], from the expert previsions the local sweep compares."""
+    return np.flatnonzero(trust._expert_previsions(scenario, x) >= t).tolist()
+
+
 class TestExpertEvent:
     def test_anti_expert(self, anti_expert):
         # P_1(X) = x_2 = -1, P_2(X) = x_1 = 1: only world 2 accepts.
-        event = expert_event(anti_expert, Gamble([1.0, -1.0]), 0.0)
-        assert event.sorted_members() == [1]
+        assert _accepting(anti_expert, Gamble([1.0, -1.0]), 0.0) == [1]
 
     def test_truth_expert(self, truth_expert):
-        event = expert_event(truth_expert, Gamble([2.0, -1.0]), 0.0)
-        assert event.sorted_members() == [0]
+        assert _accepting(truth_expert, Gamble([2.0, -1.0]), 0.0) == [0]
 
     def test_constant_gamble_at_its_own_level(self, anti_expert, truth_expert):
         for scenario in (anti_expert, truth_expert):
             for c in (-2.0, 0.0, 3.5):
-                event = expert_event(scenario, Gamble([c, c]), c)
-                assert event == Event.full(2)
+                assert _accepting(scenario, Gamble([c, c]), c) == [0, 1]
 
     def test_ties_fall_inside(self, truth_expert):
-        event = expert_event(truth_expert, Gamble([0.0, -1.0]), 0.0)
-        assert 0 in event
-
-    def test_nan_threshold_raises(self, truth_expert):
-        with pytest.raises(ValidationError, match="threshold must not be nan"):
-            expert_event(truth_expert, Gamble([2.0, -1.0]), math.nan)
+        assert 0 in _accepting(truth_expert, Gamble([0.0, -1.0]), 0.0)
 
     @pytest.mark.parametrize("t, members", [(math.inf, []), (-math.inf, [0, 1])])
     def test_infinite_threshold_is_kept(self, truth_expert, t, members):
-        assert expert_event(truth_expert, Gamble([2.0, -1.0]), t).sorted_members() == members
+        assert _accepting(truth_expert, Gamble([2.0, -1.0]), t) == members
 
 
 def _knife_edge_case(rng: np.random.Generator) -> tuple[Scenario, Gamble]:
@@ -126,9 +123,9 @@ class TestLocalTrust:
     def test_witness_satisfies_verdict_contract(self, anti_expert):
         verdict = check_local_trust(anti_expert, Gamble([3.0, -1.0]))
         assert not verdict.holds
-        event = expert_event(anti_expert, verdict.witness, 0.0)
+        event = expert_event_loop(anti_expert, verdict.witness, 0.0)
         assert event == verdict.witness_event
-        value = conditional_expectation(anti_expert.agent, verdict.witness, event)
+        value = conditional_loop(anti_expert.agent.weights, verdict.witness.values, event.members)
         assert value == verdict.witness_value < 0.0
 
     @given(st.floats(min_value=1e-3, max_value=1e3), st.data())
@@ -138,7 +135,7 @@ class TestLocalTrust:
         scenario = random_scenario(rng, int(rng.integers(2, 5)))
         x = Gamble(rng.standard_normal(scenario.n))
         plain = check_local_trust(scenario, x).holds
-        scaled = check_local_trust(scenario, x.scaled(c)).holds
+        scaled = check_local_trust(scenario, Gamble(x.values * c)).holds
         assert plain == scaled
 
     def test_sweep_follows_its_own_float_decision(self):
@@ -153,7 +150,8 @@ class TestLocalTrust:
             thresholds = sorted({expectation(row, x) for row in scenario.expert} | {0.0})
             violates = False
             for v in thresholds:
-                cond = conditional_expectation(scenario.agent, x, expert_event(scenario, x, v))
+                event = expert_event_loop(scenario, x, v)
+                cond = conditional_loop(scenario.agent.weights, x.values, event.members)
                 violates = violates or (cond is not None and cond < v)
             try:
                 holds = check_local_trust(scenario, x).holds
@@ -256,8 +254,9 @@ class TestGlobalTrust:
             verdict = check_global_trust(scenario)
             assert not verdict.holds and verdict.margin > 0.0
             witness, event = verdict.witness, verdict.witness_event
-            assert expert_event(scenario, witness, 0.0) == event
-            assert conditional_expectation(scenario.agent, witness, event) == verdict.witness_value
+            assert expert_event_loop(scenario, witness, 0.0) == event
+            value = conditional_loop(scenario.agent.weights, witness.values, event.members)
+            assert value == verdict.witness_value
             assert verdict.witness_value < 0.0
             assert exact_witness_violates(scenario, witness)
         assert calls == []
@@ -397,11 +396,11 @@ class TestGlobalTrust:
             verdict = check_global_trust(scenario)
             if verdict.holds:
                 continue
-            event = expert_event(scenario, verdict.witness, 0.0)
+            event = expert_event_loop(scenario, verdict.witness, 0.0)
             assert event == verdict.witness_event
             indicator = [float(i in event) for i in range(scenario.n)]
             assert expectation_loop(scenario.agent.weights, indicator) > 0.0
-            value = conditional_expectation(scenario.agent, verdict.witness, event)
+            value = conditional_loop(scenario.agent.weights, verdict.witness.values, event.members)
             assert value == verdict.witness_value < 0.0
 
 
@@ -457,7 +456,7 @@ class TestClassQuotientDecision:
                 assert verdict.margin == 0.0
             else:
                 assert 0.0 < verdict.margin <= lp[verdict.witness_event.members] + 1e-9
-                assert expert_event(scenario, verdict.witness, 0.0) == verdict.witness_event
+                assert expert_event_loop(scenario, verdict.witness, 0.0) == verdict.witness_event
             counts["holds" if verdict.holds else "fails"] += 1
         assert min(counts.values()) >= 20
 
@@ -582,6 +581,47 @@ class TestSlackKnifeEdges:
         # and 3.0e-13.
         rows = [[1.0 - d, d, 0.0], [0.0, 1.0 - d, d], [0.0, 0.0, 1.0]]
         self._assert_side(Scenario.from_weights([0.3, 0.2, 0.5], rows), holds)
+
+    @pytest.mark.parametrize("e, holds", [(1e-12, False), (2.5e-13, True)])
+    def test_row_sum_sign(self, e, holds):
+        # The agent (1/2 - e, 1/2 + e) is -2e times the first expert row
+        # (1, 0) plus 1 + 2e times the second (1/2, 1/2), and those are the
+        # row sums of K': -2e-12 and -5e-13.  Its off-diagonal entries are
+        # -pi_2 and 0, so the row sum alone decides.
+        rows = [[1.0, 0.0], [0.5, 0.5]]
+        scenario = Scenario.from_weights([0.5 - e, 0.5 + e], rows)
+        self._assert_side(scenario, holds)
+        if not holds:
+            assert check_global_trust(scenario).witness_event.sorted_members() == [0, 1]
+
+
+class TestRankCut:
+    """Distinct rows count as dependent below sigma_max * max(k, n) * eps."""
+
+    def test_singular_value_between_eps_and_n_eps(self, monkeypatch):
+        # The third row is the average of the first two, tilted by d along
+        # (0, -1, 1): sigma_min / sigma_max is 1.75 eps for d = 5e-16, inside
+        # (eps, 3 eps).  The cut counts that sigma as zero, so the chain
+        # decides.  In exact arithmetic the rows are independent, with K'
+        # of order 1/d, and trust fails; the chain's witness must violate
+        # exactly.
+        d = 5e-16
+        rows = [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.25, 0.5 - d, 0.25 + d]]
+        scenario = Scenario.from_weights([0.2, 0.3, 0.5], rows)
+        sv = np.linalg.svd(scenario.expert_matrix(), compute_uv=False)
+        assert trust._EPS < sv[-1] / sv[0] < 3 * trust._EPS
+        chains = []
+        chain_offence = trust._chain_offence
+        monkeypatch.setattr(
+            trust, "_chain_offence", lambda *args: chains.append(1) or chain_offence(*args)
+        )
+        verdict = check_global_trust(scenario)
+        assert chains == [1]
+        assert not verdict.holds and verdict.margin > 0.0
+        assert verdict.witness_event.sorted_members() == [0, 2]
+        assert exact_quotient_holds(scenario) is False
+        assert exact_witness_violates(scenario, verdict.witness)
+        assert exact_witness_violates(scenario, verdict.witness)
 
 
 class TestGlobalTrustBits:
