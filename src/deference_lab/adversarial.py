@@ -68,7 +68,7 @@ def build_adversarial_measure(
     weight = 1.0 - MIN_BASE_WEIGHT
     # Three standard deviations inside every face: nearly all of each half's
     # mass (99% and change in low dimension) lands in the box and, by
-    # symmetry, the negated half's lands in the mirrored box.
+    # symmetry, the negated half's lands in the mirror box.
     bump = BumpPair(center=box.midpoint(), scale=box.delta / 6.0, weight=weight)
     measure = MeasureSpec.mixture(sigma=base_sigma, bumps=(bump,))
     estimate = expected_gap(scenario, measure, samples, seed)

@@ -23,11 +23,11 @@ With ``delta = min(lambda, xi)``, every Y strictly between X and X + delta
 keeps the event and stays violating; the box is open, hence of positive
 Lebesgue measure.  The positive-side case (gambles just *below* X whose
 conditional given their rejection event is strictly positive) is the same
-construction seen through negation: :func:`build_positive_box` hands -X to
-the one witness check through :func:`build_violation_box` and mirrors that
-box, with no check of its own.  A box stores only its base, width and
-side: its bounds derive from them, so they cannot stray from the base that
-function certified.
+construction seen through negation, and :func:`build_positive_box` is the
+one place such a box is made: it hands -X to the one witness check through
+:func:`build_violation_box` and negates that box, with no check of its own.
+A box stores only its base, width and side: its bounds derive from them,
+so they cannot stray from the base that function certified.
 """
 
 from __future__ import annotations
@@ -61,8 +61,9 @@ class ViolationBox:
     is carved out: a negative-side box holds the Y = X + D with every D_j
     in (0, delta), so 0 < P_i(D) < delta for every mass function, and the
     margins keep the accepting experts above zero and the others below.  A
-    positive-side box is such a box negated.  Its bounds and midpoint must
-    be finite floats.
+    positive-side box is such a box negated, made only by
+    :func:`build_positive_box`.  Its bounds and midpoint must be finite
+    floats.
     """
 
     base: Gamble
@@ -85,10 +86,6 @@ class ViolationBox:
             raise ValidationError("box must be nonempty and open in every coordinate")
 
     @property
-    def n(self) -> int:
-        return self.base.n
-
-    @property
     def lower(self) -> np.ndarray:
         if self.orientation is Orientation.NEGATIVE_SIDE:
             return self.base.values
@@ -102,30 +99,6 @@ class ViolationBox:
 
     def midpoint(self) -> Gamble:
         return Gamble((self.lower + self.upper) / 2.0)
-
-    def contains(self, y: Gamble) -> bool:
-        """Strict interior membership."""
-        return y.n == self.n and bool(
-            np.all(y.values > self.lower) and np.all(y.values < self.upper)
-        )
-
-    def sample_interior(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """``count`` uniform draws from the box, one row each."""
-        return self.lower + rng.random((count, self.n)) * (self.upper - self.lower)
-
-    def mirrored(self) -> "ViolationBox":
-        """The negated box -Y, which backs the opposite strict inequality.
-
-        Negating every gamble flips acceptance into rejection away from the
-        hyperplanes, so the conditioning event is preserved while the
-        orientation swaps.
-        """
-        flipped = (
-            Orientation.POSITIVE_SIDE
-            if self.orientation is Orientation.NEGATIVE_SIDE
-            else Orientation.NEGATIVE_SIDE
-        )
-        return replace(self, base=-self.base, orientation=flipped)
 
 
 def build_violation_box(scenario: Scenario, x: Gamble) -> ViolationBox:
@@ -154,16 +127,19 @@ def build_violation_box(scenario: Scenario, x: Gamble) -> ViolationBox:
 def build_positive_box(scenario: Scenario, x: Gamble) -> ViolationBox:
     """The open box (X - delta, X) of gambles violating trust from above.
 
-    It is the mirror of ``build_violation_box(scenario, -X)``, which raises
-    :class:`ValidationError` unless -X passes the one witness check: its
-    event A' = [P(-X) >= 0] = [P(X) <= 0] has positive probability and
-    ``pi(X | A') > 0``.  Negation is exact in floats, so every Y in
-    (X - delta, X) has -Y in the negative box of -X.  There each expert in
-    A' has ``P_i(-Y) > 0``, every other expert ``P_i(-Y) < 0``, and
-    ``pi(-Y | A') < 0``.  So Y's rejection event [P(Y) < 0] is A', no zero
-    hyperplane meets the box, ``pi(Y | A') > 0``, and the gap integrand h
-    is positive on the box, as on its mirror.  None of this uses the sign
-    of ``pi(X)``.  An expert with ``P_i(X) = 0`` accepts X itself, an
-    excluded corner of the box, and rejects every Y inside it.
+    It is the one place a positive-side box is made: the negative box of
+    -X, from ``build_violation_box(scenario, -X)``, with its base negated
+    back and its side flipped.  That call raises :class:`ValidationError`
+    unless -X passes the one witness check: its event A' = [P(-X) >= 0] =
+    [P(X) <= 0] has positive probability and ``pi(X | A') > 0``.  Negation
+    is exact in floats, so every Y in (X - delta, X) has -Y in the negative
+    box of -X.  There each expert in A' has ``P_i(-Y) > 0``, every other
+    expert ``P_i(-Y) < 0``, and ``pi(-Y | A') < 0``.  So Y's rejection event
+    [P(Y) < 0] is A', no zero hyperplane meets the box, ``pi(Y | A') > 0``,
+    and the gap integrand h is positive on the box, as on its mirror.  None
+    of this uses the sign of ``pi(X)``.  An expert with ``P_i(X) = 0``
+    accepts X itself, an excluded corner of the box, and rejects every Y
+    inside it.
     """
-    return build_violation_box(scenario, -x).mirrored()
+    neg = build_violation_box(scenario, -x)
+    return replace(neg, base=-neg.base, orientation=Orientation.POSITIVE_SIDE)

@@ -105,15 +105,11 @@ class MeasureSpec:
     def base_weight(self) -> float:
         return 1.0 - sum(b.weight for b in self.bumps)
 
-    @property
-    def dim(self) -> int | None:
-        """Dimension pinned by the bump centers; None for a plain Gaussian."""
-        return self.bumps[0].center.n if self.bumps else None
-
     def components(self, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(weights, means, scales) with every bump split into its +/- halves."""
-        if self.dim is not None and self.dim != dim:
-            raise ValidationError(f"measure is {self.dim}-dimensional, asked to sample in {dim}")
+        pinned = self.bumps[0].center.n if self.bumps else dim
+        if pinned != dim:
+            raise ValidationError(f"measure is {pinned}-dimensional, asked to sample in {dim}")
         weights = [self.base_weight]
         means = [np.zeros(dim)]
         scales = [self.sigma]

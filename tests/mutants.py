@@ -1,4 +1,5 @@
-"""One-line mutants of the exact decision core, each run against the test suite.
+"""One-line mutants of the decision core, the boxes, the sampler and the report
+format, each run against the test suite.
 
 Run from anywhere (it takes several minutes, so pytest does not collect it)::
 
@@ -70,6 +71,24 @@ MUTANTS = [
     ("half-width-box", "boxes.py",
      "        delta=min(lam, xi),\n",
      "        delta=min(lam, xi) / 2.0,\n"),
+    ("witness-accepts-strictly", "trust.py",
+     "    accepted = previsions >= 0.0\n",
+     "    accepted = previsions > 0.0\n"),
+    ("event-margin-from-nearest-outside", "trust.py",
+     "xi = -max(outside)",
+     "xi = -min(outside)"),
+    ("positive-box-side", "boxes.py",
+     "orientation=Orientation.POSITIVE_SIDE)",
+     "orientation=Orientation.NEGATIVE_SIDE)"),
+    ("chunk-seed-shifted", "sampling.py",
+     "spawn_key=(chunk_index,)",
+     "spawn_key=(chunk_index + 1,)"),
+    ("chunk-merge-weight", "sampling.py",
+     "delta * (c_count / total)",
+     "delta * (count / total)"),
+    ("float-format-16-digits", "cli.py",
+     'format(float(x), ".17g")',
+     'format(float(x), ".16g")'),
 ]
 
 IGNORED = shutil.ignore_patterns(

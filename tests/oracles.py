@@ -706,6 +706,11 @@ def _zero_mass_cases(scenario: Scenario, xs: np.ndarray) -> dict[str, int]:
     }
 
 
+def box_points(box, rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` uniform draws from a violation box's open bounds, one row each."""
+    return box.lower + rng.random((count, box.base.n)) * (box.upper - box.lower)
+
+
 def guarded_identity_values(scenario: Scenario, xs: np.ndarray) -> np.ndarray:
     """``rhs_identity``'s integrand as first written, with zero-mass guards.
 

@@ -93,7 +93,7 @@ class TestBumpPair:
 
     def test_mass_containment_both_sides(self, anti_expert):
         box = build_violation_box(anti_expert, Gamble([1.0, -1.0]))
-        mirror = box.mirrored()
+        mirror = build_positive_box(anti_expert, Gamble([-1.0, 1.0]))
         bump = _bump(anti_expert, box)
         center, scale = bump.center, bump.scale
         rng = np.random.default_rng(0)
@@ -165,7 +165,9 @@ class TestBuildAdversarialMeasure:
         with pytest.raises(ValidationError, match="not a trust violation witness"):
             build_adversarial_measure(scenario, box, 1.0, 1_000, seed=0)
         with pytest.raises(ValidationError, match="not a trust violation witness"):
-            build_adversarial_measure(scenario, box.mirrored(), 1.0, 1_000, seed=0)
+            build_adversarial_measure(
+                scenario, build_positive_box(anti_expert, Gamble([-1.0, 1.0])), 1.0, 1_000, seed=0
+            )
 
     def test_positive_side_box_is_checked_through_its_mirror(self, anti_expert):
         # Every expert rejects X = [-1, 5], so X itself witnesses nothing on

@@ -801,6 +801,21 @@ class TestAlmostEverywhereTrust:
     def test_agent_as_expert_zero(self, agent_expert):
         assert estimate_ae_trust(agent_expert, 1.0, 10_000, seed=2).value == 0.0
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 8])
+    @pytest.mark.parametrize("family", [random_scenario, trusting_scenario])
+    def test_power_of_two_sigma_moves_no_bit(self, family, n):
+        # Scaling a draw by 2^k commutes with rounding (nothing here leaves
+        # the normal range), so every prevision keeps its sign and every
+        # hit stays a hit: the estimate is that at sigma = 1, bit for bit.
+        scenario = family(np.random.default_rng(n), n)
+        reference = estimate_ae_trust(scenario, 1.0, 2**17, seed=n)
+        for sigma in (2.0**-10, 0.5, 4.0, 2.0**20):
+            got = estimate_ae_trust(scenario, sigma, 2**17, seed=n)
+            assert (got.value.hex(), got.std_error.hex()) == (
+                reference.value.hex(),
+                reference.std_error.hex(),
+            )
+
     def test_matches_independent_oracle_counts(self, anti_expert):
         xs = np.random.default_rng(3).standard_normal((50_000, 2))
         oracle = float(np.mean(t0_violation_mask(anti_expert, xs)))
